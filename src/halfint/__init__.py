@@ -6,7 +6,6 @@ sign-change statistics of the coefficients."""
 from .arith import (
     build_sieves,
     enumerate_nflat,
-    factorize,
     is_fundamental_discriminant,
     kronecker,
 )
@@ -29,7 +28,6 @@ from .qseries import (
     ps_mul,
     save_coeffs,
     theta_series,
-    u_operator,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,7 @@
-"""Number-theoretic kernel: sieves, factorization, Kronecker symbol,
-fundamental discriminants, and the index set of discriminants 8m with m odd
-and square-free.
+"""Number-theoretic kernel: sieves, the sigma_3 table, factorization with
+phi and mu, Kronecker symbol, fundamental discriminants, and the index set of
+discriminants 8m with m odd and square-free. Every other module takes these
+primitives from here.
 
 All tables are built once and then treated as immutable; every query here is
 pure, so concurrent readers are safe.
@@ -15,14 +16,14 @@ import numpy as np
 
 from .errors import CapacityError
 
-# Rough per-entry cost of a full table set (mu, omega, liouville, sigma3,
-# phi, spf, squarefree), used for the capacity guard.
+# Rough per-entry cost of a full table set (mu, sigma3, phi, spf,
+# squarefree), used for the capacity guard.
 _BYTES_PER_ENTRY = 32
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
-# sigma3(n) <= zeta(3) n^3 stays below 2^64-1 for n <= 2_400_000; beyond that
-# the table switches to Python integers.
-_SIGMA3_UINT64_LIMIT = 2_400_000
+# sigma3(n) <= zeta(3) n^3 stays below 2^63 for n <= ~1.96e6, so an int64
+# divisor fill is exact up to here.
+SIGMA3_INT64_LIMIT = 1_950_000
 
 
 @dataclass
@@ -32,8 +33,6 @@ class SieveTables:
 
     limit: int
     mu: np.ndarray
-    big_omega: np.ndarray
-    liouville: np.ndarray
     sigma3: np.ndarray
     phi: np.ndarray
     smallest_prime_factor: np.ndarray
@@ -47,14 +46,6 @@ class SieveTables:
             self._primes = idx[(idx >= 2) & (self.smallest_prime_factor == idx)]
         return self._primes
 
-    def primes_between(self, lo: float, hi: float) -> np.ndarray:
-        """Primes p with lo < p <= hi."""
-        p = self.primes
-        return p[(p > lo) & (p <= hi)]
-
-    def is_prime(self, n: int) -> bool:
-        return n >= 2 and self.smallest_prime_factor[n] == n
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -67,6 +58,37 @@ class Factorization:
             divs = [d * p**k for d in divs for k in range(e + 1)]
         return sorted(divs)
 
+    def squarefree_divisors(self) -> list[tuple[int, int]]:
+        """Pairs (r, mu(r)) over the square-free divisors r, the only ones
+        with mu(r) != 0."""
+        out = [(1, 1)]
+        for p, _ in self.prime_powers:
+            out += [(r * p, -m) for r, m in out]
+        return out
+
+
+def smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[n] = smallest prime factor of n for 2 <= n <= limit (0 at 0, 1)."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == 0:
+            seg = spf[p * p :: p]
+            seg[seg == 0] = p
+    untouched = spf == 0
+    untouched[:2] = False
+    spf[untouched] = np.nonzero(untouched)[0]
+    return spf
+
+
+def sigma3_table(M: int) -> np.ndarray:
+    """sigma_3(n) for 0 <= n <= M as int64 (index 0 is 0), by divisor fill."""
+    if M > SIGMA3_INT64_LIMIT:
+        raise CapacityError(f"sigma3 table to {M} overflows int64 past {SIGMA3_INT64_LIMIT}")
+    sig = np.zeros(M + 1, dtype=np.int64)
+    for d in range(1, M + 1):
+        sig[d::d] += d * d * d
+    return sig
+
 
 def build_sieves(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SieveTables:
     """Fill all tables up to `limit` (inclusive). Deterministic."""
@@ -76,66 +98,32 @@ def build_sieves(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Siev
         raise CapacityError(
             f"limit {limit} needs ~{limit * _BYTES_PER_ENTRY} bytes, over budget {memory_budget}"
         )
+    sigma3 = sigma3_table(limit)
 
     n = limit + 1
-    spf = np.zeros(n, dtype=np.int64)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.nonzero(untouched)[0]
-
+    spf = smallest_prime_factors(limit)
     idx = np.arange(n)
     primes = idx[(idx >= 2) & (spf == idx)]
 
     mu = np.ones(n, dtype=np.int8)
-    big_omega = np.zeros(n, dtype=np.int16)
     for p in primes:
         p = int(p)
         mu[p::p] *= -1
         q = p * p
         if q <= limit:
             mu[q::q] = 0
-        q = p
-        while q <= limit:
-            big_omega[q::q] += 1
-            q *= p
     mu[0] = 0
-    big_omega[0] = 0
     squarefree = mu != 0
     squarefree[0] = False
-    liouville = np.where(big_omega % 2 == 0, 1, -1).astype(np.int8)
-    liouville[0] = 0
 
     phi = np.arange(n, dtype=np.int64)
     for p in primes:
         p = int(p)
         phi[p::p] -= phi[p::p] // p
 
-    if limit <= _SIGMA3_UINT64_LIMIT:
-        sigma3 = np.zeros(n, dtype=np.uint64)
-        for d in range(1, limit + 1):
-            sigma3[d::d] += np.uint64(d * d * d)
-    else:
-        # Python integers beyond the uint64-safe range; multiplicative fill.
-        sigma3 = np.zeros(n, dtype=object)
-        sigma3[1] = 1
-        for nn in range(2, limit + 1):
-            p = int(spf[nn])
-            m = nn
-            pe = 1
-            while m % p == 0:
-                m //= p
-                pe *= p
-            sigma3[nn] = sigma3[m] * ((pe * p) ** 3 - 1) // (p**3 - 1)
-
     return SieveTables(
         limit=limit,
         mu=mu,
-        big_omega=big_omega,
-        liouville=liouville,
         sigma3=sigma3,
         phi=phi,
         smallest_prime_factor=spf,
@@ -229,48 +217,6 @@ def enumerate_nflat(X: int) -> list[int]:
     return [8 * int(m) for m in np.nonzero(flags)[0]]
 
 
-def iter_nflat(X: int, segment: int = 1 << 22):
-    """Stream the same index set without holding flags for all of X/8 at
-    once: square-free marking is re-run per segment against primes up to
-    sqrt(X/8). Lets scans reach limits where a dense table would not fit."""
-    mmax = X // 8
-    if mmax < 1:
-        return
-    base_primes = primes_up_to(isqrt(mmax))
-    lo = 1
-    while lo <= mmax:
-        hi = min(lo + segment - 1, mmax)
-        flags = np.ones(hi - lo + 1, dtype=bool)
-        flags[(lo % 2)::2] = False  # even m out
-        for p in base_primes:
-            if p == 2:
-                continue
-            q = p * p
-            start = ((lo + q - 1) // q) * q
-            if start <= hi:
-                flags[start - lo :: q] = False
-        for off in np.nonzero(flags)[0]:
-            yield 8 * (lo + int(off))
-        lo = hi + 1
-
-
-def factorize(n: int, tables: SieveTables) -> Factorization:
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    if n > tables.limit:
-        raise ValueError(f"{n} exceeds sieve limit {tables.limit}")
-    pps = []
-    m = n
-    while m > 1:
-        p = int(tables.smallest_prime_factor[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        pps.append((p, e))
-    return Factorization(value=n, prime_powers=tuple(pps))
-
-
 def factorize_small(n: int) -> Factorization:
     """Trial-division factorization; no table needed. Fine for n up to ~1e12."""
     if n < 1:
@@ -289,6 +235,14 @@ def factorize_small(n: int) -> Factorization:
     if m > 1:
         pps.append((m, 1))
     return Factorization(value=n, prime_powers=tuple(pps))
+
+
+def euler_phi(n: int) -> int:
+    """phi(n) from the prime powers of n."""
+    out = 1
+    for p, e in factorize_small(n).prime_powers:
+        out *= p ** (e - 1) * (p - 1)
+    return out
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import factorize_small, kronecker, primes_up_to
+from .arith import euler_phi, factorize_small, kronecker, primes_up_to
 from .errors import BudgetExceededError, ConvergenceError, InsufficientTableError
 from .qseries import CoeffTable
 
@@ -81,10 +81,7 @@ def gauss_sum_closed(l: int, n: int) -> float:
         root = isqrt(n)
         if root * root != n:
             return 0.0
-        out = 1.0
-        for p, e in factorize_small(n).prime_powers:
-            out *= p ** (e - 1) * (p - 1)
-        return out
+        return float(euler_phi(n))
     out = 1.0
     for p, e in factorize_small(n).prime_powers:
         out *= _gauss_prime_power(l, p, e)
@@ -150,11 +147,8 @@ def build_jutila_system(Q: float, eta: float, Delta: int) -> JutilaSystem:
         q = 4 * Delta * r
         if not Q <= q <= 2 * Q:
             continue
-        phi_q = 1
-        for p, e in factorize_small(q).prime_powers:
-            phi_q *= p ** (e - 1) * (p - 1)
         qlist.append(q)
-        L += phi_q
+        L += euler_phi(q)
     return JutilaSystem(Q=Q, eta=eta, Delta=Delta, Qset=tuple(qlist), L=L)
 
 

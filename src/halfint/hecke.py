@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import factorize_small, kronecker
+from .arith import factorize_small, kronecker, primes_up_to
 from .qseries import CoeffTable, delta_integral
 
 __all__ = [
@@ -37,6 +37,8 @@ class HeckeTable:
     tau: list
     N: int
     _lambda: np.ndarray = field(default=None, repr=False)
+    # first_moment_scan rows (m, L(1/2, chi_8m), weight), keyed by window
+    _windows: dict = field(default_factory=dict, repr=False)
 
     @property
     def lam(self) -> np.ndarray:
@@ -57,21 +59,10 @@ def build_hecke_table(N: int, k: int = 6) -> HeckeTable:
     if k != 6:
         raise ValueError("only the weight-12 lift (k=6) is implemented")
     tau = delta_integral(N)
-    for p in _primes_upto(N):
+    for p in primes_up_to(N):
         if tau[p] * tau[p] > 4 * p**11:
             raise AssertionError(f"eigenvalue bound violated at p={p}")
     return HeckeTable(k=k, tau=tau, N=N)
-
-
-def _primes_upto(n: int) -> list:
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    p = 2
-    while p * p <= n:
-        if flags[p]:
-            flags[p * p :: p] = False
-        p += 1
-    return [int(q) for q in np.nonzero(flags)[0]]
 
 
 def lambda_f(n: int, t: HeckeTable) -> float:
@@ -95,19 +86,9 @@ def shimura_identity_check(d: int, n: int, coeffs: CoeffTable, t: HeckeTable) ->
         raise ValueError(f"n = {n} exceeds eigenvalue table range {t.N}")
     k = (coeffs.weight_times_two - 1) // 2
     rhs = 0
-    for r in factorize_small(n).divisors():
-        mu_r = _mu(r)
-        if mu_r == 0:
-            continue
+    for r, mu_r in factorize_small(n).squarefree_divisors():
         rhs += mu_r * kronecker(d, r) * r ** (k - 1) * t.tau[n // r]
     return coeffs.a(n * n * d) == coeffs.a(d) * rhs
-
-
-def _mu(r: int) -> int:
-    f = factorize_small(r)
-    if any(e > 1 for _, e in f.prime_powers):
-        return 0
-    return (-1) ** len(f.prime_powers)
 
 
 def find_signflip_prime(t: HeckeTable, bound: int) -> int | None:
@@ -115,7 +96,7 @@ def find_signflip_prime(t: HeckeTable, bound: int) -> int | None:
     tau(p) < -2 p^{k-1} exactly; None if no witness below the bound."""
     if bound > t.N:
         raise ValueError(f"bound {bound} exceeds table range {t.N}")
-    for p in _primes_upto(bound):
+    for p in primes_up_to(bound):
         if t.tau[p] < -2 * p ** (t.k - 1):
             return p
     return None

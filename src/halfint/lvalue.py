@@ -29,12 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
 
-from .arith import factorize_small, is_fundamental_discriminant, kronecker
+from .arith import (
+    factorize_small,
+    is_fundamental_discriminant,
+    kronecker,
+    odd_squarefree_flags,
+    smallest_prime_factors,
+)
 from .errors import ConvergenceError, InconsistencyError, InsufficientTableError
 from .hecke import HeckeTable
 from .qseries import CoeffTable
@@ -45,6 +50,7 @@ __all__ = [
     "w_kernel_oracle",
     "central_lvalue",
     "waldspurger_ratio",
+    "waldspurger_quotient",
     "a_factor",
     "first_moment_scan",
     "bump_window",
@@ -121,27 +127,9 @@ def w_kernel_oracle(
 
 # -- Kronecker character tables ------------------------------------------------
 
-_spf_cache: np.ndarray = np.zeros(2, dtype=np.int32)
-
-
-def _spf_upto(n: int) -> np.ndarray:
-    global _spf_cache
-    if _spf_cache.size <= n:
-        size = max(n + 1, 2 * _spf_cache.size, 1 << 12)
-        spf = np.zeros(size, dtype=np.int32)
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if spf[p] == 0:
-                seg = spf[p * p :: p]
-                seg[seg == 0] = p
-        idx = np.nonzero(spf == 0)[0]
-        spf[idx] = idx
-        _spf_cache = spf
-    return _spf_cache
-
-
 def chi_array(d: int, N: int) -> np.ndarray:
     """chi_d(n) for 0 <= n <= N as int8, filled multiplicatively."""
-    spf = _spf_upto(N)
+    spf = smallest_prime_factors(N)
     chi = np.zeros(N + 1, dtype=np.int8)
     if N >= 1:
         chi[1] = 1
@@ -217,15 +205,20 @@ def waldspurger_ratio(
     if d > coeffs.N:
         raise ValueError(f"d={d} exceeds coefficient table range {coeffs.N}")
     res = central_lvalue(d, t, tol)
-    ad = coeffs.a(d)
-    small_l = abs(res.value) < 10 * tol
-    if ad == 0 and small_l:
+    return waldspurger_quotient(d, coeffs.a(d), res.value, t.k, tol)
+
+
+def waldspurger_quotient(d: int, alpha: int, lval: float, k: int, tol: float) -> float | None:
+    """The waldspurger_ratio of alpha = alpha(d) and a central value already
+    computed at tolerance tol, for the lift of weight 2k."""
+    small_l = abs(lval) < 10 * tol
+    if alpha == 0 and small_l:
         return None
-    if ad == 0 or small_l:
+    if alpha == 0 or small_l:
         raise InconsistencyError(
-            f"d={d}: alpha={ad} but L={res.value:.3e} (tol {tol:.1e})"
+            f"d={d}: alpha={alpha} but L={lval:.3e} (tol {tol:.1e})"
         )
-    return ad * ad / (d ** (t.k - 0.5) * res.value)
+    return alpha * alpha / (d ** (k - 0.5) * lval)
 
 
 def bump_window(lo: float = 0.5, hi: float = 1.0):
@@ -241,31 +234,18 @@ def bump_window(lo: float = 0.5, hi: float = 1.0):
     return phi
 
 
-@lru_cache(maxsize=8)
-def _window_lvalues(x: int, lo: float, hi: float, tol: float, table_key: int):
-    t = _TABLE_REGISTRY[table_key]
-    ms = [m for m in range(1, x // 8 + 1) if lo < 8 * m / x < hi and _odd_squarefree(m)]
-    out = []
-    phi = bump_window(lo, hi)
-    for m in ms:
-        d = 8 * m
-        out.append((m, central_lvalue(d, t, tol).value, phi(8 * m / x)))
-    return out
-
-
-_TABLE_REGISTRY: dict = {}
-
-
-def _register(t: HeckeTable) -> int:
-    key = id(t)
-    _TABLE_REGISTRY[key] = t
-    return key
-
-
-def _odd_squarefree(m: int) -> bool:
-    if m % 2 == 0:
-        return False
-    return all(e == 1 for _, e in factorize_small(m).prime_powers)
+def _window_lvalues(x: int, lo: float, hi: float, tol: float, t: HeckeTable) -> list:
+    """Rows (m, L(1/2, chi_8m), phi(8m/x)) of the window, kept on the table."""
+    key = (x, lo, hi, tol)
+    if key not in t._windows:
+        flags = odd_squarefree_flags(max(x // 8, 0))
+        phi = bump_window(lo, hi)
+        t._windows[key] = [
+            (m, central_lvalue(8 * m, t, tol).value, phi(8 * m / x))
+            for m in range(1, x // 8 + 1)
+            if lo < 8 * m / x < hi and flags[m]
+        ]
+    return t._windows[key]
 
 
 def first_moment_scan(
@@ -288,7 +268,7 @@ def first_moment_scan(
     if u < 1 or u % 2 == 0:
         raise ValueError("twist u must be odd and positive")
     lo, hi = window
-    rows = _window_lvalues(x, lo, hi, tol, _register(t))
+    rows = _window_lvalues(x, lo, hi, tol, t)
     if not rows:
         raise ValueError(f"window ({lo},{hi}) times x={x} contains no index 8m")
     s_u = 0.0

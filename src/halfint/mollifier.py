@@ -87,9 +87,6 @@ class MollifierParams:
     def lk(self) -> int:
         return round(self.l * self.kappa)
 
-    def interval_primes(self, j: int) -> list:
-        return self.primes[j]
-
 
 @dataclass(frozen=True)
 class MollifierValue:

@@ -27,6 +27,7 @@ from math import comb, isqrt
 
 import numpy as np
 
+from .arith import SIGMA3_INT64_LIMIT, sigma3_table
 from .errors import CapacityError, ChecksumError, FormatError
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "ps_mul",
     "ps_derivative_over_2pii",
     "ps_dilate",
-    "u_operator",
     "theta_series",
     "eisenstein_g",
     "delta_halfintegral",
@@ -119,13 +119,6 @@ def ps_dilate(a: PowerSeries, m: int) -> PowerSeries:
             break
         out[i * m] = c
     return PowerSeries(out)
-
-
-def u_operator(a: PowerSeries, m: int) -> PowerSeries:
-    """Coefficient extraction a_n -> a_{mn}; truncation becomes floor(N/m)."""
-    if m < 1:
-        raise ValueError("operator index must be >= 1")
-    return PowerSeries([a.coeffs[m * i] for i in range(a.truncation // m + 1)])
 
 
 def theta_series(N: int) -> PowerSeries:
@@ -237,16 +230,8 @@ class CoeffTable:
 
 _DIG = 20
 _MASK = (1 << _DIG) - 1
-# sigma3 must stay below 2^63 as int64 during the divisor fill: fine to
-# ~1.96e6, i.e. table sizes N up to ~7.8e6.
-_FAST_N_CAP = 7_800_000
-
-
-def _sigma3_int64(M: int) -> np.ndarray:
-    sig = np.zeros(M + 1, dtype=np.int64)
-    for d in range(1, M + 1):
-        sig[d::d] += d * d * d
-    return sig
+# the int64 sigma3 table runs to N/4
+_FAST_N_CAP = 4 * SIGMA3_INT64_LIMIT
 
 
 def _digits(arr: np.ndarray, count: int) -> list:
@@ -303,7 +288,7 @@ def delta_halfintegral(N: int) -> CoeffTable:
     if N > _FAST_N_CAP:
         raise CapacityError(f"fast builder caps at N={_FAST_N_CAP}")
     M = Q = N // 4
-    sig3 = _sigma3_int64(M) if M >= 1 else np.zeros(1, dtype=np.int64)
+    sig3 = sigma3_table(M)
 
     s3d = _digits(sig3, 3)
     # digits of b * sigma3(b) (the q d/dq factor), renormalized to 20 bits
@@ -535,7 +520,15 @@ def _load_csv(path: str) -> CoeffTable:
     if not rows:
         raise FormatError(f"{path}: no coefficient rows")
     N = max(n for n, _ in rows)
-    alpha = [0] * (N + 1)
+    alpha = [None] * (N + 1)
     for n, v in rows:
+        if n < 1:
+            raise FormatError(f"{path}: row index n={n} is not positive")
+        if alpha[n] is not None:
+            raise FormatError(f"{path}: duplicate row for n={n}")
         alpha[n] = v
+    if len(rows) != N:
+        missing = alpha.index(None, 1)
+        raise FormatError(f"{path}: no row for n={missing} (rows must cover 1..{N})")
+    alpha[0] = 0
     return CoeffTable(weight_times_two=13, alpha=alpha, N=N)

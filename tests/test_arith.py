@@ -4,14 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfint.arith import (
+    SIGMA3_INT64_LIMIT,
+    Factorization,
     build_sieves,
     enumerate_nflat,
-    factorize,
+    euler_phi,
     factorize_small,
     is_fundamental_discriminant,
     kronecker,
     odd_squarefree_flags,
     primes_up_to,
+    sigma3_table,
 )
 from halfint.errors import CapacityError
 
@@ -34,20 +37,10 @@ class TestSieves:
     def test_empty_product_conventions(self, tables):
         assert tables.phi[1] == 1
         assert tables.mu[1] == 1
-        assert tables.big_omega[1] == 0
-
-    def test_liouville_at_8(self, tables):
-        # 8 = 2^3 by hand
-        assert tables.big_omega[8] == 3
-        assert tables.liouville[8] == -1
 
     def test_mu_squared_is_squarefree(self, tables):
         mu = tables.mu[2:]
         assert np.array_equal(mu * mu != 0, tables.squarefree[2:])
-
-    def test_liouville_parity(self, tables):
-        expect = np.where(tables.big_omega[1:] % 2 == 0, 1, -1)
-        assert np.array_equal(tables.liouville[1:], expect)
 
     def test_sigma3_at_primes(self, tables):
         for p in tables.primes[:200]:
@@ -78,6 +71,30 @@ class TestSieves:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             build_sieves(10_000, memory_budget=1000)
+
+    def test_sigma3_int64_range(self):
+        # the int64 fill is exact up to the limit and refused beyond it
+        assert 1.2021 * SIGMA3_INT64_LIMIT**3 < 2**63
+        with pytest.raises(CapacityError):
+            sigma3_table(SIGMA3_INT64_LIMIT + 1)
+        with pytest.raises(CapacityError):
+            build_sieves(SIGMA3_INT64_LIMIT + 1)
+        assert sigma3_table(0).tolist() == [0]
+
+    def test_primes_up_to_matches_spf(self, tables):
+        assert primes_up_to(tables.limit) == tables.primes.tolist()
+        assert primes_up_to(1) == [] and primes_up_to(2) == [2]
+
+    def test_euler_phi_matches_table(self, tables):
+        for n in range(1, 2000):
+            assert euler_phi(n) == int(tables.phi[n])
+
+    def test_squarefree_divisors_carry_mu(self, tables):
+        for n in range(1, 2000):
+            pairs = factorize_small(n).squarefree_divisors()
+            expect = [(r, int(tables.mu[r])) for r in range(1, n + 1)
+                      if n % r == 0 and tables.mu[r] != 0]
+            assert sorted(pairs) == expect
 
 
 class TestKronecker:
@@ -170,32 +187,41 @@ class TestNflat:
         for m in range(1, 401):
             assert ((8 * m) in members) == bool(flags[m])
 
-    def test_segmented_iterator_matches_dense(self):
-        from halfint.arith import iter_nflat
 
-        for X in (7, 8, 1000, 54_321):
-            assert list(iter_nflat(X, segment=97)) == enumerate_nflat(X)
+def spf_factorization(n, spf):
+    """Prime powers of n read off the smallest-prime-factor table."""
+    pps = []
+    while n > 1:
+        p = int(spf[n])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        pps.append((p, e))
+    return tuple(pps)
 
 
 class TestFactorize:
-    def test_examples(self, tables):
-        assert factorize(12, tables).prime_powers == ((2, 2), (3, 1))
-        assert factorize(1, tables).prime_powers == ()
-        assert factorize(9800, tables).prime_powers == ((2, 3), (5, 2), (7, 2))
+    def test_examples(self):
+        assert factorize_small(12).prime_powers == ((2, 2), (3, 1))
+        assert factorize_small(1).prime_powers == ()
+        assert factorize_small(9800).prime_powers == ((2, 3), (5, 2), (7, 2))
 
-    def test_product_reconstructs(self, tables):
+    def test_product_reconstructs(self):
         rng = np.random.default_rng(3)
         for n in rng.integers(1, 10_000, size=200):
-            f = factorize(int(n), tables)
+            f = factorize_small(int(n))
             prod = 1
             for p, e in f.prime_powers:
                 prod *= p**e
             assert prod == n
 
-    def test_out_of_range(self, tables):
-        with pytest.raises(ValueError):
-            factorize(10_001, tables)
+    def test_out_of_range(self):
+        for n in (0, -5):
+            with pytest.raises(ValueError):
+                factorize_small(n)
 
     def test_small_matches_sieved(self, tables):
         for n in range(1, 500):
-            assert factorize_small(n) == factorize(n, tables)
+            expect = Factorization(n, spf_factorization(n, tables.smallest_prime_factor))
+            assert factorize_small(n) == expect

@@ -1,11 +1,16 @@
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+from halfint import cli
 from halfint.cli import cmd_signchanges
-from halfint.qseries import delta_halfintegral, save_coeffs
+from halfint.qseries import CoeffTable, delta_halfintegral, save_coeffs
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, **kw):
@@ -164,9 +169,37 @@ class TestDeterminism:
         b = run_cli(args)
         assert a.stdout == b.stdout
 
-    def test_thread_flag_does_not_change_output(self, small_coeffs):
+    def test_shifted_repeats_byte_identical(self, small_coeffs):
         args = ["shifted", "--h", "1", "--delta", "3", "--v", "1",
                 "--xgrid", "512,1024", "--coeffs", small_coeffs]
-        a = run_cli(["--threads", "1", *args])
-        b = run_cli(["--threads", "2", *args])
+        a = run_cli(args)
+        b = run_cli(args)
+        assert a.returncode == 0, a.stderr
         assert a.stdout == b.stdout
+
+
+def _readme_commands():
+    """Argument lists of the `halfint ...` lines in the README's Command line
+    block, with continuation lines joined."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("halfint ")]
+
+
+class TestReadmeCommands:
+    def test_coeffs_readers_fit_the_documented_table(self, monkeypatch, capsys):
+        # Every documented --coeffs reader must accept the table the
+        # documented `coeffs --limit` builds. A zero table of that N stands
+        # in for the file: the size checks are the commands' own.
+        cmds = _readme_commands()
+        limits = [c[c.index("--limit") + 1] for c in cmds if c[0] == "coeffs"]
+        assert len(limits) == 1
+        N = int(limits[0])
+        zero = CoeffTable(13, [0] * (N + 1), N)
+        monkeypatch.setattr(cli, "_load_table", lambda path, ap: zero)
+        readers = [c for c in cmds if "--coeffs" in c]
+        assert {c[0] for c in readers} == {"signchanges", "moments", "shifted"}
+        for argv in readers:
+            rc = cli.main(argv)
+            err = capsys.readouterr().err
+            assert rc == 0, f"{shlex.join(argv)}: exit {rc}: {err}"

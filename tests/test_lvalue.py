@@ -196,6 +196,38 @@ class TestFirstMoment:
             got = first_moment_scan(x, 5, hecke26k)
             assert got == pytest.approx(pins["first_moment"][f"x{x}_u5"], rel=1e-6)
 
+    def test_table_not_kept_alive(self):
+        import gc
+        import weakref
+
+        t = build_hecke_table(1600)
+        first_moment_scan(200, 1, t)
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
+
+    def test_window_rows_stay_on_table(self, monkeypatch):
+        # every window scanned on a table is reused while the table lives,
+        # however many other windows were scanned in between
+        from halfint import lvalue
+
+        t = build_hecke_table(1600)
+        windows = [(0.5 - 0.05 * i, 1.0) for i in range(9)]
+        first = [first_moment_scan(200, 3, t, window=w) for w in windows]
+        computed = []
+        real = lvalue.central_lvalue
+
+        def counting(d, *args, **kwargs):
+            computed.append(d)
+            return real(d, *args, **kwargs)
+
+        monkeypatch.setattr(lvalue, "central_lvalue", counting)
+        again = [first_moment_scan(200, 3, t, window=w) for w in windows]
+        first_moment_scan(200, 5, t, window=windows[0])
+        assert computed == []
+        assert again == first
+
     def test_even_twist_rejected(self, hecke26k):
         with pytest.raises(ValueError):
             first_moment_scan(1600, 2, hecke26k)

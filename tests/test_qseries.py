@@ -21,7 +21,6 @@ from halfint.qseries import (
     ps_mul,
     save_coeffs,
     theta_series,
-    u_operator,
     zeta_neg,
 )
 
@@ -114,19 +113,6 @@ class TestPowerSeriesOps:
     @given(a=small_series)
     def test_dilate_composes(self, a):
         assert ps_dilate(ps_dilate(a, 2), 3) == ps_dilate(a, 6)
-
-    def test_u_operator_on_theta_squared(self):
-        sq = ps_mul(theta_series(8), theta_series(8))
-        assert int(u_operator(sq, 4).coeffs[1]) == 4
-
-    def test_u1_identity(self):
-        th = theta_series(20)
-        assert u_operator(th, 1) == th
-
-    @settings(max_examples=40, derandomize=True)
-    @given(a=small_series)
-    def test_u_composes(self, a):
-        assert u_operator(u_operator(a, 2), 2) == u_operator(a, 4)
 
 
 class TestConstructors:
@@ -264,6 +250,26 @@ class TestCoeffCache:
         path = tmp_path / "bare.csv"
         path.write_text("".join(f"{n},{t.alpha[n]}\n" for n in range(1, 51)))
         assert load_coeffs(str(path)).alpha == t.alpha
+
+    def test_csv_nonpositive_index_rejected(self, tmp_path):
+        # -1 would index alpha(N) from the end, 0 would set alpha(0)
+        for bad in ("-1,99", "0,7"):
+            path = tmp_path / "neg.csv"
+            path.write_text(f"n,alpha\n1,1\n2,0\n{bad}\n3,0\n")
+            with pytest.raises(FormatError):
+                load_coeffs(str(path))
+
+    def test_csv_duplicate_index_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("n,alpha\n1,1\n2,0\n2,5\n3,0\n")
+        with pytest.raises(FormatError):
+            load_coeffs(str(path))
+
+    def test_csv_gap_rejected(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("n,alpha\n1,1\n2,0\n4,-4\n")
+        with pytest.raises(FormatError):
+            load_coeffs(str(path))
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
