@@ -148,7 +148,7 @@ def cmd_waldspurger(d_max: int, tol: float, hecke_table=None, coeffs=None) -> li
         coeffs = delta_halfintegral(d_max)
     rows = []
     for d in ds:
-        res = lvalue.central_lvalue(d, hecke_table, tol)
+        res = lvalue.central_lvalue_cached(d, hecke_table, tol)
         alpha = coeffs.a(d)
         ratio = lvalue.waldspurger_quotient(d, alpha, res.value, hecke_table.k, tol)
         rows.append(
@@ -514,10 +514,14 @@ def main(argv=None) -> int:
             ap.error(str(exc))
         _apply_config(args, cfg, ap)
     fmt = args.format or "csv"
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         rows, status = _dispatch(args, ap)
-        _emit(rows, fmt, out)
+        # open the report only once the command has returned its rows
+        if args.out:
+            with open(args.out, "w", newline="") as out:
+                _emit(rows, fmt, out)
+        else:
+            _emit(rows, fmt, sys.stdout)
         return status
     except (BudgetExceededError, CapacityError, InsufficientTableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -528,9 +532,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if args.out:
-            out.close()
 
 
 def _load_table(path: str, ap) -> CoeffTable:

@@ -37,8 +37,8 @@ class HeckeTable:
     tau: list
     N: int
     _lambda: np.ndarray = field(default=None, repr=False)
-    # first_moment_scan rows (m, L(1/2, chi_8m), weight), keyed by window
-    _windows: dict = field(default_factory=dict, repr=False)
+    # central values L(1/2, chi_d) computed on this table, keyed by (d, tol)
+    _central: dict = field(default_factory=dict, repr=False)
 
     @property
     def lam(self) -> np.ndarray:

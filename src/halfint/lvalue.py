@@ -49,6 +49,7 @@ __all__ = [
     "w_kernel",
     "w_kernel_oracle",
     "central_lvalue",
+    "central_lvalue_cached",
     "waldspurger_ratio",
     "waldspurger_quotient",
     "a_factor",
@@ -234,18 +235,23 @@ def bump_window(lo: float = 0.5, hi: float = 1.0):
     return phi
 
 
+def central_lvalue_cached(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueResult:
+    """central_lvalue(d, t, tol), computed once per table and kept on it."""
+    key = (d, tol)
+    if key not in t._central:
+        t._central[key] = central_lvalue(d, t, tol)
+    return t._central[key]
+
+
 def _window_lvalues(x: int, lo: float, hi: float, tol: float, t: HeckeTable) -> list:
-    """Rows (m, L(1/2, chi_8m), phi(8m/x)) of the window, kept on the table."""
-    key = (x, lo, hi, tol)
-    if key not in t._windows:
-        flags = odd_squarefree_flags(max(x // 8, 0))
-        phi = bump_window(lo, hi)
-        t._windows[key] = [
-            (m, central_lvalue(8 * m, t, tol).value, phi(8 * m / x))
-            for m in range(1, x // 8 + 1)
-            if lo < 8 * m / x < hi and flags[m]
-        ]
-    return t._windows[key]
+    """Rows (m, L(1/2, chi_8m), phi(8m/x)) of the window."""
+    flags = odd_squarefree_flags(max(x // 8, 0))
+    phi = bump_window(lo, hi)
+    return [
+        (m, central_lvalue_cached(8 * m, t, tol).value, phi(8 * m / x))
+        for m in range(1, x // 8 + 1)
+        if lo < 8 * m / x < hi and flags[m]
+    ]
 
 
 def first_moment_scan(

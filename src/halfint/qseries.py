@@ -11,16 +11,17 @@ Two kinds of object live here:
   cached to disk. The production table is the weight-13/2 form whose lift is
   the discriminant form; its alpha(n) vanish for n = 2,3 mod 4.
 
-All integer arithmetic is exact. The fast builder splits sigma_3 into
-base-2^20 digits so every numpy accumulation stays well inside int64; the
-digits are recombined into Python integers at the end.
+All integer arithmetic is exact. The fast builder sums alpha(n) mod 2^64 in
+wrapping int64 and lifts each residue to the one integer inside a float64
+error window; up to its cap N = 7.8e6 the window stays below 2^62.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt
@@ -228,46 +229,12 @@ class CoeffTable:
 
 # -- fast exact builder -------------------------------------------------------
 
-_DIG = 20
-_MASK = (1 << _DIG) - 1
 # the int64 sigma3 table runs to N/4
 _FAST_N_CAP = 4 * SIGMA3_INT64_LIMIT
+# the lift picks the one integer = residue mod 2^64 within the float window;
+# a window at 2^62 would leave less than a quarter-period of margin
+_LIFT_WINDOW_CAP = 2.0**62
 
-
-def _digits(arr: np.ndarray, count: int) -> list:
-    return [((arr >> (_DIG * k)) & _MASK).copy() for k in range(count)]
-
-
-def _normalize_digits(digs: list) -> list:
-    out = []
-    carry = np.zeros_like(digs[0])
-    for d in digs:
-        v = d + carry
-        out.append(v & _MASK)
-        carry = v >> _DIG
-    while carry.any():
-        out.append(carry & _MASK)
-        carry = carry >> _DIG
-    return out
-
-
-def _pack_object(digs: list) -> np.ndarray:
-    """Combine normalized 20-bit digit arrays into exact Python ints,
-    grouping three digits per int64 word before widening."""
-    total = None
-    for g in range(0, len(digs), 3):
-        grp = digs[g].copy()
-        if g + 1 < len(digs):
-            grp |= digs[g + 1] << _DIG
-        if g + 2 < len(digs):
-            grp |= digs[g + 2] << (2 * _DIG)
-        obj = grp.astype(object)
-        if g:
-            obj <<= 3 * _DIG * (g // 3)
-            total = total + obj
-        else:
-            total = obj
-    return total
 
 def delta_halfintegral(N: int) -> CoeffTable:
     """Exact alpha(n), n <= N, of the weight-13/2 plus-space form whose
@@ -281,55 +248,60 @@ def delta_halfintegral(N: int) -> CoeffTable:
         alpha = E*B - 60*C*D,
 
     which is manifestly integral. Both products run over representations
-    n = m^2 + 4a, accumulated exactly in base-2^20 digit arrays.
+    n = m^2 + 4b. One int64 accumulator per residue class n mod 4 sums
+    sigma3(b) 240 m^2 - b sigma3(b) 120 with wraparound, so it holds alpha
+    mod 2^64; the same sums in float64, as a positive part P and a negative
+    part Nn, locate alpha within a window that fixes the multiple of 2^64.
+    A window of 2^62 or more raises CapacityError.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if N > _FAST_N_CAP:
         raise CapacityError(f"fast builder caps at N={_FAST_N_CAP}")
-    M = Q = N // 4
-    sig3 = sigma3_table(M)
+    Q = N // 4
+    sig3 = sigma3_table(Q)
+    bsig = np.arange(Q + 1, dtype=np.int64) * sig3  # wraps mod 2^64
+    sig3f = sig3.astype(np.float64)
+    bsigf = np.arange(Q + 1, dtype=np.float64) * sig3f
 
-    s3d = _digits(sig3, 3)
-    # digits of b * sigma3(b) (the q d/dq factor), renormalized to 20 bits
-    b = np.arange(sig3.size, dtype=np.int64)
-    cdd = []
-    carry = np.zeros_like(b)
-    for k in range(3):
-        prod = s3d[k] * b + carry
-        cdd.append(prod & _MASK)
-        carry = prod >> _DIG
-    cdd.append(carry)
-
-    ebacc = [np.zeros((2, Q + 1), dtype=np.int64) for _ in range(3)]
-    cdacc = [np.zeros((2, Q + 1), dtype=np.int64) for _ in range(4)]
+    acc = np.zeros((2, Q + 1), dtype=np.int64)
+    pos = np.zeros((2, Q + 1))
+    neg = np.zeros((2, Q + 1))
+    m2 = np.arange(1, isqrt(N) + 1, dtype=np.int64) ** 2
+    # E's constant term times B: + m^2 at n = m^2
+    acc[m2 & 3, m2 >> 2] += m2
+    pos[m2 & 3, m2 >> 2] += m2
+    # theta's constant term times C: - 60 b sigma3(b) at n = 4b
+    acc[0] -= 60 * bsig
+    neg[0] += 60 * bsigf
+    bsig *= 120
+    bsigf *= 120
     for m in range(1, isqrt(N) + 1):
-        m2 = m * m
-        L = (N - m2) >> 2
+        sq = m * m
+        L = (N - sq) >> 2
         if L < 1:
             continue
-        row = m2 & 3  # 0 for even m, 1 for odd m
-        base = m2 >> 2
-        sA = 240 * m2
-        for k in range(3):
-            ebacc[k][row, base + 1 : base + 1 + L] += s3d[k][1 : L + 1] * sA
-        for k in range(4):
-            cdacc[k][row, base + 1 : base + 1 + L] += cdd[k][1 : L + 1] * 120
+        row = sq & 3  # 0 for even m, 1 for odd m
+        cols = slice((sq >> 2) + 1, (sq >> 2) + 1 + L)
+        acc[row, cols] += sig3[1 : L + 1] * (240 * sq) - bsig[1 : L + 1]
+        pos[row, cols] += sig3f[1 : L + 1] * (240 * sq)
+        neg[row, cols] += bsigf[1 : L + 1]
+
+    # K terms reach an entry (one per m, two constant-term ones); each term
+    # carries at most 3 roundings and each addition 1, so with eps = 2^-52,
+    # twice the unit roundoff, (K + 4) eps (P + Nn) bounds |alpha - (P - Nn)|
+    K = isqrt(N) + 2
+    widest = (K + 4) * np.finfo(np.float64).eps * float((pos + neg).max())
+    if widest >= _LIFT_WINDOW_CAP:
+        raise CapacityError(f"alpha lift window 2^{np.log2(widest):.1f} reaches 2^62 at N={N}")
+    wraps = np.rint((pos - neg - acc) / 2.0**64).astype(np.int64)
 
     alpha = [0] * (N + 1)
     for row in (0, 1):
-        eb = _pack_object(_normalize_digits([d[row] for d in ebacc]))
-        cd = _pack_object(_normalize_digits([d[row] for d in cdacc]))
-        vals = (eb - cd).tolist()
-        ncols = len(range(row, N + 1, 4))
-        alpha[row::4] = vals[:ncols]
-    # E's constant term times B: + m^2 at n = m^2
-    for m in range(1, isqrt(N) + 1):
-        alpha[m * m] += m * m
-    # theta's constant term times the dilated derivative: - 60 b sigma3(b) at 4b
-    sig_list = sig3.tolist()
-    for bb in range(1, M + 1):
-        alpha[4 * bb] -= 60 * bb * sig_list[bb]
+        vals = acc[row].tolist()
+        for i in np.flatnonzero(wraps[row]).tolist():
+            vals[i] += int(wraps[row, i]) << 64
+        alpha[row::4] = vals[: len(range(row, N + 1, 4))]
     return CoeffTable(weight_times_two=13, alpha=alpha, N=N)
 
 
@@ -435,42 +407,56 @@ def _checksum() -> "hashlib._Hash":
     return hashlib.blake2b(digest_size=8)
 
 
+@contextmanager
+def _replacing(path: str, mode: str):
+    """Write to a sibling temp file that replaces path only once the block
+    completes, so a failed write never leaves a partial file at path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_coeffs(t: CoeffTable, path: str) -> None:
     """Write the binary cache: magic, version u32, weight u32, N u64, then N
     length-prefixed little-endian two's-complement records, then an 8-byte
     BLAKE2b checksum of everything before it. A path ending in .csv writes
-    the plain-text "n,alpha" form instead."""
+    the plain-text "n,alpha" form instead. Either file appears only once it
+    is complete."""
     if str(path).endswith(".csv"):
-        with open(path, "w", newline="") as fh:
+        with _replacing(path, "w") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["n", "alpha"])
             for n in range(1, t.N + 1):
                 w.writerow([n, t.alpha[n]])
         return
     h = _checksum()
-    buf = io.BytesIO()
+    with _replacing(path, "wb") as fh:
 
-    def emit(b: bytes):
-        h.update(b)
-        buf.write(b)
+        def emit(b: bytes):
+            h.update(b)
+            fh.write(b)
 
-    emit(_MAGIC)
-    emit(_VERSION.to_bytes(4, "little"))
-    emit(t.weight_times_two.to_bytes(4, "little"))
-    emit(t.N.to_bytes(8, "little"))
-    chunk = bytearray()
-    for n in range(1, t.N + 1):
-        v = t.alpha[n]
-        nbytes = max(1, (v.bit_length() + 8) // 8)
-        chunk.append(nbytes)
-        chunk += v.to_bytes(nbytes, "little", signed=True)
-        if len(chunk) > 1 << 20:
-            emit(bytes(chunk))
-            chunk.clear()
-    emit(bytes(chunk))
-    buf.write(h.digest())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        emit(_MAGIC)
+        emit(_VERSION.to_bytes(4, "little"))
+        emit(t.weight_times_two.to_bytes(4, "little"))
+        emit(t.N.to_bytes(8, "little"))
+        chunk = bytearray()
+        for n in range(1, t.N + 1):
+            v = t.alpha[n]
+            nbytes = max(1, (v.bit_length() + 8) // 8)
+            chunk.append(nbytes)
+            chunk += v.to_bytes(nbytes, "little", signed=True)
+            if len(chunk) > 1 << 20:
+                emit(bytes(chunk))
+                chunk.clear()
+        emit(bytes(chunk))
+        fh.write(h.digest())
 
 
 def load_coeffs(path: str) -> CoeffTable:

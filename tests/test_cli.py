@@ -127,6 +127,13 @@ class TestCliEndToEnd:
         assert r.returncode == 0
         assert out.read_text().startswith("Q,arcs,defect\n")
 
+    def test_failed_command_leaves_no_report(self, tmp_path, small_coeffs):
+        # blocks to 4096 need coefficients to 32768; the table holds 20000
+        out = tmp_path / "report.csv"
+        rc = cli.main(["--out", str(out), "moments", "--blocks", "4096", "--coeffs", small_coeffs])
+        assert rc == 3
+        assert not out.exists()
+
 
 def _nflat_member(d):
     m = d // 8

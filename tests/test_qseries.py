@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfint.errors import ChecksumError, FormatError
+from halfint import qseries
+from halfint.arith import factorize_small
+from halfint.errors import CapacityError, ChecksumError, FormatError
 from halfint.qseries import (
     CoeffTable,
     PowerSeries,
@@ -35,6 +37,22 @@ def naive_mul(a, b):
     for k in range(n + 1):
         out[k] = sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
     return PowerSeries(out)
+
+
+def alpha_bruteforce(n):
+    """alpha(n) = (E*B - 60*C*D)(n) summed over n = m^2 + 4b in Python ints,
+    with sigma3 from divisor lists (independent of the builder's tables)."""
+    total = 0
+    for m in range(math.isqrt(n) + 1):
+        if (n - m * m) % 4:
+            continue
+        b = (n - m * m) // 4
+        s3 = sum(d**3 for d in factorize_small(b).divisors()) if b else 0
+        if m:
+            total += m * m * (240 * s3 if b else 1)
+        if b:
+            total -= 60 * (2 if m else 1) * b * s3
+    return total
 
 
 def lattice_r2(n):
@@ -149,6 +167,28 @@ class TestDeltaHalfIntegral:
         ref = delta_halfintegral_reference(2000)
         assert fast.alpha == ref.alpha
 
+    def test_matches_bruteforce_past_int64(self):
+        # sigma3(b) passes 2^60 at b = 987840, i.e. from n = 3951361 on, and
+        # alpha(3799816) passes 2^63, so its int64 residue must be lifted
+        N = 3_952_000
+        t = delta_halfintegral(N)
+        for n in (1_000_001, 2_100_000, 3_000_001, 3_099_996,
+                  3_799_816, 3_951_361, 3_951_364, 3_951_369, N):
+            assert t.a(n) == alpha_bruteforce(n), n
+        assert abs(t.a(3_799_816)) >= 2**63
+
+    def test_lift_window_guard(self, monkeypatch):
+        # the window at N = 1e4 is about 2^12; a cap below it must refuse
+        monkeypatch.setattr(qseries, "_LIFT_WINDOW_CAP", 2.0**8)
+        with pytest.raises(CapacityError):
+            delta_halfintegral(10_000)
+
+    def test_fresh_build_checksum_2100000(self, tmp_path, pins):
+        # big_table may come from the disk cache; this builds the table anew
+        path = tmp_path / "t.hicf"
+        save_coeffs(delta_halfintegral(2_100_000), str(path))
+        assert path.read_bytes()[-8:].hex() == pins["hicf_checksum_2100000"]
+
     def test_plus_space_support(self, big_table):
         assert big_table.support_violations().size == 0
 
@@ -212,6 +252,12 @@ class TestCoeffCache:
         assert back.weight_times_two == 13
         assert back.N == t.N
         assert back.alpha == t.alpha
+
+    def test_save_leaves_only_the_target(self, tmp_path):
+        t = delta_halfintegral(300)
+        for name in ("t.hicf", "t.csv"):
+            save_coeffs(t, str(tmp_path / name))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.hicf"]
 
     def test_truncated_file_fails_checksum(self, tmp_path):
         t = delta_halfintegral(500)
