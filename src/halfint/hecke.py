@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import factorize_small, kronecker, primes_up_to
+from .errors import InconsistencyError
 from .qseries import CoeffTable, delta_integral
 
 __all__ = [
@@ -54,14 +55,14 @@ class HeckeTable:
 
 def build_hecke_table(N: int, k: int = 6) -> HeckeTable:
     """Eigenvalue table for the weight-2k lift; only k=6 (the discriminant
-    form) is implemented. The Deligne bound |tau(p)| <= 2 p^{11/2} is a hard
-    assertion, checked exactly as tau(p)^2 <= 4 p^11."""
+    form) is implemented. The Deligne bound |tau(p)| <= 2 p^{11/2} is checked
+    exactly as tau(p)^2 <= 4 p^11; a violation raises InconsistencyError."""
     if k != 6:
         raise ValueError("only the weight-12 lift (k=6) is implemented")
     tau = delta_integral(N)
     for p in primes_up_to(N):
         if tau[p] * tau[p] > 4 * p**11:
-            raise AssertionError(f"eigenvalue bound violated at p={p}")
+            raise InconsistencyError(f"Deligne bound violated: tau({p})^2 > 4 {p}^11")
     return HeckeTable(k=k, tau=tau, N=N)
 
 

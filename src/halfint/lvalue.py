@@ -129,15 +129,19 @@ def w_kernel_oracle(
 # -- Kronecker character tables ------------------------------------------------
 
 def chi_array(d: int, N: int) -> np.ndarray:
-    """chi_d(n) for 0 <= n <= N as int8, filled multiplicatively."""
-    spf = smallest_prime_factors(N)
+    """chi_d(n) for 0 <= n <= N as int8, filled multiplicatively. For a
+    discriminant d != 0 (d = 0 or 1 mod 4) chi_d has period |d|, so one
+    period is filled and tiled."""
+    M = min(N, abs(d)) if d and d % 4 < 2 else N
+    spf = smallest_prime_factors(M)
     chi = np.zeros(N + 1, dtype=np.int8)
     if N >= 1:
         chi[1] = 1
-    for n in range(2, N + 1):
+    for n in range(2, M + 1):
         p = int(spf[n])
         m = n // p
         chi[n] = kronecker(d, p) if m == 1 else chi[p] * chi[m]
+    chi[M + 1 :] = np.resize(chi[1 : M + 1], N - M)
     return chi
 
 

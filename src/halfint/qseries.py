@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -28,8 +29,8 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .arith import SIGMA3_INT64_LIMIT, sigma3_table
-from .errors import CapacityError, ChecksumError, FormatError
+from .arith import SIGMA3_INT64_LIMIT, primes_up_to, sigma3_table
+from .errors import CapacityError, ChecksumError, FormatError, InconsistencyError
 
 __all__ = [
     "PowerSeries",
@@ -42,7 +43,6 @@ __all__ = [
     "delta_halfintegral",
     "delta_halfintegral_reference",
     "delta_integral",
-    "poly_mul_exact",
     "save_coeffs",
     "load_coeffs",
 ]
@@ -329,71 +329,77 @@ def delta_halfintegral_reference(N: int) -> CoeffTable:
 # -- tau of the discriminant form ---------------------------------------------
 
 
-def poly_mul_exact(a: list, b: list, trunc: int | None = None) -> list:
-    """Exact product of integer polynomials via packed-integer multiplication.
-
-    Coefficients are packed into fixed-width cells of one big integer, the
-    product is taken with CPython's big-integer arithmetic, and the cells are
-    read back with an offset that keeps negative coefficients from borrowing
-    across cell boundaries.
-    """
-    if not a or not b:
-        return []
-    la, lb = len(a), len(b)
-    out_len = la + lb - 1
-    if trunc is not None:
-        out_len = min(out_len, trunc + 1)
-        a = a[:out_len]
-        b = b[:out_len]
-        la, lb = len(a), len(b)
-    maxa = max(1, max(abs(c) for c in a))
-    maxb = max(1, max(abs(c) for c in b))
-    bound = maxa * maxb * min(la, lb)
-    cell_bits = bound.bit_length() + 2
-    cell_bytes = (cell_bits + 7) // 8
-    width = 8 * cell_bytes
-
-    def pack(coeffs, off):
-        buf = bytearray()
-        for c in coeffs:
-            buf += (c + off).to_bytes(cell_bytes, "little", signed=False)
-        return int.from_bytes(buf, "little")
-
-    # Signed packing: add a half-cell offset to one factor's *product* instead
-    # of the factors, by splitting each factor into nonnegative packs.
-    apos = pack([c if c > 0 else 0 for c in a], 0)
-    aneg = pack([-c if c < 0 else 0 for c in a], 0)
-    bpos = pack([c if c > 0 else 0 for c in b], 0)
-    bneg = pack([-c if c < 0 else 0 for c in b], 0)
-    half = 1 << (width - 1)
-    offset_int = pack([half] * (la + lb - 1), 0)
-    prod = apos * bpos + aneg * bneg - apos * bneg - aneg * bpos + offset_int
-    raw = prod.to_bytes(cell_bytes * (la + lb), "little", signed=False)
-    out = []
-    for i in range(out_len):
-        cell = int.from_bytes(raw[i * cell_bytes : (i + 1) * cell_bytes], "little")
-        out.append(cell - half)
-    return out
-
-
 def delta_integral(N: int) -> list:
-    """tau(n) for 1 <= n <= N from q prod (1-q^n)^24, exact.
+    """tau(n) for 1 <= n <= N from q prod (1-q^n)^24, exact; index 0 unused.
 
-    prod(1-q^n) cubed is the sparse series sum (-1)^m (2m+1) q^{m(m+1)/2};
-    cubing once and squaring three times gives the 24th power.
+    prod(1-q^n)^3 is the sparse series sum (-1)^m (2m+1) q^{m(m+1)/2}; its
+    8th power, by three squarings truncated at q^{N-1}, is the 24th. The
+    squarings run modulo each of a few primes p, one prime at a time, as
+    float64 rfft convolutions of residues centred in (-p/2, p/2].
+
+    * Primes: the largest below 2^16 (so Garner's products stay below 2^32)
+      with N (p/2)^2 f < 1/4. N (p/2)^2 bounds |a|_2^2 for N residues, and
+      f = (1+e)^3k (1+e sqrt 5)^(3k+1) (1+b)^3k - 1 is Percival's bound
+      (Math. Comp. 72 (2003), Thm 5.1) on |a*a - fft(a*a)|_inf / |a|_2^2 for
+      a length-2^k float64 FFT, with unit roundoff e = 2^-53 and twiddle
+      error b, taken as 2e; k = log2(size) + 1 also covers the rfft split.
+      Every rounded entry is then the exact integer convolution; each square
+      is also checked to lie within 1/4 of integers, else InconsistencyError.
+    * CRT modulus: Deligne's bound |tau(n)| <= d(n) n^{11/2} with
+      d(n) <= 2 sqrt(n) gives 2|tau(n)| <= 4 N^6, so primes are taken until
+      their product M exceeds 4 N^6. Garner's mixed-radix digits, balanced
+      in (-p/2, p/2], then spell out the unique tau(n) in (-M/2, M/2].
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    L = N - 1  # coefficient index after factoring out the leading q
-    cube = [0] * (L + 1)
-    m = 0
-    while m * (m + 1) // 2 <= L:
-        cube[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
-        m += 1
-    p = cube
-    for _ in range(3):
-        p = poly_mul_exact(p, p, trunc=L)
-    return [0] + p  # tau[n] = p[n-1]; index 0 unused
+    size = 1 << (2 * N - 2).bit_length()  # > 2(N-1), so the square does not wrap
+    k, e = size.bit_length(), 2.0**-53
+    grow = 3 * k * (math.log1p(e) + math.log1p(2 * e)) + (3 * k + 1) * math.log1p(e * 5**0.5)
+    rel = math.expm1(grow)
+    pmax = isqrt(math.floor(1 / (N * rel)))  # N (p/2)^2 rel <= 1/4
+    primes = []
+    for p in reversed(primes_up_to(min(pmax, 1 << 16))):
+        if math.prod(primes) > 4 * N**6:
+            break
+        primes.append(p)
+    if math.prod(primes) <= 4 * N**6:
+        raise CapacityError(f"no prime set below {pmax} spans tau to N={N}")
+    err = N * (primes[0] / 2) ** 2 * rel
+    if err >= 0.25:
+        raise InconsistencyError(f"FFT error bound {err:.3g} reaches 1/4 at p={primes[0]}")
+
+    m = np.arange(isqrt(2 * N) + 1)
+    m = m[m * (m + 1) // 2 < N]
+    cube = np.zeros(N, dtype=np.int64)
+    cube[m * (m + 1) // 2] = (1 - 2 * (m & 1)) * (2 * m + 1)
+    digits = []
+    for i, p in enumerate(primes):
+        h = p // 2  # residues (x + h) % p - h are centred in (-p/2, p/2)
+        a = (cube + h) % p - h
+        for _ in range(3):
+            f = np.fft.rfft(a, size)
+            f *= f
+            sq = np.fft.irfft(f, size)[:N]
+            exact = np.rint(sq)
+            sq -= exact
+            off = float(np.abs(sq, out=sq).max())
+            if off >= 0.25:
+                raise InconsistencyError(f"FFT square mod {p} is {off:.3g} off the integers")
+            a = (exact.astype(np.int64) + h) % p - h
+        # Garner: digit i = (tau - sum_{j<i} v_j p_0..p_{j-1}) / (p_0..p_{i-1}) mod p
+        t = np.zeros(N, dtype=np.int64)
+        for j in range(i - 1, -1, -1):
+            t = (t * primes[j] + digits[j]) % p
+        digits.append(((a - t) * pow(math.prod(primes[:i]), -1, p) + h) % p - h)
+    # Horner over the digits in Python ints, in blocks, so that only one
+    # block of intermediate ints is alive at a time
+    tau = [0]
+    for s in range(0, N, 4096):
+        block = digits[-1][s : s + 4096].tolist()
+        for v, p in zip(digits[-2::-1], primes[-2::-1]):
+            block = [hi * p + lo for hi, lo in zip(block, v[s : s + 4096].tolist())]
+        tau += block
+    return tau
 
 
 # ----------------------------------------------------------------------------

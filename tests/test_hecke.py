@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from halfint import cli, hecke
 from halfint.arith import enumerate_nflat
+from halfint.errors import InconsistencyError
 from halfint.hecke import (
     build_hecke_table,
     find_signflip_prime,
@@ -15,6 +18,57 @@ from halfint.hecke import (
 @pytest.fixture(scope="module")
 def tab():
     return build_hecke_table(2000)
+
+
+@pytest.fixture(scope="module")
+def tab100k():
+    return build_hecke_table(100_000)
+
+
+def tau_checksum(tau):
+    """BLAKE2b-8 of tau(1..N), each as 16 signed little-endian bytes: the
+    format of the tau_checksum_* pins."""
+    h = hashlib.blake2b(digest_size=8)
+    for v in tau[1:]:
+        h.update(v.to_bytes(16, "little", signed=True))
+    return h.hexdigest()
+
+
+class TestTauTable:
+    def test_checksum_26000(self, hecke26k, pins):
+        assert tau_checksum(hecke26k.tau) == pins["tau_checksum_26000"]
+
+    def test_checksum_100000(self, tab100k, pins):
+        assert tau_checksum(tab100k.tau) == pins["tau_checksum_100000"]
+
+    def test_ramanujan_congruence_691(self, tab100k):
+        # tau(n) = sigma_11(n) mod 691, with sigma_11 from divisor slices
+        N = tab100k.N
+        sig = np.zeros(N + 1, dtype=np.int64)
+        for d in range(1, N + 1):
+            sig[d::d] += pow(d, 11, 691)
+        tau = np.array([t % 691 for t in tab100k.tau], dtype=np.int64)
+        assert np.array_equal(tau[1:], sig[1:] % 691)
+
+    def test_deligne_violation_is_typed(self, monkeypatch):
+        delta_integral = hecke.delta_integral
+
+        def corrupted(N):
+            tau = delta_integral(N)
+            tau[13] = 2 * 13**6  # tau(13)^2 = 4 13^12 > 4 13^11
+            return tau
+
+        monkeypatch.setattr(hecke, "delta_integral", corrupted)
+        with pytest.raises(InconsistencyError, match="Deligne"):
+            build_hecke_table(100)
+        assert cli.main(["waldspurger", "--dmax", "50"]) == 1
+
+    def test_fft_rounding_failure_exits_1(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+        with pytest.raises(InconsistencyError, match="off the integers"):
+            build_hecke_table(100)
+        assert cli.main(["waldspurger", "--dmax", "50"]) == 1
 
 
 class TestLambda:

@@ -64,6 +64,17 @@ class TestChiArray:
             for n in range(1, 201):
                 assert chi[n] == kronecker(d, n)
 
+    def test_tiled_rows_match_kronecker(self):
+        from halfint.arith import kronecker
+
+        # discriminants are tiled by one period |d|; d = 2, 3 mod 4 and d = 0
+        # are filled in full
+        for d in (5, 8, 12, 13, 24, 40, 3224, -3, -4, 1, 0, -1, 3, 6):
+            N = 3 * abs(d) + 7
+            chi = chi_array(d, N)
+            assert chi.dtype == np.int8
+            assert chi.tolist() == [0] + [kronecker(d, n) for n in range(1, N + 1)]
+
 
 class TestCentralValue:
     def test_forced_zero_branch(self, hecke26k):

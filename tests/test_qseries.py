@@ -17,7 +17,6 @@ from halfint.qseries import (
     delta_integral,
     eisenstein_g,
     load_coeffs,
-    poly_mul_exact,
     ps_derivative_over_2pii,
     ps_dilate,
     ps_mul,
@@ -229,18 +228,6 @@ class TestTau:
         from halfint.cli import _tau_naive
 
         assert delta_integral(2000) == _tau_naive(2000)
-
-    def test_poly_mul_exact_roundtrip(self):
-        rng = np.random.default_rng(11)
-        a = [int(v) for v in rng.integers(-(10**6), 10**6, size=60)]
-        b = [int(v) for v in rng.integers(-(10**6), 10**6, size=45)]
-        got = poly_mul_exact(a, b)
-        want = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                want[i + j] += ai * bj
-        assert got == want
-        assert poly_mul_exact(a, b, trunc=30) == want[:31]
 
 
 class TestCoeffCache:
