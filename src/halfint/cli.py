@@ -6,10 +6,11 @@ selftest. Output is CSV (header row, LF endings, 6-decimal ratios) or JSON
 lines with --format jsonl. A plain `key = value` config file may supply any
 long-option default; explicit flags win; unknown keys are rejected. Exit
 codes: 0 success, 1 suite/verification failure, 2 usage error, 3
-resource/budget error.
+resource/budget error or a truncation bound that misses its tolerance
+(ConvergenceError).
 
 All reductions run in a fixed order, so reports are byte-identical across
-runs.
+runs within one numpy build.
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expsums, lvalue, mollifier, qseries
-from .arith import enumerate_nflat, kronecker, odd_squarefree_flags
+from .arith import build_sieves, enumerate_nflat, kronecker, odd_squarefree_flags
 from .errors import (
     BudgetExceededError,
     CapacityError,
     ChecksumError,
+    ConvergenceError,
     FormatError,
     InconsistencyError,
     InsufficientTableError,
 )
-from .hecke import build_hecke_table
+from .hecke import HeckeTable, build_hecke_table, shimura_identity_check
 from .qseries import CoeffTable, delta_halfintegral, load_coeffs, save_coeffs
 
 __all__ = [
@@ -65,6 +67,8 @@ def cmd_signchanges(X: int, index_set: str, coeffs: CoeffTable) -> SignChangeRep
     entries inside the lattice are skipped in the count of changes but kept
     in N_set). index_set "nflat": discriminants 8m with m odd square-free.
     """
+    if X < 1:
+        raise ValueError(f"limit must be positive, got {X}")
     if X > coeffs.N:
         raise InsufficientTableError(f"need coefficients to {X}, table holds {coeffs.N}")
     s = coeffs.sign_array()
@@ -117,6 +121,8 @@ def cmd_moments(
 ) -> list:
     """Per-block ratios (1/X) sum_{n<=X, 2n square-free} c(8n)^2, plus the
     mollified second and fourth moment ratios when params are given."""
+    if min(X_list) < 1:
+        raise ValueError(f"block sizes must be positive, got {min(X_list)}")
     xmax = max(X_list)
     if 8 * xmax > coeffs.N:
         raise InsufficientTableError(f"need coefficients to {8 * xmax}")
@@ -141,7 +147,7 @@ def cmd_moments(
 
 def cmd_waldspurger(d_max: int, tol: float, hecke_table=None, coeffs=None) -> list:
     ds = [d for d in enumerate_nflat(d_max) if d >= 8]
-    need = math.ceil(d_max * max(8.0, (6 + math.log(1 / tol)) / (2 * math.pi)))
+    need = lvalue._truncation_length(d_max, 6, tol)  # the longest AFE sum, at d = d_max
     if hecke_table is None or hecke_table.N < need:
         hecke_table = build_hecke_table(need)
     if coeffs is None or coeffs.N < d_max:
@@ -185,62 +191,92 @@ def cmd_jutila(qgrid: list, eta: float, Delta: int) -> list:
 
 
 # -- self-test suites ------------------------------------------------------------
+# Each oracle check takes its grid and returns its metric; selftest and the
+# acceptance criteria call it at their own sizes with their own thresholds.
 
 
-def _suite_sieves():
-    from .arith import build_sieves
-
-    t = build_sieves(10_000)
+def gauss_oracle_worst(n_max: int, l_max: int) -> float:
+    """Worst brute-force vs closed-form Gauss-sum gap over odd n < n_max:
+    relative for 0 < |l| <= l_max, absolute at l = 0, where the closed form
+    must also be phi(n) (counted by gcds) on squares and 0 elsewhere."""
     worst = 0.0
-    assert t.mu[6] == 1 and t.mu[4] == 0 and int(t.sigma3[6]) == 252
-    assert t.phi[1] == 1
-    for n in range(2, 2000):
-        acc = sum(int(t.mu[d]) for d in range(1, n + 1) if n % d == 0)
-        worst = max(worst, abs(acc))
-    return worst, worst == 0.0
-
-
-def _suite_gauss():
-    worst = 0.0
-    for n in range(1, 1000, 2):
-        for l in range(-60, 61):
+    for n in range(1, n_max, 2):
+        for l in range(-l_max, l_max + 1):
             if l == 0:
                 continue
             bf = expsums.gauss_sum_bruteforce(l, n)
             cf = expsums.gauss_sum_closed(l, n)
-            err = abs(bf - cf) / max(1.0, abs(cf))
-            worst = max(worst, err)
+            worst = max(worst, abs(bf - cf) / max(1.0, abs(cf)))
         root = math.isqrt(n)
         g0 = expsums.gauss_sum_closed(0, n)
-        expect = _phi_small(n) if root * root == n else 0.0
+        expect = sum(math.gcd(a, n) == 1 for a in range(1, n + 1)) if root * root == n else 0
         worst = max(worst, abs(expsums.gauss_sum_bruteforce(0, n) - g0), abs(g0 - expect))
-    return worst, worst < 1e-10
+    return worst
 
 
-def _phi_small(n: int) -> float:
-    from .arith import factorize_small
+def w_kernel_worst() -> float:
+    """Worst closed-form vs contour-oracle AFE kernel gap on a 20-point grid."""
+    return max(
+        abs(lvalue.w_kernel(x, k) - lvalue.w_kernel_oracle(x, k))
+        for k in (2, 6)
+        for x in (0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+    )
 
-    out = 1
-    for p, e in factorize_small(n).prime_powers:
-        out *= p ** (e - 1) * (p - 1)
-    return float(out)
+
+def poisson_worst(n_max: int) -> float:
+    """Worst Poisson-identity discrepancy over odd n < n_max, widths 5 and 3."""
+    return max(
+        max(expsums.poisson_check(n, 5.0), expsums.poisson_check(n, 3.0))
+        for n in range(1, n_max, 2)
+    )
 
 
-def _suite_wkernel():
+def modularity_worst(coeffs: CoeffTable) -> float:
+    """Worst relative modularity discrepancy over modularity_panel()."""
+    return max(expsums.modularity_check(g, z, coeffs) for g, z in modularity_panel())
+
+
+def shimura_failures(limit: int, coeffs: CoeffTable, tab: HeckeTable) -> int:
+    """Failures of the exact lift identity over d = 1 or d in the index set,
+    n >= 1, d n^2 <= limit."""
+    return sum(
+        not shimura_identity_check(d, n, coeffs, tab)
+        for d in [1] + enumerate_nflat(limit)
+        for n in range(1, math.isqrt(limit // d) + 1)
+    )
+
+
+def taylor_bound_holds(ells: tuple, points: int) -> bool:
+    """e^t <= (1 + e^{-ell/2}) E_ell(t) at `points` t in [-3 ell, ell/e^2]."""
+    return all(
+        math.exp(t)
+        <= (1 + math.exp(-ell / 2)) * mollifier.e_truncated(float(t), ell) * (1 + 1e-12)
+        for ell in ells
+        for t in np.linspace(-3 * ell, ell / math.e**2, points)
+    )
+
+
+def expansion_identity_holds(tab: HeckeTable) -> bool:
+    """The Dirichlet expansion identity on the tiny mollifier configurations."""
+    return all(
+        mollifier.dirichlet_expansion_check(m, 0.5, l, cfg, tab)
+        for cfg, l in zip(tiny_mollifier_configs(), (2.0, 4.0, 2.0))
+        for m in (8, 24, 40, 104)
+    )
+
+
+def _below(metric, limit) -> tuple:
+    return metric, metric < limit
+
+
+def _suite_sieves():
+    t = build_sieves(10_000)
+    spot = t.mu[6] == 1 and t.mu[4] == 0 and int(t.sigma3[6]) == 252 and t.phi[1] == 1
     worst = 0.0
-    for k in (2, 6):
-        for x in (0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
-            closed = lvalue.w_kernel(x, k)
-            oracle = lvalue.w_kernel_oracle(x, k)
-            worst = max(worst, abs(closed - oracle))
-    return worst, worst < 1e-10
-
-
-def _suite_poisson():
-    worst = 0.0
-    for n in range(1, 46, 2):
-        worst = max(worst, expsums.poisson_check(n, 5.0), expsums.poisson_check(n, 3.0))
-    return worst, worst < 1e-8
+    for n in range(2, 2000):
+        acc = sum(int(t.mu[d]) for d in range(1, n + 1) if n % d == 0)
+        worst = max(worst, abs(acc))
+    return worst, bool(spot) and worst == 0.0
 
 
 def _suite_delta():
@@ -254,35 +290,13 @@ def _suite_delta():
 
 
 def _tau_naive(N: int) -> list:
-    coeffs = [0] * N
+    """q prod (1 - q^n)^24 to q^N; each slice update reads pre-update values."""
+    coeffs = np.zeros(N, dtype=object)
     coeffs[0] = 1
     for _ in range(24):
         for n in range(1, N):
-            for i in range(N - 1, n - 1, -1):
-                coeffs[i] -= coeffs[i - n]
-    return [0] + coeffs
-
-
-def _suite_shimura():
-    from .hecke import shimura_identity_check
-
-    coeffs = delta_halfintegral(10_000)
-    tab = build_hecke_table(110)
-    bad = 0
-    for d in [1] + enumerate_nflat(10_000):
-        nmax = math.isqrt(10_000 // d)
-        for n in range(1, nmax + 1):
-            if not shimura_identity_check(d, n, coeffs, tab):
-                bad += 1
-    return float(bad), bad == 0
-
-
-def _suite_modularity():
-    coeffs = delta_halfintegral(10_000)
-    worst = 0.0
-    for gamma, z in modularity_panel():
-        worst = max(worst, expsums.modularity_check(gamma, z, coeffs))
-    return worst, worst < 1e-8
+            coeffs[n:] -= coeffs[:-n]
+    return [0] + coeffs.tolist()
 
 
 def modularity_panel() -> list:
@@ -310,24 +324,14 @@ def _suite_mollifier():
     )
     worst = 0.0
     for m in range(1, 400):
-        mv = mollifier.mollifier_value(8 * m, 0.5, params, tab)
-        if mv.value <= 0:
-            return 1.0, False
+        mollifier.mollifier_value(8 * m, 0.5, params, tab)  # raises unless positive
         for j in range(params.J + 1):
             enum = mollifier.m_factor(8 * m, j, 0.5, params, tab, method="enumerate")
             iden = mollifier.m_factor(8 * m, j, 0.5, params, tab, method="identity")
             worst = max(worst, abs(enum - iden) / max(1.0, abs(iden)))
-    for tiny, l in zip(tiny_mollifier_configs(), (2.0, 4.0, 2.0)):
-        for m in (8, 24, 40, 104):
-            if not mollifier.dirichlet_expansion_check(m, 0.5, l, tiny, tab):
-                return 1.0, False
-    for ell in (4, 8, 16, 64):
-        for t in np.linspace(-3 * ell, ell / math.e**2, 41):
-            lhs = math.exp(t)
-            rhs = (1 + math.exp(-ell / 2)) * mollifier.e_truncated(float(t), ell)
-            if lhs > rhs * (1 + 1e-12):
-                return 1.0, False
-    return worst, worst < 1e-12
+    if not (expansion_identity_holds(tab) and taylor_bound_holds((4, 8, 16, 64), 41)):
+        return 1.0, False
+    return _below(worst, 1e-12)
 
 
 def tiny_mollifier_configs() -> list:
@@ -358,12 +362,13 @@ def _suite_jutila_certify():
 
 _SUITES = [
     ("sieves", _suite_sieves),
-    ("gauss_oracle", _suite_gauss),
-    ("w_kernel_oracle", _suite_wkernel),
-    ("poisson_identity", _suite_poisson),
+    ("gauss_oracle", lambda: _below(gauss_oracle_worst(1000, 60), 1e-10)),
+    ("w_kernel_oracle", lambda: _below(w_kernel_worst(), 1e-10)),
+    ("poisson_identity", lambda: _below(poisson_worst(46), 1e-8)),
     ("delta_tables", _suite_delta),
-    ("shimura_identity", _suite_shimura),
-    ("modularity_panel", _suite_modularity),
+    ("shimura_identity", lambda: _below(
+        shimura_failures(10_000, delta_halfintegral(10_000), build_hecke_table(110)), 1)),
+    ("modularity_panel", lambda: _below(modularity_worst(delta_halfintegral(10_000)), 1e-8)),
     ("mollifier_identities", _suite_mollifier),
     ("jutila_certify", _suite_jutila_certify),
 ]
@@ -426,7 +431,10 @@ def _apply_config(args: argparse.Namespace, cfg: dict, parser: argparse.Argument
 
 
 def _int_list(text: str) -> list:
-    return [int(float(tok)) for tok in text.split(",") if tok.strip()]
+    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{text!r} holds a value that is not finite")
+    return [int(v) for v in vals]
 
 
 def _parse_mollify(text: str):
@@ -523,7 +531,9 @@ def main(argv=None) -> int:
         else:
             _emit(rows, fmt, sys.stdout)
         return status
-    except (BudgetExceededError, CapacityError, InsufficientTableError) as exc:
+    except (
+        BudgetExceededError, CapacityError, ConvergenceError, InsufficientTableError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (FormatError, ChecksumError, InconsistencyError) as exc:

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: verification failures exit 1, usage
-problems exit 2, capacity/budget problems exit 3.
+The CLI maps these onto exit codes: 1 for verification failures
+(FormatError, ChecksumError, InconsistencyError), 2 for usage problems
+(ValueError), 3 for resource problems (CapacityError, BudgetExceededError,
+InsufficientTableError) and for a truncation bound that misses its
+tolerance (ConvergenceError).
 """
 
 

@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -46,9 +47,16 @@ def gauss_sum_bruteforce(l: int, n: int) -> complex:
         raise ValueError("modulus must be odd and positive")
     pref = (1 - 1j) / 2 + kronecker(-1, n) * (1 + 1j) / 2
     a = np.arange(n)
-    sym = np.fromiter((kronecker(int(x), n) for x in a), dtype=np.float64, count=n)
     phase = np.exp(2j * np.pi * ((a * (l % n)) % n) / n)
-    return complex(pref * np.dot(sym, phase))
+    return complex(pref * np.dot(_jacobi_row(n), phase))
+
+
+@lru_cache(maxsize=1)
+def _jacobi_row(n: int) -> np.ndarray:
+    """(a|n) for 0 <= a < n, read-only: an oracle sweeps every l at one n."""
+    row = np.fromiter((kronecker(a, n) for a in range(n)), dtype=np.float64, count=n)
+    row.flags.writeable = False
+    return row
 
 
 def _gauss_prime_power(l: int, p: int, beta: int) -> float:
@@ -273,6 +281,8 @@ def shifted_convolution(
     """
     if h == 0:
         raise ValueError("shift must be nonzero")
+    if not 0 < X < math.inf:
+        raise ValueError(f"X must be positive and finite, got {X}")
     if Delta < 1 or gcd(v, Delta) != 1:
         raise ValueError("need Delta >= 1 and gcd(v, Delta) = 1")
     n0 = math.ceil(X * math.log(1e12) / (4 * math.pi))

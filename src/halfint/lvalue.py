@@ -146,6 +146,8 @@ def chi_array(d: int, N: int) -> np.ndarray:
 
 
 def _truncation_length(d: int, k: int, tol: float) -> int:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     return math.ceil(abs(d) * max(8.0, (k + math.log(1.0 / tol)) / (2 * math.pi)))
 
 
@@ -179,7 +181,7 @@ def central_lvalue(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueResult:
     terms = t.lam[: N0 + 1] * chi * w / np.sqrt(n)
     value = 2.0 * float(np.add.reduce(terms[1:]))
     bound = _tail_bound(N0, d, t.k)
-    if bound >= tol:
+    if not bound < tol:
         raise ConvergenceError(
             f"tail bound {bound:.2e} does not meet tolerance {tol:.2e} at d={d}"
         )

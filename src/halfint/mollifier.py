@@ -39,7 +39,12 @@ from math import factorial
 import numpy as np
 
 from .arith import factorize_small, kronecker, primes_up_to
-from .errors import BudgetExceededError, CapacityError, DegenerateIntervalError
+from .errors import (
+    BudgetExceededError,
+    CapacityError,
+    DegenerateIntervalError,
+    InconsistencyError,
+)
 from .hecke import HeckeTable
 from .lvalue import a_factor, central_lvalue
 from .qseries import CoeffTable
@@ -242,7 +247,7 @@ def d_product(m: int, j: int, l: float, params: MollifierParams, t: HeckeTable) 
         p = p_sum(m, r, j, params, t)
         out *= (1.0 + math.exp(-params.ell[r] / 2.0)) * e_truncated(l * p, params.ell[r])
     if out <= 0:
-        raise AssertionError("damped product must be positive")
+        raise InconsistencyError("damped product must be positive")
     return out
 
 
@@ -326,7 +331,7 @@ def mollifier_value(
     )
     value = math.log(params.x) ** (1.0 / (2.0 * kappa)) * math.prod(factors)
     if value <= 0:
-        raise AssertionError(f"mollifier must be positive, got {value} at m={m}")
+        raise InconsistencyError(f"mollifier must be positive, got {value} at m={m}")
     return MollifierValue(m=m, value=value, factors=factors)
 
 

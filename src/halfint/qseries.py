@@ -484,9 +484,12 @@ def load_coeffs(path: str) -> CoeffTable:
         raise FormatError(f"{path}: unsupported format version {version}")
     wt2 = int.from_bytes(data[8:12], "little")
     N = int.from_bytes(data[12:20], "little")
-    alpha = [0] * (N + 1)
     pos = 20
     end = len(data) - 8
+    # every record takes at least two bytes; check before allocating N slots
+    if 2 * N > end - pos:
+        raise FormatError(f"{path}: header N={N} exceeds what {end - pos} record bytes hold")
+    alpha = [0] * (N + 1)
     for n in range(1, N + 1):
         if pos >= end:
             raise FormatError(f"{path}: record stream ends early at n={n}")
@@ -507,11 +510,14 @@ def _load_csv(path: str) -> CoeffTable:
                 if not row or row[0].strip().lower() == "n":
                     continue
                 rows.append((int(row[0]), int(row[1])))
-    except (ValueError, IndexError, UnicodeDecodeError) as exc:
+    except (ValueError, IndexError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: not a coefficient CSV ({exc})") from exc
     if not rows:
         raise FormatError(f"{path}: no coefficient rows")
     N = max(n for n, _ in rows)
+    # checked before allocating N slots: each n in 1..N needs exactly one row
+    if N != len(rows):
+        raise FormatError(f"{path}: {len(rows)} rows cannot cover n = 1..{N} once each")
     alpha = [None] * (N + 1)
     for n, v in rows:
         if n < 1:
@@ -519,8 +525,5 @@ def _load_csv(path: str) -> CoeffTable:
         if alpha[n] is not None:
             raise FormatError(f"{path}: duplicate row for n={n}")
         alpha[n] = v
-    if len(rows) != N:
-        missing = alpha.index(None, 1)
-        raise FormatError(f"{path}: no row for n={missing} (rows must cover 1..{N})")
     alpha[0] = 0
     return CoeffTable(weight_times_two=13, alpha=alpha, N=N)

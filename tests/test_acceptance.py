@@ -10,26 +10,23 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from halfint import mollifier as mo
 from halfint.arith import enumerate_nflat
-from halfint.cli import cmd_signchanges, modularity_panel, tiny_mollifier_configs
-from halfint.expsums import (
-    gauss_sum_bruteforce,
-    gauss_sum_closed,
-    jutila_l2_defect,
-    modularity_check,
-    poisson_check,
-    shifted_convolution,
+from halfint.cli import (
+    cmd_signchanges,
+    expansion_identity_holds,
+    gauss_oracle_worst,
+    modularity_panel,
+    modularity_worst,
+    poisson_worst,
+    shimura_failures,
+    taylor_bound_holds,
+    w_kernel_worst,
 )
-from halfint.hecke import (
-    build_hecke_table,
-    find_signflip_prime,
-    shimura_identity_check,
-    signflip_verify,
-)
-from halfint.lvalue import central_lvalue, w_kernel, w_kernel_oracle, waldspurger_ratio
+from halfint.expsums import jutila_l2_defect, shifted_convolution
+from halfint.hecke import find_signflip_prime, signflip_verify
+from halfint.lvalue import central_lvalue, waldspurger_ratio
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -68,14 +65,8 @@ def test_criterion_01_sign_change_tables(big_table):
 
 def test_criterion_02_exact_shimura_identity(big_table, hecke26k):
     t0 = time.time()
-    checked = 0
-    failures = 0
-    for d in [1] + enumerate_nflat(100_000):
-        nmax = math.isqrt(100_000 // d)
-        for n in range(1, nmax + 1):
-            if not shimura_identity_check(d, n, big_table, hecke26k):
-                failures += 1
-            checked += 1
+    failures = shimura_failures(100_000, big_table, hecke26k)
+    checked = sum(math.isqrt(100_000 // d) for d in [1] + enumerate_nflat(100_000))
     _report(
         "2 exact lift identity",
         failures == 0,
@@ -108,17 +99,7 @@ def test_criterion_03_ratio_constancy(big_table, hecke26k):
 
 def test_criterion_04_gauss_oracle_equivalence():
     t0 = time.time()
-    worst = 0.0
-    for n in range(1, 1000, 2):
-        row = {}
-        for l in range(-60, 61):
-            bf = gauss_sum_bruteforce(l, n)
-            cf = gauss_sum_closed(l, n)
-            err = abs(bf - cf) / max(1.0, abs(cf))
-            worst = max(worst, err)
-        root = math.isqrt(n)
-        expect = _phi(n) if root * root == n else 0.0
-        worst = max(worst, abs(gauss_sum_closed(0, n) - expect))
+    worst = gauss_oracle_worst(1000, 60)
     _report(
         "4 gauss-sum oracle",
         worst < 1e-10,
@@ -126,38 +107,19 @@ def test_criterion_04_gauss_oracle_equivalence():
     )
 
 
-def _phi(n):
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return float(out)
-
-
 def test_criterion_05_modularity_panel(table10k):
     t0 = time.time()
-    panel = modularity_panel()
-    worst = max(modularity_check(g, z, table10k) for g, z in panel)
+    worst = modularity_worst(table10k)
     _report(
         "5 modularity panel",
-        len(panel) == 20 and worst < 1e-8,
+        len(modularity_panel()) == 20 and worst < 1e-8,
         f"20 pairs, worst rel discrepancy {worst:.2e}, {time.time() - t0:.1f}s",
     )
 
 
 def test_criterion_06_kernel_derivation():
     t0 = time.time()
-    worst = 0.0
-    for k in (2, 6):
-        for x in (0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
-            worst = max(worst, abs(w_kernel(x, k) - w_kernel_oracle(x, k)))
+    worst = w_kernel_worst()
     _report(
         "6 kernel vs contour oracle",
         worst < 1e-10,
@@ -167,9 +129,7 @@ def test_criterion_06_kernel_derivation():
 
 def test_criterion_07_poisson_identity():
     t0 = time.time()
-    worst = max(
-        max(poisson_check(n, 5.0), poisson_check(n, 3.0)) for n in range(1, 46, 2)
-    )
+    worst = poisson_worst(46)
     _report(
         "7 poisson identity",
         worst < 1e-8,
@@ -187,22 +147,14 @@ def test_criterion_08_mollifier_identity_suite(hecke26k):
         mo.mollifier_value(int(m), 0.5, params, tab).value > 0
         for m in rng.integers(1, 10**8, size=10_000)
     )
-    taylor_ok = True
-    for ell in (4, 8, 16, 24, 32, 48, 64):
-        for t in np.linspace(-3 * ell, ell / math.e**2, 61):
-            if math.exp(t) > (1 + math.exp(-ell / 2)) * mo.e_truncated(float(t), ell) * (1 + 1e-12):
-                taylor_ok = False
+    taylor_ok = taylor_bound_holds((4, 8, 16, 24, 32, 48, 64), 61)
     ident_worst = 0.0
     for m in (1, 8, 40, 88, 123, 2024):
         for j in range(params.J + 1):
             enum = mo.m_factor(m, j, 0.5, params, tab, method="enumerate")
             iden = mo.m_factor(m, j, 0.5, params, tab, method="identity")
             ident_worst = max(ident_worst, abs(enum - iden) / max(1e-12, abs(iden)))
-    expansion_ok = all(
-        mo.dirichlet_expansion_check(m, 0.5, l, cfg, tab)
-        for cfg, l in zip(tiny_mollifier_configs(), (2.0, 4.0, 2.0))
-        for m in (8, 24, 40, 104)
-    )
+    expansion_ok = expansion_identity_holds(tab)
     nu_ok = (
         mo.nu_fold(2, 9) == 2
         and all(

@@ -127,6 +127,27 @@ class TestCliEndToEnd:
         assert r.returncode == 0
         assert out.read_text().startswith("Q,arcs,defect\n")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["waldspurger", "--dmax", "50", "--tol", "nan"], 2),
+            (["waldspurger", "--dmax", "50", "--tol", "0"], 2),
+            (["waldspurger", "--dmax", "50", "--tol=-1e-8"], 2),
+            (["waldspurger", "--dmax", "50", "--tol", "1e-16"], 3),
+            (["moments", "--blocks", "0,64", "--coeffs", "COEFFS"], 2),
+            (["shifted", "--h", "1", "--xgrid", "0", "--coeffs", "COEFFS"], 2),
+            (["shifted", "--h", "1", "--xgrid", "inf", "--coeffs", "COEFFS"], 2),
+            (["signchanges", "--limit", "-5", "--coeffs", "COEFFS"], 2),
+        ],
+        ids=["tol-nan", "tol-zero", "tol-negative", "tol-unreachable", "block-zero",
+             "xgrid-zero", "xgrid-inf", "limit-negative"],
+    )
+    def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code):
+        argv = [small_coeffs if a == "COEFFS" else a for a in argv]
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     def test_failed_command_leaves_no_report(self, tmp_path, small_coeffs):
         # blocks to 4096 need coefficients to 32768; the table holds 20000
         out = tmp_path / "report.csv"

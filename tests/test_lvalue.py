@@ -16,8 +16,7 @@ from halfint.lvalue import (
     w_kernel_oracle,
     waldspurger_ratio,
 )
-
-GRID = [0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0]
+from halfint.cli import w_kernel_worst
 
 
 class TestWKernel:
@@ -39,9 +38,7 @@ class TestWKernel:
             w_kernel(0.0, 6)
 
     def test_against_contour_oracle(self):
-        for k in (2, 6):
-            for x in GRID:
-                assert abs(w_kernel(x, k) - w_kernel_oracle(x, k)) < 1e-10
+        assert w_kernel_worst() < 1e-10
 
     def test_oracle_richardson_stable(self):
         a = w_kernel_oracle(0.5, 6, quadrature_step=0.04)

@@ -6,8 +6,8 @@ import pytest
 
 from halfint import mollifier as mo
 from halfint.arith import enumerate_nflat, kronecker
-from halfint.cli import tiny_mollifier_configs
-from halfint.errors import DegenerateIntervalError
+from halfint.cli import taylor_bound_holds, tiny_mollifier_configs
+from halfint.errors import DegenerateIntervalError, InconsistencyError
 from halfint.hecke import build_hecke_table
 
 
@@ -145,13 +145,7 @@ class TestTruncatedExponential:
                 assert mo.e_truncated(float(t), ell) > 0.0
 
     def test_taylor_inequality(self):
-        # e^t <= (1 + e^{-ell/2}) E_ell(t) for t <= ell/e^2
-        for ell in (4, 8, 16, 32, 64):
-            ts = np.linspace(-3 * ell, ell / math.e**2, 61)
-            for t in ts:
-                lhs = math.exp(t)
-                rhs = (1 + math.exp(-ell / 2)) * mo.e_truncated(float(t), ell)
-                assert lhs <= rhs * (1 + 1e-12)
+        assert taylor_bound_holds((4, 8, 16, 32, 64), 61)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
@@ -177,6 +171,14 @@ class TestDProduct:
     def test_monotone_growth_in_j_for_trivial_twist(self, params, tab):
         vals = [mo.d_product(1, j, 2.0, params, tab) for j in range(params.J + 1)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_nonpositive_value_is_typed(self, params, tab, monkeypatch):
+        # a zero truncated exponential makes every product zero
+        monkeypatch.setattr(mo, "e_truncated", lambda t, ell: 0.0)
+        with pytest.raises(InconsistencyError):
+            mo.d_product(8, params.J, 2.0, params, tab)
+        with pytest.raises(InconsistencyError):
+            mo.mollifier_value(8, 0.5, params, tab)
 
 
 class TestMFactor:

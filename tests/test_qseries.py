@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfint import qseries
+from halfint import cli, qseries
 from halfint.arith import factorize_small
 from halfint.errors import CapacityError, ChecksumError, FormatError
 from halfint.qseries import (
@@ -299,10 +299,31 @@ class TestCoeffCache:
             load_coeffs(str(path))
 
     def test_csv_gap_rejected(self, tmp_path):
-        path = tmp_path / "gap.csv"
-        path.write_text("n,alpha\n1,1\n2,0\n4,-4\n")
+        # the one-row file claims N = 1e11: rejected before allocating N slots
+        for text in ("n,alpha\n1,1\n2,0\n4,-4\n", "99999999999,1\n"):
+            path = tmp_path / "gap.csv"
+            path.write_text(text)
+            with pytest.raises(FormatError):
+                load_coeffs(str(path))
+
+    def test_csv_oversized_field_rejected(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("1," + "9" * 200_000 + "\n")  # over the csv module's field limit
         with pytest.raises(FormatError):
             load_coeffs(str(path))
+
+    def test_hicf_header_beyond_records(self, tmp_path):
+        # a valid checksum over a header N = 1e11 that 20 records cannot hold
+        path = tmp_path / "t.hicf"
+        save_coeffs(delta_halfintegral(20), str(path))
+        body = bytearray(path.read_bytes()[:-8])
+        body[12:20] = (10**11).to_bytes(8, "little")
+        h = qseries._checksum()
+        h.update(body)
+        path.write_bytes(bytes(body) + h.digest())
+        with pytest.raises(FormatError):
+            load_coeffs(str(path))
+        assert cli.main(["signchanges", "--limit", "10", "--coeffs", str(path)]) == 1
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
