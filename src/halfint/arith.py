@@ -81,12 +81,22 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
 
 
 def sigma3_table(M: int) -> np.ndarray:
-    """sigma_3(n) for 0 <= n <= M as int64 (index 0 is 0), by divisor fill."""
+    """sigma_3(n) for 0 <= n <= M as int64 (index 0 is 0), by divisor fill.
+
+    Hyperbola split at s = isqrt(M): each divisor d <= s adds d^3 to all its
+    multiples in one slice; each cofactor k <= M/(s+1) adds d^3 at n = k d
+    for all d in (s, M/k] in one slice. About 2 sqrt(M) slices in all.
+    """
     if M > SIGMA3_INT64_LIMIT:
         raise CapacityError(f"sigma3 table to {M} overflows int64 past {SIGMA3_INT64_LIMIT}")
     sig = np.zeros(M + 1, dtype=np.int64)
-    for d in range(1, M + 1):
+    s = isqrt(M)
+    for d in range(1, s + 1):
         sig[d::d] += d * d * d
+    cubes = np.arange(M + 1, dtype=np.int64) ** 3
+    for k in range(1, M // (s + 1) + 1):
+        top = M // k
+        sig[k * (s + 1) : k * top + 1 : k] += cubes[s + 1 : top + 1]
     return sig
 
 

@@ -282,7 +282,7 @@ def _suite_sieves():
 def _suite_delta():
     fast = delta_halfintegral(2000)
     ref = qseries.delta_halfintegral_reference(2000)
-    same = fast.alpha == ref.alpha
+    same = np.array_equal(fast.alpha, ref.alpha)
     support_ok = fast.support_violations().size == 0
     tau = qseries.delta_integral(2000)
     naive = _tau_naive(2000)

@@ -8,8 +8,10 @@ Two kinds of object live here:
 
 * `CoeffTable`: the integer coefficients alpha(n) = c(n) n^{(k-1/2)/2} of a
   half-integral weight Hecke form, built by a fast exact convolution and
-  cached to disk. The production table is the weight-13/2 form whose lift is
-  the discriminant form; its alpha(n) vanish for n = 2,3 mod 4.
+  saved to HICF coefficient files. The production table is the weight-13/2
+  form whose lift is the discriminant form; its alpha(n) vanish for
+  n = 2,3 mod 4. alpha is an int64 array, or an object array of Python ints
+  once some |alpha(n)| >= 2^63, which first happens at n = 3799816.
 
 All integer arithmetic is exact. The fast builder sums alpha(n) mod 2^64 in
 wrapping int64 and lifts each residue to the one integer inside a float64
@@ -21,9 +23,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import operator
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -166,48 +169,40 @@ def eisenstein_g(k: int, N: int) -> PowerSeries:
 # coefficient tables
 
 
-@dataclass
+@dataclass(eq=False)
 class CoeffTable:
     """Integer coefficients alpha(n), 1 <= n <= N, of a weight (wt2/2) form.
 
-    alpha list is indexed 0..N with alpha[0] = 0. The normalized coefficients
-    are c(n) = alpha(n) / n^{(wt2-2)/4}.
+    alpha is an array indexed 0..N with alpha[0] = 0: int64, or an object
+    array of Python ints once some |alpha(n)| >= 2^63 (for the weight-13/2
+    form, from n = 3799816 on). A sequence passed in is converted the same
+    way; an entry that is not an integer raises ValueError. Tables compare
+    by identity; np.array_equal compares their alpha. The normalized
+    coefficients are c(n) = alpha(n) / n^{(wt2-2)/4}.
     """
 
     weight_times_two: int
-    alpha: list
+    alpha: np.ndarray
     N: int
-    _sign: np.ndarray = field(default=None, repr=False)
-    _float: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.weight_times_two % 2 == 0 or self.weight_times_two < 5:
             raise ValueError("weight_times_two must be an odd integer >= 5")
-        if len(self.alpha) != self.N + 1:
+        self.alpha = _exact_integers(self.alpha)
+        if self.alpha.shape != (self.N + 1,):
             raise ValueError("alpha must have N+1 entries (index 0 unused)")
-        for v in self.alpha[: min(len(self.alpha), 16)]:
-            if not isinstance(v, int):
-                raise ValueError("alpha entries must be exact integers")
 
     def a(self, n: int) -> int:
         if not 1 <= n <= self.N:
             raise ValueError(f"n={n} outside table range 1..{self.N}")
-        return self.alpha[n]
+        return int(self.alpha[n])
 
     def sign_array(self) -> np.ndarray:
         """int8 array s with s[n] = sign(alpha(n)); compact scan view."""
-        if self._sign is None:
-            self._sign = np.fromiter(
-                ((v > 0) - (v < 0) for v in self.alpha), dtype=np.int8, count=self.N + 1
-            )
-        return self._sign
+        return np.sign(self.alpha).astype(np.int8)
 
     def float_array(self) -> np.ndarray:
-        if self._float is None:
-            self._float = np.fromiter(
-                (float(v) for v in self.alpha), dtype=np.float64, count=self.N + 1
-            )
-        return self._float
+        return self.alpha.astype(np.float64)
 
     def c_array(self) -> np.ndarray:
         """Normalized coefficients c(n) = alpha(n) n^{-(wt2-2)/4} (c[0] = 0)."""
@@ -227,6 +222,23 @@ class CoeffTable:
         return n[mask]
 
 
+def _exact_integers(values) -> np.ndarray:
+    """values as an int64 array, or as an object array of Python ints when
+    some value lies outside int64. ValueError if an entry is not an integer."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    # a float or object array: Python ints past int64, or non-integers
+    try:
+        ints = [operator.index(v) for v in values]
+    except TypeError as exc:
+        raise ValueError("alpha entries must be exact integers") from exc
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
 # -- fast exact builder -------------------------------------------------------
 
 # the int64 sigma3 table runs to N/4
@@ -234,6 +246,9 @@ _FAST_N_CAP = 4 * SIGMA3_INT64_LIMIT
 # the lift picks the one integer = residue mod 2^64 within the float window;
 # a window at 2^62 would leave less than a quarter-period of margin
 _LIFT_WINDOW_CAP = 2.0**62
+# columns per tile of the builder's slice loop: every m passes over one tile
+# of the accumulators and the sigma3 rows while it is still in cache
+_TILE = 1 << 14
 
 
 def delta_halfintegral(N: int) -> CoeffTable:
@@ -252,7 +267,11 @@ def delta_halfintegral(N: int) -> CoeffTable:
     sigma3(b) 240 m^2 - b sigma3(b) 120 with wraparound, so it holds alpha
     mod 2^64; the same sums in float64, as a positive part P and a negative
     part Nn, locate alpha within a window that fixes the multiple of 2^64.
-    A window of 2^62 or more raises CapacityError.
+    A window of 2^62 or more raises CapacityError. The sums run tile by tile
+    over the columns, and each entry still takes its terms in increasing m,
+    so P and Nn do not depend on the tile width.
+
+    alpha is int64, or an object array once some |alpha(n)| >= 2^63.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -276,16 +295,26 @@ def delta_halfintegral(N: int) -> CoeffTable:
     neg[0] += 60 * bsigf
     bsig *= 120
     bsigf *= 120
-    for m in range(1, isqrt(N) + 1):
-        sq = m * m
-        L = (N - sq) >> 2
-        if L < 1:
-            continue
-        row = sq & 3  # 0 for even m, 1 for odd m
-        cols = slice((sq >> 2) + 1, (sq >> 2) + 1 + L)
-        acc[row, cols] += sig3[1 : L + 1] * (240 * sq) - bsig[1 : L + 1]
-        pos[row, cols] += sig3f[1 : L + 1] * (240 * sq)
-        neg[row, cols] += bsigf[1 : L + 1]
+    itmp = np.empty(_TILE, dtype=np.int64)
+    ftmp = np.empty(_TILE)
+    for lo in range(1, Q + 1, _TILE):
+        hi = min(lo + _TILE, Q + 1)
+        for m in range(1, isqrt(N) + 1):
+            sq = m * m
+            off = sq >> 2  # column off + b holds n = m^2 + 4b, 1 <= b <= (N - m^2)/4
+            if off + 1 >= hi:
+                break
+            c0, c1 = max(lo, off + 1), min(hi, off + 1 + ((N - sq) >> 2))
+            if c0 >= c1:
+                continue
+            row, w = sq & 3, c1 - c0  # row 0 for even m, 1 for odd m
+            b = slice(c0 - off, c1 - off)
+            np.multiply(sig3[b], 240 * sq, out=itmp[:w])
+            np.subtract(itmp[:w], bsig[b], out=itmp[:w])
+            np.add(acc[row, c0:c1], itmp[:w], out=acc[row, c0:c1])
+            np.multiply(sig3f[b], 240 * sq, out=ftmp[:w])
+            np.add(pos[row, c0:c1], ftmp[:w], out=pos[row, c0:c1])
+            np.add(neg[row, c0:c1], bsigf[b], out=neg[row, c0:c1])
 
     # K terms reach an entry (one per m, two constant-term ones); each term
     # carries at most 3 roundings and each addition 1, so with eps = 2^-52,
@@ -296,12 +325,14 @@ def delta_halfintegral(N: int) -> CoeffTable:
         raise CapacityError(f"alpha lift window 2^{np.log2(widest):.1f} reaches 2^62 at N={N}")
     wraps = np.rint((pos - neg - acc) / 2.0**64).astype(np.int64)
 
-    alpha = [0] * (N + 1)
+    vals = acc
+    if wraps.any():  # exactly when some |alpha| >= 2^63
+        vals = acc.astype(object)
+        r, c = np.nonzero(wraps)
+        vals[r, c] += wraps[r, c].astype(object) << 64
+    alpha = np.zeros(N + 1, dtype=vals.dtype)
     for row in (0, 1):
-        vals = acc[row].tolist()
-        for i in np.flatnonzero(wraps[row]).tolist():
-            vals[i] += int(wraps[row, i]) << 64
-        alpha[row::4] = vals[: len(range(row, N + 1, 4))]
+        alpha[row::4] = vals[row, : len(range(row, N + 1, 4))]
     return CoeffTable(weight_times_two=13, alpha=alpha, N=N)
 
 
@@ -403,10 +434,14 @@ def delta_integral(N: int) -> list:
 
 
 # ----------------------------------------------------------------------------
-# disk cache
+# coefficient files
 
 _MAGIC = b"HICF"
 _VERSION = 1
+# the one form this program has; the readers normalize for weight 13/2
+_WEIGHT_TIMES_TWO = 13
+# entries encoded at a time, which keeps the encoder's temporaries small
+_CHUNK = 1 << 16
 
 
 def _checksum() -> "hashlib._Hash":
@@ -428,18 +463,51 @@ def _replacing(path: str, mode: str):
         raise
 
 
+def _record(v: int) -> bytes:
+    """One HICF record: a length byte, then v in that many little-endian
+    two's-complement bytes, the fewest that hold |v| and a sign bit."""
+    n = max(1, (v.bit_length() + 8) // 8)
+    return bytes([n]) + v.to_bytes(n, "little", signed=True)
+
+
+def _records(values: np.ndarray) -> bytes:
+    """The HICF records of values, byte for byte those of _record.
+
+    For int64 values a record is 1 + #{1 <= j <= 7 : |v| >= 2^(8j-1)} bytes
+    long; the length bytes and the low bytes of each value are scattered
+    into one buffer. A value that needs more than 8 bytes (|v| >= 2^63,
+    including v = -2^63) sends the whole chunk through _record.
+    """
+    try:
+        v = np.ascontiguousarray(values, dtype="<i8")
+    except OverflowError:
+        v = None
+    if v is None or (v == np.iinfo(np.int64).min).any():
+        return b"".join(_record(int(x)) for x in values)
+    lens = np.ones(v.size, dtype=np.int64)
+    for j in range(1, 8):
+        lens += (v >= 1 << (8 * j - 1)) | (v <= -(1 << (8 * j - 1)))
+    ends = np.cumsum(lens + 1)
+    starts = ends - lens - 1
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    payload = np.ones(out.size, dtype=bool)
+    payload[starts] = False
+    out[starts] = lens
+    out[payload] = v.view(np.uint8).reshape(-1, 8)[np.arange(8) < lens[:, None]]
+    return out.tobytes()
+
+
 def save_coeffs(t: CoeffTable, path: str) -> None:
-    """Write the binary cache: magic, version u32, weight u32, N u64, then N
+    """Write the binary file: magic, version u32, weight u32, N u64, then N
     length-prefixed little-endian two's-complement records, then an 8-byte
     BLAKE2b checksum of everything before it. A path ending in .csv writes
     the plain-text "n,alpha" form instead. Either file appears only once it
-    is complete."""
+    is complete. Records are encoded _CHUNK entries at a time."""
     if str(path).endswith(".csv"):
         with _replacing(path, "w") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["n", "alpha"])
-            for n in range(1, t.N + 1):
-                w.writerow([n, t.alpha[n]])
+            w.writerows(zip(range(1, t.N + 1), t.alpha[1:].tolist()))
         return
     h = _checksum()
     with _replacing(path, "wb") as fh:
@@ -452,20 +520,32 @@ def save_coeffs(t: CoeffTable, path: str) -> None:
         emit(_VERSION.to_bytes(4, "little"))
         emit(t.weight_times_two.to_bytes(4, "little"))
         emit(t.N.to_bytes(8, "little"))
-        chunk = bytearray()
-        for n in range(1, t.N + 1):
-            v = t.alpha[n]
-            nbytes = max(1, (v.bit_length() + 8) // 8)
-            chunk.append(nbytes)
-            chunk += v.to_bytes(nbytes, "little", signed=True)
-            if len(chunk) > 1 << 20:
-                emit(bytes(chunk))
-                chunk.clear()
-        emit(bytes(chunk))
+        for n in range(1, t.N + 1, _CHUNK):
+            emit(_records(t.alpha[n : n + _CHUNK]))
         fh.write(h.digest())
 
 
+def _record_offsets(records, pos: int, n: int):
+    """pos, then the offset just past each of n records laid end to end from
+    pos, each a length byte and that many bytes. IndexError once an offset
+    whose length byte is to be read lies outside records."""
+    yield pos
+    for _ in range(n):
+        pos += 1 + records[pos]
+        yield pos
+
+
 def load_coeffs(path: str) -> CoeffTable:
+    """Read a table written by save_coeffs, HICF or CSV.
+
+    HICF: magic, version, checksum and weight 13 are checked, and N against
+    the record bytes before anything is allocated. One pass over the length
+    bytes finds where each record starts; the records of at most 8 bytes are
+    then read as 8-byte words at those offsets and sign-extended from their
+    length, and longer ones are decoded one by one into an object array. A
+    record of length 0, a stream that ends early or trailing bytes raise
+    FormatError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _MAGIC:
@@ -483,22 +563,41 @@ def load_coeffs(path: str) -> CoeffTable:
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
     wt2 = int.from_bytes(data[8:12], "little")
+    if wt2 != _WEIGHT_TIMES_TWO:
+        raise FormatError(f"{path}: weight {wt2}/2 is not the supported weight 13/2")
     N = int.from_bytes(data[12:20], "little")
     pos = 20
     end = len(data) - 8
     # every record takes at least two bytes; check before allocating N slots
     if 2 * N > end - pos:
         raise FormatError(f"{path}: header N={N} exceeds what {end - pos} record bytes hold")
-    alpha = [0] * (N + 1)
-    for n in range(1, N + 1):
-        if pos >= end:
-            raise FormatError(f"{path}: record stream ends early at n={n}")
-        ln = data[pos]
-        pos += 1
-        alpha[n] = int.from_bytes(data[pos : pos + ln], "little", signed=True)
-        pos += ln
-    if pos != end:
-        raise FormatError(f"{path}: {end - pos} trailing bytes after records")
+    try:
+        offsets = np.fromiter(_record_offsets(memoryview(data)[:end], pos, N), np.int64, N + 1)
+    except IndexError:
+        raise FormatError(f"{path}: record stream ends early") from None
+    if offsets[-1] > end:
+        raise FormatError(f"{path}: record stream ends early at n={N}")
+    if offsets[-1] < end:
+        raise FormatError(f"{path}: {end - offsets[-1]} trailing bytes after records")
+    starts = offsets[:-1]  # each was read as a length byte, so lies below end
+    lens = np.frombuffer(data, dtype=np.uint8, count=end)[starts]
+    empty = np.flatnonzero(lens == 0)
+    if empty.size:
+        raise FormatError(f"{path}: record n={empty[0] + 1} has length 0")
+    starts += 1  # now where each payload starts
+    # the word at offset i is bytes i..i+7, inside data up to i = end
+    words = np.ndarray((end + 1,), dtype="<u8", buffer=data, strides=(1,))
+    shift = 64 - 8 * np.minimum(lens, 8)
+    vals = words[starts]
+    vals <<= shift
+    alpha = np.zeros(N + 1, dtype=np.int64)
+    np.right_shift(vals.view(np.int64), shift, out=alpha[1:])
+    wide = np.flatnonzero(lens > 8)
+    if wide.size:
+        alpha = alpha.astype(object)
+        for i in wide.tolist():
+            p = int(starts[i])
+            alpha[i + 1] = int.from_bytes(data[p : p + int(lens[i])], "little", signed=True)
     return CoeffTable(weight_times_two=wt2, alpha=alpha, N=N)
 
 

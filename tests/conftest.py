@@ -4,9 +4,8 @@ import pathlib
 import pytest
 
 from halfint.hecke import build_hecke_table
-from halfint.qseries import delta_halfintegral, load_coeffs, save_coeffs
+from halfint.qseries import delta_halfintegral
 
-CACHE_DIR = pathlib.Path(__file__).resolve().parent.parent / ".cache"
 BIG_N = 2_100_000
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -23,20 +22,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def big_table():
-    """Coefficient table to 2.1e6, cached on disk in the binary format (the
-    cache round-trip itself exercises save/load at scale)."""
-    CACHE_DIR.mkdir(exist_ok=True)
-    path = CACHE_DIR / f"delta_{BIG_N}.hicf"
-    if path.exists():
-        try:
-            table = load_coeffs(str(path))
-            if table.N == BIG_N:
-                return table
-        except Exception:
-            path.unlink()
-    table = delta_halfintegral(BIG_N)
-    save_coeffs(table, str(path))
-    return table
+    """Coefficient table to 2.1e6, built in memory."""
+    return delta_halfintegral(BIG_N)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import pytest
 
 from halfint import cli
 from halfint.cli import cmd_signchanges
-from halfint.qseries import CoeffTable, delta_halfintegral, save_coeffs
+from halfint.qseries import delta_halfintegral, save_coeffs
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -215,19 +215,21 @@ def _readme_commands():
 
 
 class TestReadmeCommands:
-    def test_coeffs_readers_fit_the_documented_table(self, monkeypatch, capsys):
-        # Every documented --coeffs reader must accept the table the
-        # documented `coeffs --limit` builds. A zero table of that N stands
-        # in for the file: the size checks are the commands' own.
+    def test_coeffs_readers_fit_the_documented_table(self, tmp_path, monkeypatch, capsys):
+        # The documented `coeffs` line and every documented --coeffs reader,
+        # run as written in one directory; the sign-change rows must give
+        # the counts at 2e6 that acceptance criterion 1 pins.
         cmds = _readme_commands()
-        limits = [c[c.index("--limit") + 1] for c in cmds if c[0] == "coeffs"]
-        assert len(limits) == 1
-        N = int(limits[0])
-        zero = CoeffTable(13, [0] * (N + 1), N)
-        monkeypatch.setattr(cli, "_load_table", lambda path, ap: zero)
-        readers = [c for c in cmds if "--coeffs" in c]
-        assert {c[0] for c in readers} == {"signchanges", "moments", "shifted"}
-        for argv in readers:
+        block = [c for c in cmds if c[0] == "coeffs" or "--coeffs" in c]
+        assert [c[0] for c in block] == ["coeffs", "signchanges", "signchanges", "moments",
+                                         "shifted"]
+        monkeypatch.chdir(tmp_path)
+        counts = {}
+        for argv in block:
             rc = cli.main(argv)
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             assert rc == 0, f"{shlex.join(argv)}: exit {rc}: {err}"
+            if argv[0] == "signchanges":
+                row = dict(zip(*[line.split(",") for line in out.splitlines()]))
+                counts[row["index_set"]] = int(row["S"])
+        assert counts == {"all_supported": 501_163, "nflat": 50_734}

@@ -164,7 +164,7 @@ class TestDeltaHalfIntegral:
     def test_fast_equals_reference_to_2000(self):
         fast = delta_halfintegral(2000)
         ref = delta_halfintegral_reference(2000)
-        assert fast.alpha == ref.alpha
+        assert np.array_equal(fast.alpha, ref.alpha)
 
     def test_matches_bruteforce_past_int64(self):
         # sigma3(b) passes 2^60 at b = 987840, i.e. from n = 3951361 on, and
@@ -175,6 +175,7 @@ class TestDeltaHalfIntegral:
                   3_799_816, 3_951_361, 3_951_364, 3_951_369, N):
             assert t.a(n) == alpha_bruteforce(n), n
         assert abs(t.a(3_799_816)) >= 2**63
+        assert t.alpha.dtype == object
 
     def test_lift_window_guard(self, monkeypatch):
         # the window at N = 1e4 is about 2^12; a cap below it must refuse
@@ -182,11 +183,14 @@ class TestDeltaHalfIntegral:
         with pytest.raises(CapacityError):
             delta_halfintegral(10_000)
 
-    def test_fresh_build_checksum_2100000(self, tmp_path, pins):
-        # big_table may come from the disk cache; this builds the table anew
+    def test_fresh_build_checksum_2100000(self, big_table, tmp_path, pins):
+        # the one save/load round trip at full size
         path = tmp_path / "t.hicf"
-        save_coeffs(delta_halfintegral(2_100_000), str(path))
+        save_coeffs(big_table, str(path))
         assert path.read_bytes()[-8:].hex() == pins["hicf_checksum_2100000"]
+        back = load_coeffs(str(path))
+        assert back.alpha.dtype == np.int64
+        assert np.array_equal(back.alpha, big_table.alpha)
 
     def test_plus_space_support(self, big_table):
         assert big_table.support_violations().size == 0
@@ -194,7 +198,7 @@ class TestDeltaHalfIntegral:
     def test_integrality_via_reference(self):
         # the 1/240 constant term must cancel; the reference asserts this
         ref = delta_halfintegral_reference(300)
-        assert all(isinstance(v, int) for v in ref.alpha)
+        assert ref.alpha.dtype == np.int64
 
     def test_parseval_band(self, big_table, pins):
         c2 = big_table.c_array() ** 2
@@ -238,7 +242,7 @@ class TestCoeffCache:
         back = load_coeffs(str(path))
         assert back.weight_times_two == 13
         assert back.N == t.N
-        assert back.alpha == t.alpha
+        assert np.array_equal(back.alpha, t.alpha)
 
     def test_save_leaves_only_the_target(self, tmp_path):
         t = delta_halfintegral(300)
@@ -276,13 +280,13 @@ class TestCoeffCache:
         path = tmp_path / "t.csv"
         save_coeffs(t, str(path))
         back = load_coeffs(str(path))
-        assert back.alpha == t.alpha
+        assert np.array_equal(back.alpha, t.alpha)
 
     def test_csv_headerless_accepted(self, tmp_path):
         t = delta_halfintegral(50)
         path = tmp_path / "bare.csv"
         path.write_text("".join(f"{n},{t.alpha[n]}\n" for n in range(1, 51)))
-        assert load_coeffs(str(path)).alpha == t.alpha
+        assert np.array_equal(load_coeffs(str(path)).alpha, t.alpha)
 
     def test_csv_nonpositive_index_rejected(self, tmp_path):
         # -1 would index alpha(N) from the end, 0 would set alpha(0)
@@ -330,3 +334,15 @@ class TestCoeffCache:
             CoeffTable(weight_times_two=12, alpha=[0, 1], N=1)
         with pytest.raises(ValueError):
             CoeffTable(weight_times_two=13, alpha=[0, 1, 2], N=1)
+        # every entry is checked, not only the first few
+        for bad in (1.5, None, "7"):
+            with pytest.raises(ValueError):
+                CoeffTable(weight_times_two=13, alpha=[0] * 20 + [bad], N=20)
+
+    def test_table_dtype(self):
+        assert CoeffTable(13, [0, 1, -2], 2).alpha.dtype == np.int64
+        wide = CoeffTable(13, [0, 1, -(2**63) - 1], 2)
+        assert wide.alpha.dtype == object
+        assert wide.a(2) == -(2**63) - 1 and type(wide.a(2)) is int
+        assert wide.sign_array().tolist() == [0, 1, -1]
+        assert wide.float_array()[2] == float(-(2**63) - 1)
