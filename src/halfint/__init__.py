@@ -4,7 +4,6 @@ the exponential-sum toolkit behind their analysis, and a CLI that tabulates
 sign-change statistics of the coefficients."""
 
 from .arith import (
-    build_sieves,
     enumerate_nflat,
     is_fundamental_discriminant,
     kronecker,
@@ -12,11 +11,10 @@ from .arith import (
 from .hecke import (
     build_hecke_table,
     find_signflip_prime,
-    lambda_f,
     shimura_identity_check,
     signflip_verify,
 )
-from .lvalue import a_factor, central_lvalue, first_moment_scan, w_kernel, waldspurger_ratio
+from .lvalue import central_lvalue, first_moment_scan, w_kernel, waldspurger_ratio
 from .qseries import (
     CoeffTable,
     PowerSeries,

@@ -9,42 +9,16 @@ pure, so concurrent readers are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
 from .errors import CapacityError
 
-# Rough per-entry cost of a full table set (mu, sigma3, phi, spf,
-# squarefree), used for the capacity guard.
-_BYTES_PER_ENTRY = 32
-DEFAULT_MEMORY_BUDGET = 4 << 30
-
 # sigma3(n) <= zeta(3) n^3 stays below 2^63 for n <= ~1.96e6, so an int64
 # divisor fill is exact up to here.
 SIGMA3_INT64_LIMIT = 1_950_000
-
-
-@dataclass
-class SieveTables:
-    """Dense arithmetic tables on 0..limit (index 0 unused, index 1 per the
-    usual empty-product conventions)."""
-
-    limit: int
-    mu: np.ndarray
-    sigma3: np.ndarray
-    phi: np.ndarray
-    smallest_prime_factor: np.ndarray
-    squarefree: np.ndarray
-    _primes: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def primes(self) -> np.ndarray:
-        if self._primes is None:
-            idx = np.arange(self.limit + 1)
-            self._primes = idx[(idx >= 2) & (self.smallest_prime_factor == idx)]
-        return self._primes
 
 
 @dataclass(frozen=True)
@@ -98,47 +72,6 @@ def sigma3_table(M: int) -> np.ndarray:
         top = M // k
         sig[k * (s + 1) : k * top + 1 : k] += cubes[s + 1 : top + 1]
     return sig
-
-
-def build_sieves(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SieveTables:
-    """Fill all tables up to `limit` (inclusive). Deterministic."""
-    if limit < 2:
-        raise ValueError("limit must be >= 2")
-    if limit * _BYTES_PER_ENTRY > memory_budget:
-        raise CapacityError(
-            f"limit {limit} needs ~{limit * _BYTES_PER_ENTRY} bytes, over budget {memory_budget}"
-        )
-    sigma3 = sigma3_table(limit)
-
-    n = limit + 1
-    spf = smallest_prime_factors(limit)
-    idx = np.arange(n)
-    primes = idx[(idx >= 2) & (spf == idx)]
-
-    mu = np.ones(n, dtype=np.int8)
-    for p in primes:
-        p = int(p)
-        mu[p::p] *= -1
-        q = p * p
-        if q <= limit:
-            mu[q::q] = 0
-    mu[0] = 0
-    squarefree = mu != 0
-    squarefree[0] = False
-
-    phi = np.arange(n, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        phi[p::p] -= phi[p::p] // p
-
-    return SieveTables(
-        limit=limit,
-        mu=mu,
-        sigma3=sigma3,
-        phi=phi,
-        smallest_prime_factor=spf,
-        squarefree=squarefree,
-    )
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -256,7 +189,7 @@ def euler_phi(n: int) -> int:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """Plain sieve of Eratosthenes, for callers that do not need full tables."""
+    """Primes p <= n, ascending, by a plain sieve of Eratosthenes."""
     if n < 2:
         return []
     flags = np.ones(n + 1, dtype=bool)

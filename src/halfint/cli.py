@@ -25,7 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expsums, lvalue, mollifier, qseries
-from .arith import build_sieves, enumerate_nflat, kronecker, odd_squarefree_flags
+from .arith import (
+    enumerate_nflat,
+    euler_phi,
+    factorize_small,
+    kronecker,
+    odd_squarefree_flags,
+    sigma3_table,
+    smallest_prime_factors,
+)
 from .errors import (
     BudgetExceededError,
     CapacityError,
@@ -270,13 +278,31 @@ def _below(metric, limit) -> tuple:
 
 
 def _suite_sieves():
-    t = build_sieves(10_000)
-    spot = t.mu[6] == 1 and t.mu[4] == 0 and int(t.sigma3[6]) == 252 and t.phi[1] == 1
-    worst = 0.0
-    for n in range(2, 2000):
-        acc = sum(int(t.mu[d]) for d in range(1, n + 1) if n % d == 0)
-        worst = max(worst, abs(acc))
-    return worst, bool(spot) and worst == 0.0
+    """The arithmetic primitives the commands use, against brute force for
+    n < 2000: spf, sigma_3, the odd square-free flags and the mu carried by
+    squarefree_divisors from each n's divisor list, phi from gcd counts. The
+    metric is the worst |sum mu(r)| over squarefree_divisors(n), n >= 2."""
+    lim = 2000
+    spf = smallest_prime_factors(lim)
+    sig = sigma3_table(lim)
+    odd_sf = odd_squarefree_flags(lim)
+    ok = sig[1] == 1 and odd_sf[1] and euler_phi(1) == 1
+    ok = ok and factorize_small(1).squarefree_divisors() == [(1, 1)]
+    least = [0, 0]  # least divisor > 1, which is prime
+    worst = 0
+    for n in range(2, lim):
+        a = np.arange(1, n + 1)
+        divs = a[n % a == 0].tolist()
+        least.append(divs[1])
+        primes = [q for q in divs[1:] if least[q] == q]
+        mu = {r: (-1) ** sum(r % q == 0 for q in primes)
+              for r in divs if all(r % (q * q) for q in primes)}
+        pairs = factorize_small(n).squarefree_divisors()
+        worst = max(worst, abs(sum(m for _, m in pairs)))
+        ok = (ok and spf[n] == divs[1] and sig[n] == sum(d**3 for d in divs)
+              and odd_sf[n] == (n % 2 == 1 and n in mu) and dict(pairs) == mu
+              and euler_phi(n) == np.count_nonzero(np.gcd(a, n) == 1))
+    return float(worst), bool(ok) and worst == 0
 
 
 def _suite_delta():
@@ -431,10 +457,10 @@ def _apply_config(args: argparse.Namespace, cfg: dict, parser: argparse.Argument
 
 
 def _int_list(text: str) -> list:
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not all(map(math.isfinite, vals)):
-        raise ValueError(f"{text!r} holds a value that is not finite")
-    return [int(v) for v in vals]
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+_MOLLIFY_KEYS = ("x", "C", "l", "kappa", "eta1", "eta2", "c0", "theta0")
 
 
 def _parse_mollify(text: str):
@@ -443,7 +469,10 @@ def _parse_mollify(text: str):
         if not tok.strip():
             continue
         k, v = tok.split("=", 1)
-        kv[k.strip()] = float(v)
+        k = k.strip()
+        if k not in _MOLLIFY_KEYS:
+            raise ValueError(f"unknown --mollify key {k!r}")
+        kv[k] = float(v)
     return mollifier.build_params(
         x=kv.get("x", 2.0e6),
         C=kv.get("C", 4.0),

@@ -9,7 +9,9 @@ tolerance (ConvergenceError).
 
 
 class CapacityError(Exception):
-    """A requested table size exceeds the configured memory budget."""
+    """A requested size is past what the code can fill exactly or feasibly:
+    an int64 bound, the builder's cap or lift window, the tau prime set, or
+    a mollifier sieve."""
 
 
 class BudgetExceededError(Exception):

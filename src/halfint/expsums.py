@@ -1,9 +1,9 @@
 """Complete exponential sums and the circle-method objects: twisted quadratic
-Gauss sums with their prime-power closed form, Kloosterman sums with the Weil
-bound predicate, the L^2 defect of the Farey-arc approximation to the unit
-interval, a Poisson-summation identity check over odd moduli, the shifted
-convolution of the half-integral form's coefficients, and the numerical
-modularity self-test that exercises the whole coefficient pipeline.
+Gauss sums with their prime-power closed form, the L^2 defect of the
+Farey-arc approximation to the unit interval, a Poisson-summation identity
+check over odd moduli, the shifted convolution of the half-integral form's
+coefficients, and the numerical modularity self-test that exercises the
+whole coefficient pipeline.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .qseries import CoeffTable
 __all__ = [
     "gauss_sum_bruteforce",
     "gauss_sum_closed",
-    "kloosterman",
-    "kloosterman_weil_ok",
     "JutilaSystem",
     "build_jutila_system",
     "jutila_l2_defect",
@@ -98,35 +96,12 @@ def gauss_sum_closed(l: int, n: int) -> float:
     return out
 
 
-# -- Kloosterman sums -----------------------------------------------------------
-
-
-def kloosterman(a: int, b: int, c: int) -> float:
-    """S(a, b; c) = sum_{x mod c, (x,c)=1} e((a x + b x*)/c), real by the
-    x -> -x symmetry. Direct evaluation, O(c log c)."""
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    if c > 10**6:
-        raise BudgetExceededError("modulus too large for direct evaluation")
-    acc = 0.0
-    tau = 2.0 * math.pi / c
-    for x in range(c):
-        if gcd(x, c) != 1:
-            continue
-        xinv = pow(x, -1, c)
-        acc += math.cos(tau * ((a * x + b * xinv) % c))
-    return acc
-
-
-def kloosterman_weil_ok(a: int, b: int, c: int) -> bool:
-    """|S(a,b;c)| <= d(c) gcd(a,b,c)^{1/2} c^{1/2}."""
-    s = kloosterman(a, b, c)
-    ndiv = len(factorize_small(c).divisors())
-    g = gcd(gcd(abs(a), abs(b)), c)
-    return abs(s) <= ndiv * math.sqrt(g) * math.sqrt(c) + 1e-9
-
-
 # -- Jutila's circle-method measure ---------------------------------------------
+
+
+# arc endpoints one defect sweep may hold; each is a Python float in the
+# endpoint lists and several 8-byte entries in the sorted sweep
+_ENDPOINT_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -160,13 +135,7 @@ def build_jutila_system(Q: float, eta: float, Delta: int) -> JutilaSystem:
     return JutilaSystem(Q=Q, eta=eta, Delta=Delta, Qset=tuple(qlist), L=L)
 
 
-def jutila_l2_defect(
-    Q: float,
-    eta: float,
-    Delta: int,
-    exact: bool = False,
-    endpoint_budget: int = 50_000_000,
-) -> float:
+def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> float:
     """integral over R of (I - Itilde)^2, where I is the indicator of [0,1]
     and Itilde is the normalized union of Farey arcs [d/q +- Q^{eta-2}] over
     q in the modulus set.
@@ -180,7 +149,7 @@ def jutila_l2_defect(
     sys_ = build_jutila_system(Q, eta, Delta)
     if sys_.L == 0:
         return 1.0
-    if 2 * sys_.L > endpoint_budget:
+    if 2 * sys_.L > _ENDPOINT_BUDGET:
         raise BudgetExceededError(f"{2 * sys_.L} arc endpoints exceed budget")
     delta = float(Q) ** (eta - 2.0)
     weight = float(Q) ** (2.0 - eta) / (2.0 * sys_.L)

@@ -23,7 +23,6 @@ from .qseries import CoeffTable, delta_integral
 __all__ = [
     "HeckeTable",
     "build_hecke_table",
-    "lambda_f",
     "shimura_identity_check",
     "find_signflip_prime",
     "signflip_verify",
@@ -53,24 +52,15 @@ class HeckeTable:
         return self._lambda
 
 
-def build_hecke_table(N: int, k: int = 6) -> HeckeTable:
-    """Eigenvalue table for the weight-2k lift; only k=6 (the discriminant
-    form) is implemented. The Deligne bound |tau(p)| <= 2 p^{11/2} is checked
-    exactly as tau(p)^2 <= 4 p^11; a violation raises InconsistencyError."""
-    if k != 6:
-        raise ValueError("only the weight-12 lift (k=6) is implemented")
+def build_hecke_table(N: int) -> HeckeTable:
+    """Eigenvalue table for the weight-12 lift (k = 6, the discriminant
+    form). The Deligne bound |tau(p)| <= 2 p^{11/2} is checked exactly as
+    tau(p)^2 <= 4 p^11; a violation raises InconsistencyError."""
     tau = delta_integral(N)
     for p in primes_up_to(N):
         if tau[p] * tau[p] > 4 * p**11:
             raise InconsistencyError(f"Deligne bound violated: tau({p})^2 > 4 {p}^11")
-    return HeckeTable(k=k, tau=tau, N=N)
-
-
-def lambda_f(n: int, t: HeckeTable) -> float:
-    """tau(n) / n^{(2k-1)/2}."""
-    if not 1 <= n <= t.N:
-        raise ValueError(f"n={n} outside table range 1..{t.N}")
-    return float(t.lam[n])
+    return HeckeTable(k=6, tau=tau, N=N)
 
 
 def shimura_identity_check(d: int, n: int, coeffs: CoeffTable, t: HeckeTable) -> bool:

@@ -52,7 +52,6 @@ __all__ = [
     "central_lvalue_cached",
     "waldspurger_ratio",
     "waldspurger_quotient",
-    "a_factor",
     "first_moment_scan",
     "bump_window",
     "chi_array",
@@ -188,17 +187,6 @@ def central_lvalue(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueResult:
     return LValueResult(
         d=d, value=value, truncation_bound=bound, terms_used=N0, root_number=1
     )
-
-
-def a_factor(d: int, t: HeckeTable) -> float:
-    """prod_{p | d, p > 3} (1 + (lambda(p)^2 - 2)/p), using
-    lambda(p^2) = lambda(p)^2 - 1."""
-    out = 1.0
-    for p, _ in factorize_small(abs(d)).prime_powers:
-        if p > 3:
-            lam_p = float(t.lam[p])
-            out *= 1.0 + (lam_p * lam_p - 2.0) / p
-    return out
 
 
 def waldspurger_ratio(

@@ -46,28 +46,21 @@ from .errors import (
     InconsistencyError,
 )
 from .hecke import HeckeTable
-from .lvalue import a_factor, central_lvalue
-from .qseries import CoeffTable
 
 __all__ = [
     "MollifierParams",
     "MollifierValue",
-    "HarperReport",
     "build_params",
     "weight_w",
     "coeff_a",
-    "coeff_a_on",
     "p_sum",
     "e_truncated",
-    "d_product",
     "m_factor",
     "mollifier_value",
     "nu",
     "nu_fold",
     "nu_truncated",
-    "h_coefficient",
     "dirichlet_expansion_check",
-    "harper_trichotomy_check",
 ]
 
 
@@ -87,10 +80,6 @@ class MollifierParams:
     delta0: float
     length_ok: bool
     primes: list = field(repr=False)
-
-    @property
-    def lk(self) -> int:
-        return round(self.l * self.kappa)
 
 
 @dataclass(frozen=True)
@@ -179,14 +168,6 @@ def coeff_a(p: int, j: int, params: MollifierParams, t: HeckeTable) -> float:
     return float(t.lam[p]) * weight_w(p, j, params)
 
 
-def coeff_a_on(n: int, j: int, params: MollifierParams, t: HeckeTable) -> float:
-    """Completely multiplicative extension of coeff_a."""
-    out = 1.0
-    for p, e in factorize_small(n).prime_powers:
-        out *= coeff_a(p, j, params, t) ** e
-    return out
-
-
 def p_sum(m: int, j: int, u: int, params: MollifierParams, t: HeckeTable) -> float:
     """P_{I_j}(m; a(.; u)) = sum over primes p in I_j of a(p;u)(m|p)/sqrt(p)."""
     acc = 0.0
@@ -237,18 +218,6 @@ def _e_truncated_vec(t: np.ndarray, ell: int) -> np.ndarray:
         for i in idx:
             acc[i] = e_truncated(float(t[i]), ell)
     return acc
-
-
-def d_product(m: int, j: int, l: float, params: MollifierParams, t: HeckeTable) -> float:
-    """prod_{r=0..j} (1 + e^{-ell_r/2}) E_{ell_r}(l P_{I_r}(m; a(.; j)));
-    strictly positive."""
-    out = 1.0
-    for r in range(j + 1):
-        p = p_sum(m, r, j, params, t)
-        out *= (1.0 + math.exp(-params.ell[r] / 2.0)) * e_truncated(l * p, params.ell[r])
-    if out <= 0:
-        raise InconsistencyError("damped product must be positive")
-    return out
 
 
 def _block_support(
@@ -387,31 +356,6 @@ def _compositions(total: int, slots: int) -> tuple:
     return tuple(out)
 
 
-def h_coefficient(n: int, params: MollifierParams) -> Fraction:
-    """Expansion coefficient of the lk-th power of the mollifier: the product
-    over blocks of nu_truncated(lk, n_j; ell_j), where n_j collects the prime
-    powers of n falling in I_j; zero if any prime of n lies outside every
-    block or a block part has too many prime factors."""
-    lk = params.lk
-    parts = [1] * (params.J + 1)
-    for p, e in factorize_small(n).prime_powers:
-        for j, (lo, hi) in enumerate(params.intervals):
-            if lo < p <= hi:
-                parts[j] *= p**e
-                break
-        else:
-            return Fraction(0)
-    out = Fraction(1)
-    for j, nj in enumerate(parts):
-        if nj == 1:
-            continue
-        omega_j = sum(e for _, e in factorize_small(nj).prime_powers)
-        if omega_j > lk * params.ell[j]:
-            return Fraction(0)
-        out *= nu_truncated(lk, nj, params.ell[j])
-    return out
-
-
 def dirichlet_expansion_check(
     m: int,
     kappa: float,
@@ -424,7 +368,8 @@ def dirichlet_expansion_check(
 
         (log x)^{l/2} sum_n h(n) a(n;J) lambda(n) kappa^{-Omega(n)} (m|n)/sqrt(n),
 
-    the sum running over products of block parts with Omega(n_j) <= lk ell_j.
+    the sum running over products of block parts n_j with Omega(n_j) <=
+    lk ell_j, and h(n) the product over blocks of nu_truncated(lk, n_j, ell_j).
     Only enumerable configurations are accepted (at most 3 primes per block,
     J <= 2)."""
     lk = l * kappa
@@ -452,64 +397,3 @@ def dirichlet_expansion_check(
         rhs *= block
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale <= tol
-
-
-@dataclass(frozen=True)
-class HarperReport:
-    d: int
-    branch: int
-    lhs: float
-    rhs: float
-    ratio: float
-    max_p0: float
-
-
-def harper_trichotomy_check(
-    d: int,
-    l: float,
-    params: MollifierParams,
-    t: HeckeTable,
-    coeffs: CoeffTable,
-    c1: float = 1.0,
-    standin_const: float = 1.0,
-    tol: float = 1e-8,
-) -> HarperReport:
-    """Diagnostic evaluation of the three-way dichotomy bounding the twisted
-    central value by damped products of block sums.
-
-    Branch 1: the leading block sum is large for some weight index. Branch 2:
-    every block sum is small for every admissible weight index. Branch 3:
-    mixed. For branches 2 and 3 both sides of the bounding inequality are
-    evaluated with a stand-in implied constant (the true one is never
-    quantified) and the observed ratio lhs/rhs is reported; the even powers
-    s_{j+1} default to 4 ceil(l kappa ell_{j+1})."""
-    J = params.J
-    psums = {
-        (r, u): p_sum(d, r, u, params, t) for r in range(J + 1) for u in range(r, J + 1)
-    }
-    thresh = [params.ell[r] / (l * math.e**2) for r in range(J + 1)]
-    max_p0 = max(abs(psums[(0, u)]) for u in range(J + 1))
-    if max_p0 >= thresh[0]:
-        return HarperReport(d=d, branch=1, lhs=float("nan"), rhs=float("nan"),
-                            ratio=float("nan"), max_p0=max_p0)
-    all_small = all(
-        abs(psums[(r, u)]) < thresh[r] for r in range(J + 1) for u in range(r, J + 1)
-    )
-    branch = 2 if all_small else 3
-    lval = central_lvalue(d, t, tol).value
-    lhs = (a_factor(d, t) * math.log(params.x)) ** (l / 2.0) * lval**l
-    rhs = d_product(d, J, l, params, t)
-    for j in range(J):
-        s_next = 4 * math.ceil(params.l * params.kappa * params.ell[j + 1])
-        dj = d_product(d, j, l, params, t)
-        for u in range(j + 1, J + 1):
-            rhs += (
-                (1.0 / params.theta[j]) ** c1
-                * math.exp(3.0 * l / params.theta[j])
-                * dj
-                * (math.e**2 * l * psums[(j + 1, u)] / params.ell[j + 1]) ** s_next
-            )
-    rhs *= standin_const
-    return HarperReport(
-        d=d, branch=branch, lhs=lhs, rhs=rhs, ratio=lhs / rhs, max_p0=max_p0
-    )

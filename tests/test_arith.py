@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from halfint.arith import (
     SIGMA3_INT64_LIMIT,
     Factorization,
-    build_sieves,
     enumerate_nflat,
     euler_phi,
     factorize_small,
@@ -15,85 +16,116 @@ from halfint.arith import (
     odd_squarefree_flags,
     primes_up_to,
     sigma3_table,
+    smallest_prime_factors,
 )
 from halfint.errors import CapacityError
 
+LIMIT = 10_000
+
 
 @pytest.fixture(scope="module")
-def tables():
-    return build_sieves(10_000)
+def sig():
+    return sigma3_table(LIMIT)
+
+
+@pytest.fixture(scope="module")
+def spf():
+    return smallest_prime_factors(LIMIT)
 
 
 def sigma3_direct(n):
     return sum(d**3 for d in range(1, n + 1) if n % d == 0)
 
 
+def spf_direct(n):
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+def mu_direct(n):
+    """Moebius function by trial division."""
+    out, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
+
+
+def mu(n):
+    """mu(n) as squarefree_divisors carries it; 0 off the square-free n."""
+    return dict(factorize_small(n).squarefree_divisors()).get(n, 0)
+
+
 class TestSieves:
-    def test_spot_values(self, tables):
-        assert tables.mu[6] == 1
-        assert tables.mu[4] == 0
-        assert int(tables.sigma3[6]) == 252 == sigma3_direct(6)
+    def test_spot_values(self, sig):
+        assert mu(6) == 1
+        assert mu(4) == 0
+        assert int(sig[6]) == 252 == sigma3_direct(6)
 
-    def test_empty_product_conventions(self, tables):
-        assert tables.phi[1] == 1
-        assert tables.mu[1] == 1
+    def test_empty_product_conventions(self, sig):
+        assert euler_phi(1) == 1
+        assert mu(1) == 1
+        assert int(sig[1]) == 1
 
-    def test_mu_squared_is_squarefree(self, tables):
-        mu = tables.mu[2:]
-        assert np.array_equal(mu * mu != 0, tables.squarefree[2:])
+    def test_mu_squared_is_squarefree(self):
+        flags = odd_squarefree_flags(LIMIT)
+        for n in range(1, LIMIT + 1, 2):
+            assert flags[n] == (mu(n) != 0)
+        assert not flags[2::2].any()
 
-    def test_sigma3_at_primes(self, tables):
-        for p in tables.primes[:200]:
-            assert int(tables.sigma3[p]) == 1 + int(p) ** 3
+    def test_sigma3_at_primes(self, sig):
+        for p in primes_up_to(LIMIT)[:200]:
+            assert int(sig[p]) == 1 + p**3
 
-    def test_sigma3_against_divisor_enumeration(self, tables):
+    def test_sigma3_against_divisor_enumeration(self, sig):
         for n in range(1, 300):
-            assert int(tables.sigma3[n]) == sigma3_direct(n)
+            assert int(sig[n]) == sigma3_direct(n)
 
-    def test_multiplicativity_spot(self, tables):
+    def test_multiplicativity_spot(self, sig):
         rng = np.random.default_rng(7)
         for _ in range(200):
             m = int(rng.integers(2, 90))
             n = int(rng.integers(2, 90))
             if np.gcd(m, n) != 1:
                 continue
-            assert int(tables.phi[m * n]) == int(tables.phi[m]) * int(tables.phi[n])
-            assert int(tables.sigma3[m * n]) == int(tables.sigma3[m]) * int(
-                tables.sigma3[n]
-            )
+            assert euler_phi(m * n) == euler_phi(m) * euler_phi(n)
+            assert int(sig[m * n]) == int(sig[m]) * int(sig[n])
 
-    def test_mobius_inversion(self, tables):
+    def test_mobius_inversion(self):
         # sum_{d|n} mu(d) = [n == 1]
         for n in range(1, 10_000, 97):
-            acc = sum(int(tables.mu[d]) for d in range(1, n + 1) if n % d == 0)
+            acc = sum(mu(d) for d in range(1, n + 1) if n % d == 0)
             assert acc == (1 if n == 1 else 0)
-
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            build_sieves(10_000, memory_budget=1000)
 
     def test_sigma3_int64_range(self):
         # the int64 fill is exact up to the limit and refused beyond it
         assert 1.2021 * SIGMA3_INT64_LIMIT**3 < 2**63
         with pytest.raises(CapacityError):
             sigma3_table(SIGMA3_INT64_LIMIT + 1)
-        with pytest.raises(CapacityError):
-            build_sieves(SIGMA3_INT64_LIMIT + 1)
         assert sigma3_table(0).tolist() == [0]
 
-    def test_primes_up_to_matches_spf(self, tables):
-        assert primes_up_to(tables.limit) == tables.primes.tolist()
+    def test_primes_up_to_matches_spf(self, spf):
+        idx = np.arange(LIMIT + 1)
+        assert primes_up_to(LIMIT) == idx[(idx >= 2) & (spf == idx)].tolist()
+        assert primes_up_to(2000) == [n for n in range(2, 2001) if spf_direct(n) == n]
         assert primes_up_to(1) == [] and primes_up_to(2) == [2]
+        assert spf[:2].tolist() == [0, 0]
+        for n in range(2, 2000):
+            assert spf[n] == spf_direct(n)
 
-    def test_euler_phi_matches_table(self, tables):
+    def test_euler_phi_matches_table(self):
+        # against gcd counts
         for n in range(1, 2000):
-            assert euler_phi(n) == int(tables.phi[n])
+            assert euler_phi(n) == sum(math.gcd(a, n) == 1 for a in range(1, n + 1))
 
-    def test_squarefree_divisors_carry_mu(self, tables):
+    def test_squarefree_divisors_carry_mu(self):
         for n in range(1, 2000):
             pairs = factorize_small(n).squarefree_divisors()
-            expect = [(r, int(tables.mu[r])) for r in range(1, n + 1)
-                      if n % r == 0 and tables.mu[r] != 0]
+            expect = [(r, mu_direct(r)) for r in range(1, n + 1)
+                      if n % r == 0 and mu_direct(r) != 0]
             assert sorted(pairs) == expect
 
 
@@ -221,7 +253,7 @@ class TestFactorize:
             with pytest.raises(ValueError):
                 factorize_small(n)
 
-    def test_small_matches_sieved(self, tables):
+    def test_small_matches_sieved(self, spf):
         for n in range(1, 500):
-            expect = Factorization(n, spf_factorization(n, tables.smallest_prime_factor))
+            expect = Factorization(n, spf_factorization(n, spf))
             assert factorize_small(n) == expect

@@ -135,18 +135,27 @@ class TestCliEndToEnd:
             (["waldspurger", "--dmax", "50", "--tol=-1e-8"], 2),
             (["waldspurger", "--dmax", "50", "--tol", "1e-16"], 3),
             (["moments", "--blocks", "0,64", "--coeffs", "COEFFS"], 2),
+            (["moments", "--blocks", "16384.9", "--coeffs", "COEFFS"], 2),
+            (["moments", "--blocks", "64", "--coeffs", "COEFFS",
+              "--mollify", "x=2097152,theta0=0.08,eta2=0.2,c0=2,kapa=1.5"], 2),
             (["shifted", "--h", "1", "--xgrid", "0", "--coeffs", "COEFFS"], 2),
             (["shifted", "--h", "1", "--xgrid", "inf", "--coeffs", "COEFFS"], 2),
             (["signchanges", "--limit", "-5", "--coeffs", "COEFFS"], 2),
         ],
         ids=["tol-nan", "tol-zero", "tol-negative", "tol-unreachable", "block-zero",
-             "xgrid-zero", "xgrid-inf", "limit-negative"],
+             "block-fraction", "mollify-unknown-key", "xgrid-zero", "xgrid-inf",
+             "limit-negative"],
     )
     def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code):
         argv = [small_coeffs if a == "COEFFS" else a for a in argv]
         assert cli.main(argv) == code
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+
+    def test_integer_list_is_exact(self, small_coeffs, capsys):
+        # 2^53 + 1 has no float64; the table check must see the value given
+        assert cli.main(["moments", "--blocks", "9007199254740993", "--coeffs", small_coeffs]) == 3
+        assert "need coefficients to 72057594037927944" in capsys.readouterr().err
 
     def test_failed_command_leaves_no_report(self, tmp_path, small_coeffs):
         # blocks to 4096 need coefficients to 32768; the table holds 20000

@@ -11,8 +11,6 @@ from halfint.expsums import (
     gauss_sum_bruteforce,
     gauss_sum_closed,
     jutila_l2_defect,
-    kloosterman,
-    kloosterman_weil_ok,
     modularity_check,
     poisson_check,
     shifted_convolution,
@@ -64,30 +62,6 @@ class TestGaussSums:
                 lhs = gauss_sum_bruteforce(l, n1 * n2)
                 rhs = gauss_sum_closed(l, n1) * gauss_sum_closed(l, n2)
                 assert abs(lhs - rhs) < 1e-8
-
-
-class TestKloosterman:
-    def test_single_term(self):
-        assert kloosterman(1, 1, 2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_degenerate_is_phi(self):
-        for c in (1, 2, 12, 36):
-            phi = sum(1 for x in range(c) if math.gcd(x, c) == 1) if c > 1 else 1
-            assert kloosterman(0, 0, c) == pytest.approx(phi, abs=1e-9)
-
-    def test_weil_bound_random_prime_moduli(self):
-        rng = np.random.default_rng(23)
-        primes = [p for p in primes_up_to(400) if p > 2]
-        for _ in range(1000):
-            c = int(rng.choice(primes))
-            a = int(rng.integers(-50, 50))
-            b = int(rng.integers(-50, 50))
-            assert kloosterman_weil_ok(a, b, c)
-
-    def test_salie_magnitude(self):
-        # for p prime and (ab, p) = 1 the sum is at most 2 sqrt(p)
-        for p in (5, 13, 29):
-            assert abs(kloosterman(1, 1, p)) <= 2 * math.sqrt(p) + 1e-9
 
 
 class TestJutila:

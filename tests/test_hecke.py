@@ -10,7 +10,6 @@ from halfint.errors import InconsistencyError
 from halfint.hecke import (
     build_hecke_table,
     find_signflip_prime,
-    lambda_f,
     shimura_identity_check,
     signflip_verify,
 )
@@ -73,17 +72,15 @@ class TestTauTable:
 
 class TestLambda:
     def test_normalization(self, tab):
-        assert lambda_f(1, tab) == 1.0
-        assert lambda_f(2, tab) == pytest.approx(-24 / 2**5.5, rel=1e-14)
+        assert tab.lam[1] == 1.0
+        assert tab.lam[2] == pytest.approx(-24 / 2**5.5, rel=1e-14)
 
     def test_multiplicative(self, tab):
-        assert lambda_f(6, tab) == pytest.approx(
-            lambda_f(2, tab) * lambda_f(3, tab), rel=1e-12
-        )
+        assert tab.lam[6] == pytest.approx(tab.lam[2] * tab.lam[3], rel=1e-12)
 
     def test_deligne_bound_at_primes(self, tab):
         for p in (2, 3, 5, 7, 11, 13, 997, 1999):
-            assert abs(lambda_f(p, tab)) <= 2.0
+            assert abs(tab.lam[p]) <= 2.0
             assert tab.tau[p] ** 2 <= 4 * p**11
 
     def test_hecke_relation(self, tab):
@@ -91,13 +88,9 @@ class TestLambda:
             for j in range(1, 6):
                 if p ** (j + 1) > tab.N:
                     break
-                lhs = lambda_f(p, tab) * lambda_f(p**j, tab)
-                rhs = lambda_f(p ** (j + 1), tab) + lambda_f(p ** (j - 1), tab)
+                lhs = tab.lam[p] * tab.lam[p**j]
+                rhs = tab.lam[p ** (j + 1)] + tab.lam[p ** (j - 1)]
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_out_of_range(self, tab):
-        with pytest.raises(ValueError):
-            lambda_f(2001, tab)
 
 
 class TestShimuraIdentity:

@@ -7,7 +7,6 @@ from halfint.arith import enumerate_nflat
 from halfint.errors import InsufficientTableError
 from halfint.hecke import build_hecke_table
 from halfint.lvalue import (
-    a_factor,
     bump_window,
     central_lvalue,
     chi_array,
@@ -157,26 +156,6 @@ class TestWaldspurger:
         synth = CoeffTable(13, alpha, 100)
         with pytest.raises(InconsistencyError):
             waldspurger_ratio(8, synth, hecke26k)
-
-
-class TestAFactor:
-    def test_empty_product(self, hecke26k):
-        assert a_factor(8, hecke26k) == 1.0
-
-    def test_single_prime(self, hecke26k):
-        lam5 = float(hecke26k.lam[5])
-        assert a_factor(40, hecke26k) == pytest.approx(1 + (lam5**2 - 2) / 5, rel=1e-14)
-
-    def test_sandwich_bounds(self, hecke26k):
-        # (phi(d)/d)^2 << A(d) << (d/phi(d))^2 with constant 1 at these sizes
-        from halfint.arith import factorize_small
-
-        for d in (8, 40, 104, 840, 1320):
-            phi = d
-            for p, _ in factorize_small(d).prime_powers:
-                phi -= phi // p
-            a = a_factor(d, hecke26k)
-            assert (phi / d) ** 2 <= a <= (d / phi) ** 2
 
 
 class TestFirstMoment:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from halfint import mollifier as mo
-from halfint.arith import enumerate_nflat, kronecker
+from halfint.arith import kronecker
 from halfint.cli import taylor_bound_holds, tiny_mollifier_configs
 from halfint.errors import DegenerateIntervalError, InconsistencyError
 from halfint.hecke import build_hecke_table
@@ -89,13 +89,6 @@ class TestWeightAndCoeff:
         assert all(g < 2 * math.log(3) for g in gaps)
         assert gaps[-1] == pytest.approx(2 * math.log(3), rel=0.10)
 
-    def test_multiplicative_extension(self, params, tab):
-        a6 = mo.coeff_a_on(45, params.J, params, tab)
-        expect = mo.coeff_a(3, params.J, params, tab) ** 2 * mo.coeff_a(
-            5, params.J, params, tab
-        )
-        assert a6 == pytest.approx(expect, rel=1e-12)
-
 
 class TestPSum:
     def test_blocked_twist_vanishes(self, params, tab):
@@ -158,29 +151,6 @@ class TestTruncatedExponential:
             assert v == pytest.approx(mo.e_truncated(float(t), 64), rel=1e-9)
 
 
-class TestDProduct:
-    def test_no_primes_gives_prefactor(self, tab):
-        p = tiny_mollifier_configs()[2]  # leading block holds no prime
-        val = mo.d_product(1, 0, 2.0, p, tab)
-        assert val == pytest.approx(1 + math.exp(-p.ell[0] / 2), rel=1e-12)
-
-    def test_positive_on_samples(self, params, tab):
-        for m in range(1, 1001):
-            assert mo.d_product(8 * m, params.J, 2.0, params, tab) > 0
-
-    def test_monotone_growth_in_j_for_trivial_twist(self, params, tab):
-        vals = [mo.d_product(1, j, 2.0, params, tab) for j in range(params.J + 1)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_nonpositive_value_is_typed(self, params, tab, monkeypatch):
-        # a zero truncated exponential makes every product zero
-        monkeypatch.setattr(mo, "e_truncated", lambda t, ell: 0.0)
-        with pytest.raises(InconsistencyError):
-            mo.d_product(8, params.J, 2.0, params, tab)
-        with pytest.raises(InconsistencyError):
-            mo.mollifier_value(8, 0.5, params, tab)
-
-
 class TestMFactor:
     def test_single_prime_ell2_closed_form(self, tab):
         # one block {3} with truncation length exactly 2:
@@ -220,6 +190,12 @@ class TestMFactor:
         for m in rng.integers(1, 10**7, size=10_000):
             val = mo.mollifier_value(int(8 * m), 0.5, params, tab)
             assert val.value > 0
+
+    def test_nonpositive_value_is_typed(self, params, tab, monkeypatch):
+        # a zero truncated exponential makes the product zero
+        monkeypatch.setattr(mo, "e_truncated", lambda t, ell: 0.0)
+        with pytest.raises(InconsistencyError):
+            mo.mollifier_value(8, 0.5, params, tab)
 
 
 class TestNuFunctions:
@@ -269,20 +245,6 @@ def _factor(n):
     return factorize_small(n).prime_powers
 
 
-class TestHCoefficient:
-    def test_outside_support_is_zero(self, params):
-        assert mo.h_coefficient(2, params) == 0  # p=2 below every block
-
-    def test_block_product(self, params):
-        p0 = params.primes[0][0]
-        p1 = params.primes[1][0]
-        lk = params.lk
-        expect = mo.nu_truncated(lk, p0, params.ell[0]) * mo.nu_truncated(
-            lk, p1, params.ell[1]
-        )
-        assert mo.h_coefficient(p0 * p1, params) == expect
-
-
 class TestExpansionCheck:
     def test_tiny_configs(self, tab):
         configs = tiny_mollifier_configs()
@@ -304,8 +266,11 @@ class TestExpansionCheck:
         p = cfg.primes[0][0]
         a_p = mo.coeff_a(p, cfg.J, cfg, tab)
         assert a_p > 0
-        coef_1 = float(mo.h_coefficient(1, cfg))
-        coef_p = float(mo.h_coefficient(p, cfg)) * a_p * (-1) / (0.5 * math.sqrt(p))
+        # h(n) is nu_truncated(l kappa, n, ell_0) on the single block
+        lk = round(cfg.l * cfg.kappa)
+        coef_1 = float(mo.nu_truncated(lk, 1, cfg.ell[0]))
+        h_p = float(mo.nu_truncated(lk, p, cfg.ell[0]))
+        coef_p = h_p * a_p * (-1) / (0.5 * math.sqrt(p))
         assert coef_1 > 0
         assert coef_p < 0
 
@@ -342,30 +307,3 @@ class TestMollifiedMoments:
             pinned = pins["mollified"][str(r["X"])]
             assert r["mollified_second"] == pytest.approx(pinned["second"], rel=1e-6)
             assert r["mollified_fourth"] == pytest.approx(pinned["fourth"], rel=1e-6)
-
-
-class TestHarperTrichotomy:
-    def test_branch1_engineered(self, big_table, hecke26k):
-        # large l shrinks the threshold ell_0/(l e^2); one wide block
-        p = mo.build_params(x=1.0e6, C=4.0, l=10.0, kappa=0.1, eta2=0.4,
-                            c0=16.0, theta0_override=0.5)
-        branches = set()
-        for d in enumerate_nflat(600):
-            rep = mo.harper_trichotomy_check(d, 10.0, p, hecke26k, big_table)
-            branches.add(rep.branch)
-        assert 1 in branches
-
-    def test_generic_branches_and_ratio_band(self, big_table, hecke26k, pins):
-        params = mo.build_params(x=float(2**21), l=2.0, kappa=0.5, eta2=0.2,
-                                 c0=2.0, theta0_override=0.08)
-        lo, hi = pins["harper_ratio_range"]
-        ratios = []
-        for d in enumerate_nflat(1000)[:20]:
-            rep = mo.harper_trichotomy_check(d, 2.0, params, hecke26k, big_table)
-            assert rep.branch in (1, 2, 3)
-            if rep.branch != 1:
-                assert rep.rhs > 0
-                ratios.append(rep.ratio)
-        assert ratios
-        assert min(ratios) >= lo * 0.5
-        assert max(ratios) <= hi * 2.0
