@@ -26,12 +26,6 @@ class Factorization:
     value: int
     prime_powers: tuple[tuple[int, int], ...]
 
-    def divisors(self) -> list[int]:
-        divs = [1]
-        for p, e in self.prime_powers:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
-
     def squarefree_divisors(self) -> list[tuple[int, int]]:
         """Pairs (r, mu(r)) over the square-free divisors r, the only ones
         with mu(r) != 0."""

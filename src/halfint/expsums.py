@@ -99,8 +99,8 @@ def gauss_sum_closed(l: int, n: int) -> float:
 # -- Jutila's circle-method measure ---------------------------------------------
 
 
-# arc endpoints one defect sweep may hold; each is a Python float in the
-# endpoint lists and several 8-byte entries in the sorted sweep
+# arc endpoints one defect sweep may hold; each takes several 8-byte entries
+# in the sorted sweep
 _ENDPOINT_BUDGET = 50_000_000
 
 
@@ -115,24 +115,36 @@ class JutilaSystem:
 
 def build_jutila_system(Q: float, eta: float, Delta: int) -> JutilaSystem:
     """Moduli q = 4 Delta r in [Q, 2Q] with r = 1 mod 4 prime, and the exact
-    count L = sum phi(q)."""
+    count L = sum phi(q). Raises BudgetExceededError when the 2L arc
+    endpoints would exceed the sweep's budget.
+
+    Each r is an odd prime, so phi(q) = phi(4 Delta) (r - 1) when r does not
+    divide Delta and phi(4 Delta) r when it does."""
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     if Delta < 1 or Delta > Q ** (eta / 2) + 1e-9:
         raise ValueError("Delta must satisfy 1 <= Delta <= Q^{eta/2}")
-    qlist = []
-    L = 0
     r_lo = math.ceil(Q / (4 * Delta))
     r_hi = math.floor(2 * Q / (4 * Delta))
-    for r in primes_up_to(max(r_hi, 2)):
-        if r < r_lo or r % 4 != 1:
-            continue
-        q = 4 * Delta * r
-        if not Q <= q <= 2 * Q:
-            continue
-        qlist.append(q)
-        L += euler_phi(q)
-    return JutilaSystem(Q=Q, eta=eta, Delta=Delta, Qset=tuple(qlist), L=L)
+    rs = [
+        r
+        for r in primes_up_to(max(r_hi, 2))
+        if r >= r_lo and r % 4 == 1 and Q <= 4 * Delta * r <= 2 * Q
+    ]
+    L = euler_phi(4 * Delta) * sum(r if Delta % r == 0 else r - 1 for r in rs)
+    if 2 * L > _ENDPOINT_BUDGET:
+        raise BudgetExceededError(f"{2 * L} arc endpoints exceed budget")
+    return JutilaSystem(
+        Q=Q, eta=eta, Delta=Delta, Qset=tuple(4 * Delta * r for r in rs), L=L
+    )
+
+
+def _farey_centres(q: int) -> np.ndarray:
+    """d/q for 1 <= d <= q with gcd(d, q) = 1, ascending."""
+    keep = np.ones(q + 1, dtype=bool)
+    for p, _ in factorize_small(q).prime_powers:
+        keep[::p] = False
+    return np.nonzero(keep)[0] / q
 
 
 def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> float:
@@ -149,18 +161,8 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
     sys_ = build_jutila_system(Q, eta, Delta)
     if sys_.L == 0:
         return 1.0
-    if 2 * sys_.L > _ENDPOINT_BUDGET:
-        raise BudgetExceededError(f"{2 * sys_.L} arc endpoints exceed budget")
     delta = float(Q) ** (eta - 2.0)
     weight = float(Q) ** (2.0 - eta) / (2.0 * sys_.L)
-    starts = []
-    ends = []
-    for q in sys_.Qset:
-        for d in range(1, q + 1):
-            if gcd(d, q) == 1:
-                center = d / q
-                starts.append(center - delta)
-                ends.append(center + delta)
     if exact:
         dfrac = Fraction(delta)
         wfrac = Fraction(weight)
@@ -185,18 +187,36 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
             val = inside - wfrac * cov
             total += val * val * seglen
         return float(total)
-    pos = np.concatenate([starts, ends, [0.0, 1.0]])
-    step = np.concatenate(
-        [np.ones(len(starts)), -np.ones(len(ends)), [0.0, 0.0]]
-    )
+    # endpoints [starts | ends | 0, 1], each block in modulus order
+    L = sys_.L
+    pos = np.empty(2 * L + 2)
+    at = 0
+    for q in sys_.Qset:
+        centres = _farey_centres(q)
+        pos[at : at + centres.size] = centres
+        at += centres.size
+    np.add(pos[:L], delta, out=pos[L : 2 * L])
+    pos[:L] -= delta
+    pos[2 * L :] = (0.0, 1.0)
+    step = np.zeros(2 * L + 2, dtype=np.int8)
+    step[:L] = 1
+    step[L : 2 * L] = -1
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
     step = step[order]
-    cov = np.cumsum(step)[:-1]
+    del order
+    cov = np.cumsum(step[:-1], dtype=np.float64)
+    del step
+    inside = pos[:-1] >= 0.0
+    inside &= pos[1:] <= 1.0
     seglen = np.diff(pos)
-    inside = (pos[:-1] >= 0.0) & (pos[1:] <= 1.0)
-    val = inside.astype(np.float64) - weight * cov
-    return float(np.add.reduce(val * val * seglen))
+    del pos
+    cov *= weight
+    val = np.subtract(inside, cov, out=cov)
+    del inside
+    val *= val
+    val *= seglen
+    return float(np.add.reduce(val))
 
 
 # -- Poisson summation over odd moduli -------------------------------------------

@@ -66,10 +66,6 @@ class LValueResult:
     terms_used: int
     root_number: int
 
-    @property
-    def forced_zero(self) -> bool:
-        return self.root_number == -1
-
 
 def w_kernel(x: float, k: int) -> float:
     """W(x) = e^{-2 pi x} sum_{m<k} (2 pi x)^m / m! for x > 0."""

@@ -80,6 +80,8 @@ class MollifierParams:
     delta0: float
     length_ok: bool
     primes: list = field(repr=False)
+    # enumerated block supports, keyed by (j, max_omega); see _support
+    _supports: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -251,6 +253,70 @@ def _block_support(
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _Support:
+    """`_block_support` as arrays in DFS order, for the table it was built
+    from: expo[i, k] is the exponent of params.primes[j][k] in the i-th n."""
+
+    table: HeckeTable
+    expo: np.ndarray
+    omega: np.ndarray
+    aval: np.ndarray
+    nu: np.ndarray
+    sqrt_n: np.ndarray
+
+
+def _support(
+    j: int, max_omega: int, params: MollifierParams, t: HeckeTable, budget: int
+) -> _Support:
+    """The block support, enumerated once per (j, max_omega) and table; a
+    memo hit still honours `budget` against the stored node count."""
+    entry = params._supports.get((j, max_omega))
+    if entry is None or entry.table is not t:
+        nodes = _block_support(j, max_omega, params, t, budget)
+        col = {p: k for k, p in enumerate(params.primes[j])}
+        expo = np.zeros((len(nodes), len(col)), dtype=np.min_scalar_type(max_omega))
+        for i, (*_, pairs) in enumerate(nodes):
+            for p, e in pairs:
+                expo[i, col[p]] = e
+        entry = _Support(
+            table=t,
+            expo=expo,
+            omega=np.array([node[1] for node in nodes], dtype=np.int64),
+            aval=np.array([node[2] for node in nodes], dtype=np.float64),
+            nu=np.array([float(node[3]) for node in nodes], dtype=np.float64),
+            sqrt_n=np.array([math.sqrt(node[0]) for node in nodes], dtype=np.float64),
+        )
+        params._supports[(j, max_omega)] = entry
+    elif len(entry.omega) > budget:
+        raise BudgetExceededError(
+            f"block {j}: more than {budget} nodes with Omega <= {max_omega}"
+        )
+    return entry
+
+
+def _twist_signs(m: int, j: int, params: MollifierParams, s: _Support) -> np.ndarray:
+    """(m|n) over the support: 0 if some p | n has (m|p) = 0, else -1 to the
+    sum of the exponents at the p with (m|p) = -1."""
+    K = np.array([kronecker(m, p) for p in params.primes[j]], dtype=np.int64)
+    dead = (s.expo[:, K == 0] > 0).any(axis=1)
+    odd = s.expo[:, K == -1].sum(axis=1, dtype=np.int64) % 2 == 1
+    return np.where(dead, 0.0, np.where(odd, -1.0, 1.0))
+
+
+def _block_sum(
+    m: int, j: int, kappa: float, weight: np.ndarray, params: MollifierParams, s: _Support
+) -> float:
+    """sum of kappa^{-Omega} a(n;J) (-1)^Omega weight(n) (m|n)/sqrt(n) over
+    the support: each term is rounded as that product is, left to right, and
+    the terms are added in DFS order, so the result is bit-identical to a
+    Python loop over `_block_support`."""
+    kpow = np.array([kappa ** (-w) for w in range(int(s.omega.max()) + 1)])
+    sgn = np.where(s.omega % 2 == 1, -1.0, 1.0)
+    terms = kpow[s.omega] * s.aval * sgn * weight * _twist_signs(m, j, params, s) / s.sqrt_n
+    return float(np.cumsum(terms)[-1])
+
+
 def m_factor(
     m: int,
     j: int,
@@ -270,26 +336,8 @@ def m_factor(
         return e_truncated(-p_sum(m, j, params.J, params, t) / kappa, params.ell[j])
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
-    acc = 0.0
-    for n, omega, aval, nuval, expo in _block_support(
-        j, params.ell[j], params, t, budget
-    ):
-        sym = 1
-        for p, e in expo:
-            sym *= kronecker(m, p) ** e
-            if sym == 0:
-                break
-        if sym == 0:
-            continue
-        acc += (
-            kappa ** (-omega)
-            * aval
-            * (-1) ** omega
-            * float(nuval)
-            * sym
-            / math.sqrt(n)
-        )
-    return acc
+    s = _support(j, params.ell[j], params, t, budget)
+    return _block_sum(m, j, kappa, s.nu, params, s)
 
 
 def mollifier_value(
@@ -381,19 +429,9 @@ def dirichlet_expansion_check(
     lhs = mollifier_value(m, kappa, params, t).value ** lk
     rhs = math.log(params.x) ** (l / 2.0)
     for j in range(params.J + 1):
-        block = 0.0
-        for n, omega, aval, nuval, expo in _block_support(
-            j, lk * params.ell[j], params, t, budget=10_000_000
-        ):
-            hval = nu_truncated(lk, n, params.ell[j]) if n > 1 else Fraction(1)
-            if hval == 0:
-                continue
-            sym = 1
-            for p, e in expo:
-                sym *= kronecker(m, p) ** e
-            block += (
-                float(hval) * aval * (-1) ** omega * kappa ** (-omega) * sym / math.sqrt(n)
-            )
-        rhs *= block
+        s = _support(j, lk * params.ell[j], params, t, budget=10_000_000)
+        ns = [math.prod(p ** int(e) for p, e in zip(params.primes[j], row)) for row in s.expo]
+        h = np.array([float(nu_truncated(lk, n, params.ell[j])) for n in ns])
+        rhs *= _block_sum(m, j, kappa, h, params, s)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale <= tol

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from halfint.arith import primes_up_to
+from halfint import cli, expsums
+from halfint.arith import euler_phi, primes_up_to
 from halfint.errors import ConvergenceError, InsufficientTableError
 from halfint.expsums import (
     automorphy_factor,
@@ -109,6 +110,24 @@ class TestJutila:
             e = jutila_l2_defect(Q, 0.5, 1, exact=True)
             assert f == pytest.approx(e, abs=1e-9)
 
+    def test_array_sweep_equals_the_list_sweep(self):
+        # the float sweep with Python endpoint lists, as the reference for
+        # the array build: both must give the same float, not a close one
+        for Q, eta, D in ((20, 0.5, 1), (300, 0.5, 1), (2000, 0.5, 1), (2000, 1.0, 2),
+                          (100, 1.0, 10), (3000, 0.8, 3)):
+            sys_ = build_jutila_system(Q, eta, D)
+            delta = float(Q) ** (eta - 2.0)
+            weight = float(Q) ** (2.0 - eta) / (2.0 * sys_.L)
+            centres = [d / q for q in sys_.Qset for d in range(1, q + 1) if math.gcd(d, q) == 1]
+            pos = np.array([c - delta for c in centres] + [c + delta for c in centres] + [0.0, 1.0])
+            step = np.array([1.0] * len(centres) + [-1.0] * len(centres) + [0.0, 0.0])
+            order = np.argsort(pos, kind="stable")
+            pos, step = pos[order], step[order]
+            cov = np.cumsum(step)[:-1]
+            inside = (pos[:-1] >= 0.0) & (pos[1:] <= 1.0)
+            val = inside.astype(np.float64) - weight * cov
+            assert jutila_l2_defect(Q, eta, D) == float(np.add.reduce(val * val * np.diff(pos)))
+
     def test_defect_bounds_and_trend(self, pins):
         defects = {}
         for Q in (2000, 4000, 8000, 16000):
@@ -121,6 +140,29 @@ class TestJutila:
     def test_delta_guard(self):
         with pytest.raises(ValueError):
             build_jutila_system(100, 0.5, 50)
+
+    def test_arc_count_is_the_phi_sum(self):
+        # (100, 1, 10) has r = 5 dividing Delta
+        grid = [(Q, eta, D) for Q in (20, 100, 300, 1000, 2000, 4100)
+                for eta in (0.5, 0.8, 1.0) for D in (1, 2, 3, 5, 6, 10, 12)
+                if D <= Q ** (eta / 2)]
+        assert (100, 1.0, 10) in grid
+        for Q, eta, D in grid:
+            sys_ = build_jutila_system(Q, eta, D)
+            assert sys_.L == sum(euler_phi(q) for q in sys_.Qset), (Q, eta, D)
+        assert build_jutila_system(100, 1.0, 10).Qset == (200,)
+
+    def test_oversized_grid_refused_before_phi_per_modulus(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return euler_phi(n)
+
+        monkeypatch.setattr(expsums, "euler_phi", counted)
+        assert cli.main(["jutila", "--qgrid", "2000000"]) == 3
+        assert "arc endpoints exceed budget" in capsys.readouterr().err
+        assert len(calls) <= 1
 
 
 class TestPoisson:

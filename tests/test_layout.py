@@ -1,14 +1,14 @@
-"""Every top-level definition in src/halfint has a product, acceptance or
-bench caller.
+"""Every top-level definition in src/halfint, and every method and property
+of its top-level classes, has a product, acceptance or bench caller.
 
 The walk is by name over the module ASTs, so it over-approximates: a
-reference to `foo` from anywhere reachable keeps every top-level `foo` in
-every module. It starts from `cli.main`, from every name that
-tests/test_acceptance.py imports or references, and from every name that
-perfbench/*.py takes from halfint (module attributes, `from halfint...`
-imports, and the dotted function names its tracer patches by string). It
-then follows the names, attributes and identifier strings inside each
-definition it reaches. The files are only read.
+reference to `foo` from anywhere reachable keeps every top-level `foo` and
+every method `foo` in every module. It starts from `cli.main`, from every
+name that tests/test_acceptance.py imports or references, and from every
+name that perfbench/*.py takes from halfint (module attributes, `from
+halfint...` imports, and the dotted function names its tracer patches by
+string). It then follows the names, attributes and identifier strings inside
+each definition it reaches. The files are only read.
 """
 
 import ast
@@ -41,14 +41,33 @@ def _references(node: ast.AST) -> set:
     return out
 
 
+def _is_method(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    )
+
+
 def _definitions() -> dict:
     """{(module, name): AST node} for every top-level def, class and
-    assignment in src/halfint, dunder names excluded."""
+    assignment in src/halfint, and every method and property of a top-level
+    class as (module, "Class.name"), dunder names excluded. A class node
+    stands for its body without those methods, so what a method references
+    is followed only once the method itself is reached."""
     defs = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if _is_method(sub):
+                        defs[(path.stem, f"{node.name}.{sub.name}")] = sub
+                node = ast.ClassDef(
+                    name=node.name, bases=node.bases, keywords=node.keywords,
+                    decorator_list=node.decorator_list,
+                    body=[sub for sub in node.body if not _is_method(sub)],
+                )
+                names = [node.name]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -84,7 +103,7 @@ def unreachable() -> list:
     defs = _definitions()
     by_name: dict = {}
     for mod, name in defs:
-        by_name.setdefault(name, []).append((mod, name))
+        by_name.setdefault(name.rsplit(".", 1)[-1], []).append((mod, name))
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
     todo = ["main"] + sorted(_references(acceptance) | _bench_roots() | set(ALLOWED_TEST_ONLY))
     seen = set()
@@ -106,6 +125,7 @@ def test_walk_sees_the_roots():
     # guards the walk itself: a root it failed to parse would pass vacuously
     defs = _definitions()
     for key in [("cli", "main"), ("cli", "_suite_sieves"), ("hecke", "find_signflip_prime"),
-                ("lvalue", "first_moment_scan"), ("mollifier", "nu_fold")]:
+                ("lvalue", "first_moment_scan"), ("mollifier", "nu_fold"),
+                ("hecke", "HeckeTable.lam"), ("qseries", "CoeffTable.sign_array")]:
         assert key in defs
     assert {"first_moment_scan", "delta_halfintegral"} <= _bench_roots()

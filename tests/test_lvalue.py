@@ -78,7 +78,6 @@ class TestCentralValue:
         assert res.value == 0.0
         assert res.root_number == -1
         assert res.terms_used == 0
-        assert res.forced_zero
 
     def test_positive_branch_metadata(self, hecke26k):
         res = central_lvalue(8, hecke26k)

@@ -7,8 +7,8 @@ import pytest
 from halfint import mollifier as mo
 from halfint.arith import kronecker
 from halfint.cli import taylor_bound_holds, tiny_mollifier_configs
-from halfint.errors import DegenerateIntervalError, InconsistencyError
-from halfint.hecke import build_hecke_table
+from halfint.errors import BudgetExceededError, DegenerateIntervalError, InconsistencyError
+from halfint.hecke import HeckeTable, build_hecke_table
 
 
 @pytest.fixture(scope="module")
@@ -16,11 +16,15 @@ def tab():
     return build_hecke_table(2000)
 
 
-@pytest.fixture(scope="module")
-def params(tab):
+def two_block_params():
     # two blocks: (2, 3.98] = {3} and (3.98, 43.1] = 12 primes
     return mo.build_params(x=1.0e6, l=2.0, kappa=0.5, eta2=0.2, c0=2.0,
                            theta0_override=0.1)
+
+
+@pytest.fixture(scope="module")
+def params(tab):
+    return two_block_params()
 
 
 class TestBuildParams:
@@ -180,10 +184,50 @@ class TestMFactor:
                 assert enum == pytest.approx(iden, rel=1e-12, abs=1e-12)
 
     def test_budget_guard(self, params, tab):
-        from halfint.errors import BudgetExceededError
-
         with pytest.raises(BudgetExceededError):
             mo.m_factor(1, 1, 0.5, params, tab, method="enumerate", budget=5)
+
+    def test_budget_guard_on_a_memo_hit(self, tab):
+        params = two_block_params()
+        mo.m_factor(1, 1, 0.5, params, tab, method="enumerate")
+        with pytest.raises(BudgetExceededError):
+            mo.m_factor(1, 1, 0.5, params, tab, method="enumerate", budget=5)
+
+    def test_enumerate_equals_the_loop_bit_for_bit(self, params, tab):
+        # the defining sum as a Python loop over the DFS support, in its order
+        for j in range(params.J + 1):
+            support = mo._block_support(j, params.ell[j], params, tab, 10**6)
+            for m in (1, 8, 15, 40, 123, 2024):
+                for kappa in (0.5, 1.5):
+                    acc = 0.0
+                    for n, omega, aval, nuval, expo in support:
+                        sym = math.prod(kronecker(m, p) ** e for p, e in expo)
+                        if sym:
+                            acc += (kappa ** (-omega) * aval * (-1) ** omega
+                                    * float(nuval) * sym / math.sqrt(n))
+                    assert mo.m_factor(m, j, kappa, params, tab, method="enumerate") == acc
+
+    def test_memo_follows_the_table(self, params, tab):
+        # lambda(5) negated; 5 is a prime of block 1 and (8|5) = -1
+        other = HeckeTable(k=6, tau=[-v if n == 5 else v for n, v in enumerate(tab.tau)],
+                           N=tab.N)
+        before = mo.m_factor(8, 1, 0.5, params, tab, method="enumerate")
+        got = mo.m_factor(8, 1, 0.5, params, other, method="enumerate")
+        assert got != before
+        assert got == mo.m_factor(8, 1, 0.5, two_block_params(), other, method="enumerate")
+        assert got == pytest.approx(mo.m_factor(8, 1, 0.5, params, other), rel=1e-12)
+        assert mo.m_factor(8, 1, 0.5, params, tab, method="enumerate") == before
+
+    def test_enumerate_never_calls_the_identity_side(self, tab, monkeypatch):
+        def identity_side(*args):
+            raise AssertionError("the enumerate oracle reached the identity side")
+
+        monkeypatch.setattr(mo, "p_sum", identity_side)
+        monkeypatch.setattr(mo, "e_truncated", identity_side)
+        params = two_block_params()
+        for _ in range(2):  # a memo miss, then a hit
+            for j in range(params.J + 1):
+                assert math.isfinite(mo.m_factor(40, j, 0.5, params, tab, method="enumerate"))
 
     def test_positivity_ten_thousand_samples(self, params, tab):
         rng = np.random.default_rng(17)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfint import cli, qseries
-from halfint.arith import factorize_small
 from halfint.errors import CapacityError, ChecksumError, FormatError
 from halfint.qseries import (
     CoeffTable,
@@ -38,6 +37,24 @@ def naive_mul(a, b):
     return PowerSeries(out)
 
 
+def divisors(n):
+    """The divisors of n >= 1, from a trial-division factorization of its own
+    (independent of halfint.arith)."""
+    divs = [1]
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            divs = [d * p**k for d in divs for k in range(e + 1)]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        divs += [d * n for d in divs]
+    return divs
+
+
 def alpha_bruteforce(n):
     """alpha(n) = (E*B - 60*C*D)(n) summed over n = m^2 + 4b in Python ints,
     with sigma3 from divisor lists (independent of the builder's tables)."""
@@ -46,12 +63,60 @@ def alpha_bruteforce(n):
         if (n - m * m) % 4:
             continue
         b = (n - m * m) // 4
-        s3 = sum(d**3 for d in factorize_small(b).divisors()) if b else 0
+        s3 = sum(d**3 for d in divisors(b)) if b else 0
         if m:
             total += m * m * (240 * s3 if b else 1)
         if b:
             total -= 60 * (2 if m else 1) * b * s3
     return total
+
+
+@st.composite
+def faulty_csv_rows(draw):
+    """A valid table's (n, alpha) rows in any order, and the same rows with
+    one fault: an index n missing below the largest, an index repeated, or
+    an index n <= 0."""
+    N = draw(st.integers(2, 30))
+    ns = draw(st.permutations(range(1, N + 1)))
+    i = draw(st.integers(0, N - 1))
+    fault = draw(st.sampled_from(["gap", "duplicate", "nonpositive"]))
+    bad = list(ns)
+    if fault == "gap":
+        if draw(st.booleans()):
+            bad[i] = draw(st.integers(N + 1, 2 * N))
+        else:
+            bad.remove(draw(st.integers(1, N - 1)))
+    elif fault == "duplicate":
+        again = draw(st.integers(1, N))
+        if draw(st.booleans()):
+            bad.insert(i, again)
+        elif bad[i] != again:
+            bad[i] = again
+        else:
+            bad.append(again)
+    else:
+        low = draw(st.integers(-(2**70), 0))
+        if draw(st.booleans()):
+            bad.insert(i, low)
+        else:
+            bad[i] = low
+    values = draw(st.lists(st.integers(-(2**70), 2**70), min_size=N + 1, max_size=N + 1))
+    return list(zip(ns, values)), list(zip(bad, values)), fault
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=faulty_csv_rows(), header=st.booleans())
+def test_csv_with_gap_duplicate_or_nonpositive_index_is_rejected(tmp_path_factory, case, header):
+    good, bad, fault = case
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    head = "n,alpha\n" if header else ""
+    path.write_text(head + "".join(f"{n},{v}\n" for n, v in good))
+    back = load_coeffs(str(path))
+    assert back.N == len(good)
+    assert [int(back.alpha[n]) for n, _ in good] == [v for _, v in good]
+    path.write_text(head + "".join(f"{n},{v}\n" for n, v in bad))
+    with pytest.raises(FormatError):
+        load_coeffs(str(path))
 
 
 def lattice_r2(n):
@@ -155,6 +220,11 @@ class TestConstructors:
 
 
 class TestDeltaHalfIntegral:
+    def test_divisor_oracle(self):
+        for n in range(1, 500):
+            assert sorted(divisors(n)) == [d for d in range(1, n + 1) if n % d == 0], n
+        assert sorted(divisors(987_840)) == [d for d in range(1, 987_841) if 987_840 % d == 0]
+
     def test_leading_values(self):
         t = delta_halfintegral(20)
         assert t.a(1) == 1
