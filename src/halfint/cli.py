@@ -101,7 +101,7 @@ def cmd_signchanges(X: int, index_set: str, coeffs: CoeffTable) -> SignChangeRep
     )
 
 
-def _mollifier_scan(coeffs: CoeffTable, params, t, nmax: int) -> np.ndarray:
+def _mollifier_scan(params, t, nmax: int) -> np.ndarray:
     """M((-1)^k 8n; 1/kappa) for 1 <= n <= nmax, vectorized over n."""
     narr = np.arange(nmax + 1, dtype=np.int64)
     logfac = math.log(params.x) ** (1.0 / (2.0 * params.kappa))
@@ -140,7 +140,7 @@ def cmd_moments(
     csq = np.where(flags, c[8 * n] ** 2, 0.0)
     rows = []
     if mollifier_params is not None:
-        msq = _mollifier_scan(coeffs, mollifier_params, hecke_table, xmax) ** 2
+        msq = _mollifier_scan(mollifier_params, hecke_table, xmax) ** 2
     for X in X_list:
         row = {"X": X, "second": float(np.add.reduce(csq[: X + 1])) / X}
         if mollifier_params is not None:
@@ -153,18 +153,17 @@ def cmd_moments(
     return rows
 
 
-def cmd_waldspurger(d_max: int, tol: float, hecke_table=None, coeffs=None) -> list:
+def cmd_waldspurger(d_max: int, tol: float, hecke_table=None) -> list:
     ds = [d for d in enumerate_nflat(d_max) if d >= 8]
-    need = lvalue._truncation_length(d_max, 6, tol)  # the longest AFE sum, at d = d_max
+    need = lvalue._truncation_length(d_max, tol)  # the longest AFE sum, at d = d_max
     if hecke_table is None or hecke_table.N < need:
         hecke_table = build_hecke_table(need)
-    if coeffs is None or coeffs.N < d_max:
-        coeffs = delta_halfintegral(d_max)
+    coeffs = delta_halfintegral(d_max)
     rows = []
     for d in ds:
         res = lvalue.central_lvalue_cached(d, hecke_table, tol)
         alpha = coeffs.a(d)
-        ratio = lvalue.waldspurger_quotient(d, alpha, res.value, hecke_table.k, tol)
+        ratio = lvalue.waldspurger_quotient(d, alpha, res.value, tol)
         rows.append(
             {
                 "d": d,
@@ -464,7 +463,9 @@ _MOLLIFY_KEYS = ("x", "C", "l", "kappa", "eta1", "eta2", "c0", "theta0")
 
 
 def _parse_mollify(text: str):
-    kv = {}
+    """build_params from the given keys; x defaults to 2e6, the other keys
+    to the build_params defaults."""
+    kv = {"x": 2.0e6}
     for tok in text.split(","):
         if not tok.strip():
             continue
@@ -472,17 +473,8 @@ def _parse_mollify(text: str):
         k = k.strip()
         if k not in _MOLLIFY_KEYS:
             raise ValueError(f"unknown --mollify key {k!r}")
-        kv[k] = float(v)
-    return mollifier.build_params(
-        x=kv.get("x", 2.0e6),
-        C=kv.get("C", 4.0),
-        l=kv.get("l", 2.0),
-        kappa=kv.get("kappa", 0.5),
-        eta1=kv.get("eta1", 1.0),
-        eta2=kv.get("eta2", 0.2),
-        c0=kv.get("c0", 2.0),
-        theta0_override=kv.get("theta0", None),
-    )
+        kv["theta0_override" if k == "theta0" else k] = float(v)
+    return mollifier.build_params(**kv)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import euler_phi, factorize_small, kronecker, primes_up_to
 from .errors import BudgetExceededError, ConvergenceError, InsufficientTableError
-from .qseries import CoeffTable
+from .qseries import K, WEIGHT_TIMES_TWO, CoeffTable
 
 __all__ = [
     "gauss_sum_bruteforce",
@@ -106,9 +106,6 @@ _ENDPOINT_BUDGET = 50_000_000
 
 @dataclass(frozen=True)
 class JutilaSystem:
-    Q: float
-    eta: float
-    Delta: int
     Qset: tuple
     L: int
 
@@ -119,24 +116,32 @@ def build_jutila_system(Q: float, eta: float, Delta: int) -> JutilaSystem:
     endpoints would exceed the sweep's budget.
 
     Each r is an odd prime, so phi(q) = phi(4 Delta) (r - 1) when r does not
-    divide Delta and phi(4 Delta) r when it does."""
+    divide Delta and phi(4 Delta) r when it does. Every r >= r_lo thus adds
+    at least phi(4 Delta) (r_lo - 1) to L. When that alone passes the
+    budget, the system is refused as soon as trial division upward from r_lo
+    finds the first admissible r, before anything is sieved."""
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     if Delta < 1 or Delta > Q ** (eta / 2) + 1e-9:
         raise ValueError("Delta must satisfy 1 <= Delta <= Q^{eta/2}")
     r_lo = math.ceil(Q / (4 * Delta))
     r_hi = math.floor(2 * Q / (4 * Delta))
+    phi4 = euler_phi(4 * Delta)
+    if 2 * phi4 * (r_lo - 1) > _ENDPOINT_BUDGET:
+        for r in range(r_lo + (1 - r_lo) % 4, r_hi + 1, 4):
+            if factorize_small(r).prime_powers == ((r, 1),):
+                raise BudgetExceededError(
+                    f"at least {2 * phi4 * (r - 1)} arc endpoints exceed budget"
+                )
     rs = [
         r
         for r in primes_up_to(max(r_hi, 2))
         if r >= r_lo and r % 4 == 1 and Q <= 4 * Delta * r <= 2 * Q
     ]
-    L = euler_phi(4 * Delta) * sum(r if Delta % r == 0 else r - 1 for r in rs)
+    L = phi4 * sum(r if Delta % r == 0 else r - 1 for r in rs)
     if 2 * L > _ENDPOINT_BUDGET:
         raise BudgetExceededError(f"{2 * L} arc endpoints exceed budget")
-    return JutilaSystem(
-        Q=Q, eta=eta, Delta=Delta, Qset=tuple(4 * Delta * r for r in rs), L=L
-    )
+    return JutilaSystem(Qset=tuple(4 * Delta * r for r in rs), L=L)
 
 
 def _farey_centres(q: int) -> np.ndarray:
@@ -153,10 +158,11 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
     q in the modulus set.
 
     The integrand is piecewise constant, so the integral is a finite sweep
-    over arc endpoints; float mode sums segments in a fixed order, exact mode
-    re-runs the same sweep in rational arithmetic on the identical binary
-    endpoints (both modes integrate the same function, so they certify each
-    other).
+    over arc endpoints. Float mode sums segments in a fixed order over the
+    float endpoints d/q +- delta. Exact mode runs the sweep in rational
+    arithmetic over the centres Fraction(d, q) +- Fraction(delta), so its
+    endpoints are not the float ones; the two modes agree to the 1e-9 that
+    the selftest allows.
     """
     sys_ = build_jutila_system(Q, eta, Delta)
     if sys_.L == 0:
@@ -279,7 +285,6 @@ def shifted_convolution(
         raise InsufficientTableError(
             f"need coefficients to {n0 + abs(h)}, table holds {coeffs.N}"
         )
-    k = (coeffs.weight_times_two - 1) // 2
     af = coeffs.float_array()
     lo = max(1, 1 - h)
     n = np.arange(lo, n0 + 1)
@@ -288,7 +293,7 @@ def shifted_convolution(
     damp = np.exp(-2.0 * math.pi * (2 * n + h) / X)
     phase = np.exp(2j * np.pi * (v * (n % Delta)) / Delta)
     total = np.add.reduce(a1 * a2 * damp * phase)
-    return complex(total / X ** (k - 0.5))
+    return complex(total / X ** (K - 0.5))
 
 
 # -- modularity self-test ----------------------------------------------------------
@@ -315,17 +320,17 @@ def _normalize_gamma(gamma: tuple) -> tuple:
     return a, b, c, d
 
 
-def automorphy_factor(gamma: tuple, z: complex, weight_times_two: int = 13) -> AutomorphyFactor:
-    """Theta-multiplier automorphy data at gamma: nu = (c|d) conj(eps_d) with
-    eps_d = 1 for d = 1 mod 4 and i^{2k+1} for d = 3 mod 4, and
-    j^(k+1/2) = (cz+d)^k sqrt(cz+d) on the principal branch. The matrix is
-    replaced by its negative if needed so d > 0 (same Moebius action)."""
+def automorphy_factor(gamma: tuple, z: complex) -> AutomorphyFactor:
+    """Theta-multiplier automorphy data of the weight-(k+1/2) form at gamma,
+    k = K: nu = (c|d) conj(eps_d) with eps_d = 1 for d = 1 mod 4 and
+    i^{2k+1} for d = 3 mod 4, and j^(k+1/2) = (cz+d)^k sqrt(cz+d) on the
+    principal branch. The matrix is replaced by its negative if needed so
+    d > 0 (same Moebius action)."""
     a, b, c, d = _normalize_gamma(gamma)
-    k = (weight_times_two - 1) // 2
-    eps = 1.0 + 0.0j if d % 4 == 1 else 1j ** (weight_times_two % 4)
+    eps = 1.0 + 0.0j if d % 4 == 1 else 1j ** (WEIGHT_TIMES_TWO % 4)
     nu = kronecker(c, d) * eps.conjugate()
     j = c * z + d
-    jpow = j**k * cmath.sqrt(j)
+    jpow = j**K * cmath.sqrt(j)
     return AutomorphyFactor(gamma=(a, b, c, d), epsilon_d=eps, nu=nu, j_power=jpow)
 
 
@@ -348,7 +353,7 @@ def modularity_check(gamma: tuple, z: complex, coeffs: CoeffTable) -> float:
     with g evaluated by the truncated Fourier series. Exercises the entire
     coefficient pipeline: a single wrong alpha(n) in the first few hundred
     terms shows up here."""
-    fac = automorphy_factor(gamma, z, coeffs.weight_times_two)
+    fac = automorphy_factor(gamma, z)
     a, b, c, d = fac.gamma
     gz = (a * z + b) / (c * z + d)
     lhs = _series_eval(coeffs, gz)

@@ -5,9 +5,9 @@ sign-flip construction.
 For the weight-13/2 form the lift is the weight-12 discriminant form, so the
 eigenvalues are tau(n) and the normalized ones are lambda(n) = tau(n)/n^{11/2}.
 The identity alpha(n^2 d) = alpha(d) * sum_{r|n} mu(r) chi_d(r) r^{k-1}
-tau(n/r) is checked over exact integers: it is the coefficient relation of
-the lift multiplied through by (n^2 d)^{(k-1/2)/2}, so no tolerance is
-involved.
+tau(n/r), k = K = 6, is checked over exact integers: it is the coefficient
+relation of the lift multiplied through by (n^2 d)^{(k-1/2)/2}, so no
+tolerance is involved.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import factorize_small, kronecker, primes_up_to
 from .errors import InconsistencyError
-from .qseries import CoeffTable, delta_integral
+from .qseries import K, CoeffTable, delta_integral
 
 __all__ = [
     "HeckeTable",
@@ -31,9 +31,8 @@ __all__ = [
 
 @dataclass
 class HeckeTable:
-    """Exact tau(n) and floating lambda(n) = tau(n)/n^{(2k-1)/2}, n <= N."""
+    """Exact tau(n) and floating lambda(n) = tau(n)/n^{11/2}, n <= N."""
 
-    k: int
     tau: list
     N: int
     _lambda: np.ndarray = field(default=None, repr=False)
@@ -47,20 +46,20 @@ class HeckeTable:
             n[0] = 1.0
             self._lambda = np.fromiter(
                 (float(t) for t in self.tau), dtype=np.float64, count=self.N + 1
-            ) / n ** (self.k - 0.5)
+            ) / n ** (K - 0.5)
             self._lambda[0] = 0.0
         return self._lambda
 
 
 def build_hecke_table(N: int) -> HeckeTable:
-    """Eigenvalue table for the weight-12 lift (k = 6, the discriminant
-    form). The Deligne bound |tau(p)| <= 2 p^{11/2} is checked exactly as
+    """Eigenvalue table for the weight-12 lift, the discriminant form. The
+    Deligne bound |tau(p)| <= 2 p^{11/2} is checked exactly as
     tau(p)^2 <= 4 p^11; a violation raises InconsistencyError."""
     tau = delta_integral(N)
     for p in primes_up_to(N):
         if tau[p] * tau[p] > 4 * p**11:
             raise InconsistencyError(f"Deligne bound violated: tau({p})^2 > 4 {p}^11")
-    return HeckeTable(k=6, tau=tau, N=N)
+    return HeckeTable(tau=tau, N=N)
 
 
 def shimura_identity_check(d: int, n: int, coeffs: CoeffTable, t: HeckeTable) -> bool:
@@ -75,10 +74,9 @@ def shimura_identity_check(d: int, n: int, coeffs: CoeffTable, t: HeckeTable) ->
         raise ValueError(f"n^2 d = {n * n * d} exceeds table range {coeffs.N}")
     if n > t.N:
         raise ValueError(f"n = {n} exceeds eigenvalue table range {t.N}")
-    k = (coeffs.weight_times_two - 1) // 2
     rhs = 0
     for r, mu_r in factorize_small(n).squarefree_divisors():
-        rhs += mu_r * kronecker(d, r) * r ** (k - 1) * t.tau[n // r]
+        rhs += mu_r * kronecker(d, r) * r ** (K - 1) * t.tau[n // r]
     return coeffs.a(n * n * d) == coeffs.a(d) * rhs
 
 
@@ -88,7 +86,7 @@ def find_signflip_prime(t: HeckeTable, bound: int) -> int | None:
     if bound > t.N:
         raise ValueError(f"bound {bound} exceeds table range {t.N}")
     for p in primes_up_to(bound):
-        if t.tau[p] < -2 * p ** (t.k - 1):
+        if t.tau[p] < -2 * p ** (K - 1):
             return p
     return None
 

@@ -10,11 +10,13 @@ upper incomplete gamma
 
     W(x) = Gamma(k, 2 pi x) / Gamma(k) = e^{-2 pi x} sum_{m<k} (2 pi x)^m/m!.
 
-`w_kernel` implements the closed form; `w_kernel_oracle` evaluates the
-contour integral numerically and exists only to certify the derivation.
+`w_kernel` implements the closed form, on a float or an array;
+`w_kernel_oracle` evaluates the contour integral numerically and exists only
+to certify the derivation. The lift is the weight-12 discriminant form, so
+the central values below use k = K = 6.
 
 Central value. For a fundamental discriminant d > 0 (the sign that makes the
-completed function even for an even-k lift) the two halves of the functional
+completed function even, k being even) the two halves of the functional
 equation coincide at the center, so
 
     L(1/2) = 2 sum_{n <= N0} lambda(n) chi_d(n) n^{-1/2} W(n/d),
@@ -42,7 +44,7 @@ from .arith import (
 )
 from .errors import ConvergenceError, InconsistencyError, InsufficientTableError
 from .hecke import HeckeTable
-from .qseries import CoeffTable
+from .qseries import K, CoeffTable
 
 __all__ = [
     "LValueResult",
@@ -60,46 +62,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LValueResult:
-    d: int
     value: float
     truncation_bound: float
     terms_used: int
     root_number: int
 
 
-def w_kernel(x: float, k: int) -> float:
-    """W(x) = e^{-2 pi x} sum_{m<k} (2 pi x)^m / m! for x > 0."""
-    if x <= 0:
+def w_kernel(x, k: int):
+    """W(x) = e^{-2 pi x} sum_{m<k} (2 pi x)^m / m! for x > 0: a float for a
+    float x, an array for an array."""
+    if not np.all(np.greater(x, 0)):
         raise ValueError("kernel argument must be positive")
     if k < 2:
         raise ValueError("k must be an integer >= 2")
-    y = 2.0 * math.pi * x
-    term = 1.0
-    acc = 1.0
-    for m in range(1, k):
-        term *= y / m
-        acc += term
-    return math.exp(-y) * acc
-
-
-def _w_kernel_vec(x: np.ndarray, k: int) -> np.ndarray:
     y = 2.0 * np.pi * x
-    acc = np.ones_like(y)
-    term = np.ones_like(y)
+    term = acc = 1.0
     for m in range(1, k):
         term = term * y / m
         acc += term
-    return np.exp(-y) * acc
+    out = np.exp(-y) * acc
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
-def w_kernel_oracle(
-    x: float,
-    k: int,
-    contour_real_part: float = 1.0,
-    quadrature_step: float = 0.02,
-    quadrature_span: float = 60.0,
-    tail_tol: float = 1e-12,
-) -> float:
+# the oracle's trapezoidal grid on the contour Re s = 1: step _CONTOUR_STEP
+# over |Im s| <= _CONTOUR_SPAN, whose two ends together may drop at most
+# _CONTOUR_TAIL
+_CONTOUR_STEP = 0.02
+_CONTOUR_SPAN = 60.0
+_CONTOUR_TAIL = 1e-12
+
+
+def w_kernel_oracle(x: float, k: int) -> float:
     """Trapezoidal evaluation of the defining vertical-line integral.
 
     Validation oracle only: independent of the closed form above (complex
@@ -107,17 +100,14 @@ def w_kernel_oracle(
     """
     if x <= 0:
         raise ValueError("kernel argument must be positive")
-    c = contour_real_part
-    if c <= 0:
-        raise ValueError("contour must lie right of the pole at s=0")
-    t = np.arange(-quadrature_span, quadrature_span + quadrature_step, quadrature_step)
-    s = c + 1j * t
+    t = np.arange(-_CONTOUR_SPAN, _CONTOUR_SPAN + _CONTOUR_STEP, _CONTOUR_STEP)
+    s = 1.0 + 1j * t
     vals = np.exp(loggamma(s + k) - loggamma(k) - s * math.log(2 * math.pi * x)) / s
     # Gamma decay e^{-pi|t|/2} bounds the discarded tail by ~ endpoint/(pi/2)
     tail = (abs(vals[0]) + abs(vals[-1])) / (math.pi / 2)
-    if tail > tail_tol:
-        raise ConvergenceError(f"contour tail estimate {tail:.2e} > {tail_tol:.2e}")
-    integral = np.trapezoid(vals, dx=quadrature_step) / (2 * math.pi)
+    if tail > _CONTOUR_TAIL:
+        raise ConvergenceError(f"contour tail estimate {tail:.2e} > {_CONTOUR_TAIL:.2e}")
+    integral = np.trapezoid(vals, dx=_CONTOUR_STEP) / (2 * math.pi)
     return float(integral.real)
 
 
@@ -140,31 +130,29 @@ def chi_array(d: int, N: int) -> np.ndarray:
     return chi
 
 
-def _truncation_length(d: int, k: int, tol: float) -> int:
+def _truncation_length(d: int, tol: float) -> int:
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    return math.ceil(abs(d) * max(8.0, (k + math.log(1.0 / tol)) / (2 * math.pi)))
+    return math.ceil(abs(d) * max(8.0, (K + math.log(1.0 / tol)) / (2 * math.pi)))
 
 
-def _tail_bound(N0: int, d: int, k: int) -> float:
+def _tail_bound(N0: int, d: int) -> float:
     """2 sum_{n>N0} |lambda chi| n^{-1/2} W(n/|d|) <= 2 sqrt(3) W(N0/|d|)
-    sum_{j>=1} e^{-pi j/|d|}; valid since N0/|d| >= 8 > (k-1)/pi for k <= 26."""
+    sum_{j>=1} e^{-pi j/|d|}; valid since N0/|d| >= 8 > (k-1)/pi."""
     ad = abs(d)
-    w_edge = w_kernel(N0 / ad, k)
+    w_edge = w_kernel(N0 / ad, K)
     geom = math.exp(-math.pi / ad) / (1.0 - math.exp(-math.pi / ad))
     return 2.0 * math.sqrt(3.0) * w_edge * geom
 
 
 def central_lvalue(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueResult:
     """L(1/2) for the lift twisted by chi_d; exact zero when the functional
-    equation sign (-1)^k sgn(d) is -1."""
+    equation sign (-1)^k sgn(d) = sgn(d) is -1."""
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
-    sign = 1 if d > 0 else -1
-    root = sign if t.k % 2 == 0 else -sign
-    if root == -1:
-        return LValueResult(d=d, value=0.0, truncation_bound=0.0, terms_used=0, root_number=-1)
-    N0 = _truncation_length(d, t.k, tol)
+    if d < 0:
+        return LValueResult(value=0.0, truncation_bound=0.0, terms_used=0, root_number=-1)
+    N0 = _truncation_length(d, tol)
     if N0 > t.N:
         raise InsufficientTableError(
             f"need eigenvalues to {N0} for d={d}, table holds {t.N}"
@@ -172,17 +160,15 @@ def central_lvalue(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueResult:
     chi = chi_array(d, N0).astype(np.float64)
     n = np.arange(N0 + 1, dtype=np.float64)
     n[0] = 1.0
-    w = _w_kernel_vec(n / abs(d), t.k)
+    w = w_kernel(n / abs(d), K)
     terms = t.lam[: N0 + 1] * chi * w / np.sqrt(n)
     value = 2.0 * float(np.add.reduce(terms[1:]))
-    bound = _tail_bound(N0, d, t.k)
+    bound = _tail_bound(N0, d)
     if not bound < tol:
         raise ConvergenceError(
             f"tail bound {bound:.2e} does not meet tolerance {tol:.2e} at d={d}"
         )
-    return LValueResult(
-        d=d, value=value, truncation_bound=bound, terms_used=N0, root_number=1
-    )
+    return LValueResult(value=value, truncation_bound=bound, terms_used=N0, root_number=1)
 
 
 def waldspurger_ratio(
@@ -196,12 +182,12 @@ def waldspurger_ratio(
     if d > coeffs.N:
         raise ValueError(f"d={d} exceeds coefficient table range {coeffs.N}")
     res = central_lvalue(d, t, tol)
-    return waldspurger_quotient(d, coeffs.a(d), res.value, t.k, tol)
+    return waldspurger_quotient(d, coeffs.a(d), res.value, tol)
 
 
-def waldspurger_quotient(d: int, alpha: int, lval: float, k: int, tol: float) -> float | None:
+def waldspurger_quotient(d: int, alpha: int, lval: float, tol: float) -> float | None:
     """The waldspurger_ratio of alpha = alpha(d) and a central value already
-    computed at tolerance tol, for the lift of weight 2k."""
+    computed at tolerance tol."""
     small_l = abs(lval) < 10 * tol
     if alpha == 0 and small_l:
         return None
@@ -209,7 +195,7 @@ def waldspurger_quotient(d: int, alpha: int, lval: float, k: int, tol: float) ->
         raise InconsistencyError(
             f"d={d}: alpha={alpha} but L={lval:.3e} (tol {tol:.1e})"
         )
-    return alpha * alpha / (d ** (k - 0.5) * lval)
+    return alpha * alpha / (d ** (K - 0.5) * lval)
 
 
 def bump_window(lo: float = 0.5, hi: float = 1.0):
@@ -233,40 +219,39 @@ def central_lvalue_cached(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueRes
     return t._central[key]
 
 
-def _window_lvalues(x: int, lo: float, hi: float, tol: float, t: HeckeTable) -> list:
+# the support of the first moment's window phi = bump_window(*_WINDOW)
+_WINDOW = (0.5, 1.0)
+
+
+def _window_lvalues(x: int, t: HeckeTable) -> list:
     """Rows (m, L(1/2, chi_8m), phi(8m/x)) of the window."""
+    lo, hi = _WINDOW
     flags = odd_squarefree_flags(max(x // 8, 0))
     phi = bump_window(lo, hi)
     return [
-        (m, central_lvalue_cached(8 * m, t, tol).value, phi(8 * m / x))
+        (m, central_lvalue_cached(8 * m, t).value, phi(8 * m / x))
         for m in range(1, x // 8 + 1)
         if lo < 8 * m / x < hi and flags[m]
     ]
 
 
-def first_moment_scan(
-    x: int,
-    u: int,
-    t: HeckeTable,
-    window: tuple = (0.5, 1.0),
-    tol: float = 1e-8,
-) -> float:
+def first_moment_scan(x: int, u: int, t: HeckeTable) -> float:
     """Self-normalized twisted average of central values:
 
         S(u; x) sqrt(u1) / S(1; x),
 
     where S(u; x) = sum over odd square-free m of L(1/2, chi_{8m})
-    chi_{8m}(u) phi(8m/x) and u = u1 u2^2 with u1 square-free. The unknown
-    global constant cancels in the ratio; to leading order the statistic
-    tracks a multiplicative function that is lambda(p)+O(1/p) at odd prime
-    powers p^{2j+1} and 1+O(1/p) at even ones.
+    chi_{8m}(u) phi(8m/x), phi = bump_window(0.5, 1.0), the central values
+    are taken at tolerance 1e-8, and u = u1 u2^2 with u1 square-free. The
+    unknown global constant cancels in the ratio; to leading order the
+    statistic tracks a multiplicative function that is lambda(p)+O(1/p) at
+    odd prime powers p^{2j+1} and 1+O(1/p) at even ones.
     """
     if u < 1 or u % 2 == 0:
         raise ValueError("twist u must be odd and positive")
-    lo, hi = window
-    rows = _window_lvalues(x, lo, hi, tol, t)
+    rows = _window_lvalues(x, t)
     if not rows:
-        raise ValueError(f"window ({lo},{hi}) times x={x} contains no index 8m")
+        raise ValueError(f"window {_WINDOW} times x={x} contains no index 8m")
     s_u = 0.0
     s_1 = 0.0
     for m, lval, w in rows:

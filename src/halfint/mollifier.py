@@ -16,9 +16,9 @@ ell_j prime factors. By the multinomial identity
     sum_{Omega(n) = s, p|n => p in I} a(n) nu(n) (m|n) / sqrt(n) = P^s / s!,
     P = sum_{p in I} a(p) (m|p) / sqrt(p),
 
-the block factor collapses to the truncated exponential
-M_j(m) = E_{ell_j}(-P_j(m)/kappa), which is strictly positive for even
-ell_j. Both routes are implemented: the definitional divisor enumeration
+with nu the multiplicative weight nu(p^a) = 1/a!, the block factor
+collapses to the truncated exponential M_j(m) = E_{ell_j}(-P_j(m)/kappa),
+which is strictly positive for even ell_j. Both routes are implemented: the definitional divisor enumeration
 (`m_factor` with method="enumerate") and the collapsed form
 (method="identity"); their agreement is one of the verification suites.
 
@@ -57,7 +57,6 @@ __all__ = [
     "e_truncated",
     "m_factor",
     "mollifier_value",
-    "nu",
     "nu_fold",
     "nu_truncated",
     "dirichlet_expansion_check",
@@ -67,12 +66,8 @@ __all__ = [
 @dataclass
 class MollifierParams:
     x: float
-    C: float
     l: float
     kappa: float
-    eta1: float
-    eta2: float
-    c0: float
     theta: list
     ell: list
     J: int
@@ -86,9 +81,13 @@ class MollifierParams:
 
 @dataclass(frozen=True)
 class MollifierValue:
-    m: int
     value: float
-    factors: tuple
+
+
+# nodes one block-support enumeration may visit
+_BUDGET = 10_000_000
+# relative tolerance of dirichlet_expansion_check
+_EXPANSION_TOL = 1e-12
 
 
 def build_params(
@@ -98,7 +97,7 @@ def build_params(
     kappa: float = 0.5,
     eta1: float = 1.0,
     eta2: float = 0.2,
-    c0: float = 100.0,
+    c0: float = 2.0,
     theta0_override: float | None = None,
 ) -> MollifierParams:
     lk = l * kappa
@@ -138,12 +137,8 @@ def build_params(
     primes = [[p for p in allp if lo < p <= hi] for lo, hi in intervals]
     return MollifierParams(
         x=x,
-        C=C,
         l=l,
         kappa=kappa,
-        eta1=eta1,
-        eta2=eta2,
-        c0=c0,
         theta=theta,
         ell=ell,
         J=J,
@@ -222,9 +217,7 @@ def _e_truncated_vec(t: np.ndarray, ell: int) -> np.ndarray:
     return acc
 
 
-def _block_support(
-    j: int, max_omega: int, params: MollifierParams, t: HeckeTable, budget: int
-):
+def _block_support(j: int, max_omega: int, params: MollifierParams, t: HeckeTable):
     """All I_j-smooth n with Omega(n) <= max_omega as
     (n, omega, a(n;J), nu(n), exponent map); DFS over block primes."""
     plist = params.primes[j]
@@ -235,9 +228,9 @@ def _block_support(
     def rec(i: int, n: int, omega: int, aval: float, nuval: Fraction, expo: tuple):
         nonlocal count
         count += 1
-        if count > budget:
+        if count > _BUDGET:
             raise BudgetExceededError(
-                f"block {j}: more than {budget} nodes with Omega <= {max_omega}"
+                f"block {j}: more than {_BUDGET} nodes with Omega <= {max_omega}"
             )
         out.append((n, omega, aval, nuval, expo))
         for idx in range(i, len(plist)):
@@ -266,14 +259,11 @@ class _Support:
     sqrt_n: np.ndarray
 
 
-def _support(
-    j: int, max_omega: int, params: MollifierParams, t: HeckeTable, budget: int
-) -> _Support:
-    """The block support, enumerated once per (j, max_omega) and table; a
-    memo hit still honours `budget` against the stored node count."""
+def _support(j: int, max_omega: int, params: MollifierParams, t: HeckeTable) -> _Support:
+    """The block support, enumerated once per (j, max_omega) and table."""
     entry = params._supports.get((j, max_omega))
     if entry is None or entry.table is not t:
-        nodes = _block_support(j, max_omega, params, t, budget)
+        nodes = _block_support(j, max_omega, params, t)
         col = {p: k for k, p in enumerate(params.primes[j])}
         expo = np.zeros((len(nodes), len(col)), dtype=np.min_scalar_type(max_omega))
         for i, (*_, pairs) in enumerate(nodes):
@@ -288,10 +278,6 @@ def _support(
             sqrt_n=np.array([math.sqrt(node[0]) for node in nodes], dtype=np.float64),
         )
         params._supports[(j, max_omega)] = entry
-    elif len(entry.omega) > budget:
-        raise BudgetExceededError(
-            f"block {j}: more than {budget} nodes with Omega <= {max_omega}"
-        )
     return entry
 
 
@@ -324,7 +310,6 @@ def m_factor(
     params: MollifierParams,
     t: HeckeTable,
     method: str = "identity",
-    budget: int = 10_000_000,
 ) -> float:
     """Block factor M_j(m; 1/kappa).
 
@@ -336,7 +321,7 @@ def m_factor(
         return e_truncated(-p_sum(m, j, params.J, params, t) / kappa, params.ell[j])
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
-    s = _support(j, params.ell[j], params, t, budget)
+    s = _support(j, params.ell[j], params, t)
     return _block_sum(m, j, kappa, s.nu, params, s)
 
 
@@ -349,18 +334,10 @@ def mollifier_value(
     value = math.log(params.x) ** (1.0 / (2.0 * kappa)) * math.prod(factors)
     if value <= 0:
         raise InconsistencyError(f"mollifier must be positive, got {value} at m={m}")
-    return MollifierValue(m=m, value=value, factors=factors)
+    return MollifierValue(value=value)
 
 
 # -- factorial-weight combinatorics --------------------------------------------
-
-
-def nu(n: int) -> Fraction:
-    """Multiplicative weight with nu(p^a) = 1/a!."""
-    out = Fraction(1)
-    for _, e in factorize_small(n).prime_powers:
-        out /= factorial(e)
-    return out
 
 
 def nu_fold(j: int, n: int) -> Fraction:
@@ -410,7 +387,6 @@ def dirichlet_expansion_check(
     l: float,
     params: MollifierParams,
     t: HeckeTable,
-    tol: float = 1e-12,
 ) -> bool:
     """Compare M(m; 1/kappa)^{l kappa} with its expanded Dirichlet series
 
@@ -418,7 +394,7 @@ def dirichlet_expansion_check(
 
     the sum running over products of block parts n_j with Omega(n_j) <=
     lk ell_j, and h(n) the product over blocks of nu_truncated(lk, n_j, ell_j).
-    Only enumerable configurations are accepted (at most 3 primes per block,
+    True when the two agree to a relative _EXPANSION_TOL. Only enumerable configurations are accepted (at most 3 primes per block,
     J <= 2)."""
     lk = l * kappa
     if abs(lk - round(lk)) > 1e-9:
@@ -429,9 +405,9 @@ def dirichlet_expansion_check(
     lhs = mollifier_value(m, kappa, params, t).value ** lk
     rhs = math.log(params.x) ** (l / 2.0)
     for j in range(params.J + 1):
-        s = _support(j, lk * params.ell[j], params, t, budget=10_000_000)
+        s = _support(j, lk * params.ell[j], params, t)
         ns = [math.prod(p ** int(e) for p, e in zip(params.primes[j], row)) for row in s.expo]
         h = np.array([float(nu_truncated(lk, n, params.ell[j])) for n in ns])
         rhs *= _block_sum(m, j, kappa, h, params, s)
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale <= tol
+    return abs(lhs - rhs) / scale <= _EXPANSION_TOL

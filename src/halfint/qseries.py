@@ -6,10 +6,11 @@ Two kinds of object live here:
   used for the defining constructions (theta, the weight-4 Eisenstein series,
   and the reference build of the weight-13/2 form). Slow but transparent.
 
-* `CoeffTable`: the integer coefficients alpha(n) = c(n) n^{(k-1/2)/2} of a
-  half-integral weight Hecke form, built by a fast exact convolution and
-  saved to HICF coefficient files. The production table is the weight-13/2
-  form whose lift is the discriminant form; its alpha(n) vanish for
+* `CoeffTable`: the integer coefficients alpha(n) = c(n) n^{(k-1/2)/2} of
+  the one form this program has, the weight-13/2 plus-space form on
+  Gamma_0(4) whose Shimura lift is the discriminant form of weight 2k = 12
+  (WEIGHT_TIMES_TWO and K below). They are built by a fast exact
+  convolution and saved to HICF coefficient files; alpha(n) vanishes for
   n = 2,3 mod 4. alpha is an int64 array, or an object array of Python ints
   once some |alpha(n)| >= 2^63, which first happens at n = 3799816.
 
@@ -35,7 +36,14 @@ import numpy as np
 from .arith import SIGMA3_INT64_LIMIT, primes_up_to, sigma3_table
 from .errors import CapacityError, ChecksumError, FormatError, InconsistencyError
 
+# the weight of the form, doubled: 13/2
+WEIGHT_TIMES_TWO = 13
+# half the weight of its Shimura lift, the discriminant form of weight 12
+K = 6
+
 __all__ = [
+    "WEIGHT_TIMES_TWO",
+    "K",
     "PowerSeries",
     "CoeffTable",
     "ps_mul",
@@ -171,23 +179,20 @@ def eisenstein_g(k: int, N: int) -> PowerSeries:
 
 @dataclass(eq=False)
 class CoeffTable:
-    """Integer coefficients alpha(n), 1 <= n <= N, of a weight (wt2/2) form.
+    """Integer coefficients alpha(n), 1 <= n <= N, of the weight-13/2 form.
 
     alpha is an array indexed 0..N with alpha[0] = 0: int64, or an object
-    array of Python ints once some |alpha(n)| >= 2^63 (for the weight-13/2
-    form, from n = 3799816 on). A sequence passed in is converted the same
-    way; an entry that is not an integer raises ValueError. Tables compare
-    by identity; np.array_equal compares their alpha. The normalized
-    coefficients are c(n) = alpha(n) / n^{(wt2-2)/4}.
+    array of Python ints once some |alpha(n)| >= 2^63 (from n = 3799816
+    on). A sequence passed in is converted the same way; an entry that is
+    not an integer raises ValueError. Tables compare by identity;
+    np.array_equal compares their alpha. The normalized coefficients are
+    c(n) = alpha(n) / n^{11/4}.
     """
 
-    weight_times_two: int
     alpha: np.ndarray
     N: int
 
     def __post_init__(self):
-        if self.weight_times_two % 2 == 0 or self.weight_times_two < 5:
-            raise ValueError("weight_times_two must be an odd integer >= 5")
         self.alpha = _exact_integers(self.alpha)
         if self.alpha.shape != (self.N + 1,):
             raise ValueError("alpha must have N+1 entries (index 0 unused)")
@@ -205,11 +210,10 @@ class CoeffTable:
         return self.alpha.astype(np.float64)
 
     def c_array(self) -> np.ndarray:
-        """Normalized coefficients c(n) = alpha(n) n^{-(wt2-2)/4} (c[0] = 0)."""
-        expo = (self.weight_times_two - 2) / 4.0
+        """Normalized coefficients c(n) = alpha(n) n^{-11/4} (c[0] = 0)."""
         n = np.arange(self.N + 1, dtype=np.float64)
         n[0] = 1.0
-        out = self.float_array() / n**expo
+        out = self.float_array() / n ** ((WEIGHT_TIMES_TWO - 2) / 4.0)
         out[0] = 0.0
         return out
 
@@ -316,11 +320,11 @@ def delta_halfintegral(N: int) -> CoeffTable:
             np.add(pos[row, c0:c1], ftmp[:w], out=pos[row, c0:c1])
             np.add(neg[row, c0:c1], bsigf[b], out=neg[row, c0:c1])
 
-    # K terms reach an entry (one per m, two constant-term ones); each term
+    # T terms reach an entry (one per m, two constant-term ones); each term
     # carries at most 3 roundings and each addition 1, so with eps = 2^-52,
-    # twice the unit roundoff, (K + 4) eps (P + Nn) bounds |alpha - (P - Nn)|
-    K = isqrt(N) + 2
-    widest = (K + 4) * np.finfo(np.float64).eps * float((pos + neg).max())
+    # twice the unit roundoff, (T + 4) eps (P + Nn) bounds |alpha - (P - Nn)|
+    T = isqrt(N) + 2
+    widest = (T + 4) * np.finfo(np.float64).eps * float((pos + neg).max())
     if widest >= _LIFT_WINDOW_CAP:
         raise CapacityError(f"alpha lift window 2^{np.log2(widest):.1f} reaches 2^62 at N={N}")
     wraps = np.rint((pos - neg - acc) / 2.0**64).astype(np.int64)
@@ -333,7 +337,7 @@ def delta_halfintegral(N: int) -> CoeffTable:
     alpha = np.zeros(N + 1, dtype=vals.dtype)
     for row in (0, 1):
         alpha[row::4] = vals[row, : len(range(row, N + 1, 4))]
-    return CoeffTable(weight_times_two=13, alpha=alpha, N=N)
+    return CoeffTable(alpha=alpha, N=N)
 
 
 def delta_halfintegral_reference(N: int) -> CoeffTable:
@@ -354,7 +358,7 @@ def delta_halfintegral_reference(N: int) -> CoeffTable:
         if c.denominator != 1:
             raise ArithmeticError(f"non-integral coefficient at n={n}: {c}")
         alpha[n] = int(c)
-    return CoeffTable(weight_times_two=13, alpha=alpha, N=N)
+    return CoeffTable(alpha=alpha, N=N)
 
 
 # -- tau of the discriminant form ---------------------------------------------
@@ -438,8 +442,6 @@ def delta_integral(N: int) -> list:
 
 _MAGIC = b"HICF"
 _VERSION = 1
-# the one form this program has; the readers normalize for weight 13/2
-_WEIGHT_TIMES_TWO = 13
 # entries encoded at a time, which keeps the encoder's temporaries small
 _CHUNK = 1 << 16
 
@@ -518,7 +520,7 @@ def save_coeffs(t: CoeffTable, path: str) -> None:
 
         emit(_MAGIC)
         emit(_VERSION.to_bytes(4, "little"))
-        emit(t.weight_times_two.to_bytes(4, "little"))
+        emit(WEIGHT_TIMES_TWO.to_bytes(4, "little"))
         emit(t.N.to_bytes(8, "little"))
         for n in range(1, t.N + 1, _CHUNK):
             emit(_records(t.alpha[n : n + _CHUNK]))
@@ -563,7 +565,7 @@ def load_coeffs(path: str) -> CoeffTable:
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
     wt2 = int.from_bytes(data[8:12], "little")
-    if wt2 != _WEIGHT_TIMES_TWO:
+    if wt2 != WEIGHT_TIMES_TWO:
         raise FormatError(f"{path}: weight {wt2}/2 is not the supported weight 13/2")
     N = int.from_bytes(data[12:20], "little")
     pos = 20
@@ -598,7 +600,7 @@ def load_coeffs(path: str) -> CoeffTable:
         for i in wide.tolist():
             p = int(starts[i])
             alpha[i + 1] = int.from_bytes(data[p : p + int(lens[i])], "little", signed=True)
-    return CoeffTable(weight_times_two=wt2, alpha=alpha, N=N)
+    return CoeffTable(alpha=alpha, N=N)
 
 
 def _load_csv(path: str) -> CoeffTable:
@@ -625,4 +627,4 @@ def _load_csv(path: str) -> CoeffTable:
             raise FormatError(f"{path}: duplicate row for n={n}")
         alpha[n] = v
     alpha[0] = 0
-    return CoeffTable(weight_times_two=13, alpha=alpha, N=N)
+    return CoeffTable(alpha=alpha, N=N)

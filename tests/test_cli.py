@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from halfint import cli
+from halfint.arith import enumerate_nflat
 from halfint.cli import cmd_signchanges
 from halfint.qseries import delta_halfintegral, save_coeffs
 
@@ -34,8 +35,8 @@ class TestSignChangesOp:
         from halfint.qseries import CoeffTable
 
         base = cmd_signchanges(10_000, "all_supported", table10k)
-        doubled = CoeffTable(13, [2 * v for v in table10k.alpha], table10k.N)
-        negated = CoeffTable(13, [-v for v in table10k.alpha], table10k.N)
+        doubled = CoeffTable([2 * v for v in table10k.alpha], table10k.N)
+        negated = CoeffTable([-v for v in table10k.alpha], table10k.N)
         assert cmd_signchanges(10_000, "all_supported", doubled).S == base.S
         assert cmd_signchanges(10_000, "all_supported", negated).S == base.S
 
@@ -242,3 +243,24 @@ class TestReadmeCommands:
                 row = dict(zip(*[line.split(",") for line in out.splitlines()]))
                 counts[row["index_set"]] = int(row["S"])
         assert counts == {"all_supported": 501_163, "nflat": 50_734}
+
+    def test_waldspurger_and_jutila_as_written(self, capsys, pins):
+        cmds = {c[0]: c for c in _readme_commands()}
+        assert cli.main(cmds["waldspurger"]) == 0
+        out, err = capsys.readouterr()
+        header, *rows = out.splitlines()
+        assert header == "d,alpha,lvalue,ratio"
+        dmax = int(cmds["waldspurger"][cmds["waldspurger"].index("--dmax") + 1])
+        assert [int(r.split(",")[0]) for r in rows] == [d for d in enumerate_nflat(dmax) if d >= 8]
+        assert err.startswith("# rel_std_dev = ")
+        assert float(err.split("=")[1]) < 1e-3
+
+        assert cli.main(cmds["jutila"]) == 0
+        out, _ = capsys.readouterr()
+        header, *rows = out.splitlines()
+        assert header == "Q,arcs,defect"
+        defects = {Q: float(v) for Q, _, v in (r.split(",") for r in rows)}
+        assert defects.keys() == pins["jutila_defects"].keys()
+        for Q, want in pins["jutila_defects"].items():
+            assert defects[Q] == pytest.approx(want, rel=1e-9)
+

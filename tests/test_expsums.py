@@ -5,7 +5,7 @@ import pytest
 
 from halfint import cli, expsums
 from halfint.arith import euler_phi, primes_up_to
-from halfint.errors import ConvergenceError, InsufficientTableError
+from halfint.errors import BudgetExceededError, ConvergenceError, InsufficientTableError
 from halfint.expsums import (
     automorphy_factor,
     build_jutila_system,
@@ -103,8 +103,9 @@ class TestJutila:
         assert jutila_l2_defect(20, 0.5, 1) == pytest.approx(hand, rel=1e-12)
 
     def test_float_certified_by_exact(self):
-        # rational mode re-runs the sweep on the same binary endpoints; the
-        # certification point is the lower end of the acceptance grid
+        # rational mode sweeps the rational centres d/q +- delta, not the
+        # float endpoints; the certification point is the lower end of the
+        # acceptance grid
         for Q in (300, 600, 2000):
             f = jutila_l2_defect(Q, 0.5, 1)
             e = jutila_l2_defect(Q, 0.5, 1, exact=True)
@@ -163,6 +164,17 @@ class TestJutila:
         assert cli.main(["jutila", "--qgrid", "2000000"]) == 3
         assert "arc endpoints exceed budget" in capsys.readouterr().err
         assert len(calls) <= 1
+
+
+    def test_oversized_grid_refused_before_sieving(self, monkeypatch):
+        # at Q = 2e8 the first admissible r (above 5e7) alone puts 2L past
+        # the endpoint budget, so no sieve may run
+        def no_sieve(n):
+            raise AssertionError(f"sieved to {n}")
+
+        monkeypatch.setattr(expsums, "primes_up_to", no_sieve)
+        with pytest.raises(BudgetExceededError, match="arc endpoints exceed budget"):
+            build_jutila_system(2e8, 0.5, 1)
 
 
 class TestPoisson:

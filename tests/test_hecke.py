@@ -163,7 +163,7 @@ class TestSignFlip:
 
         alpha = list(big_table.alpha[: 8 * 17 * 17 + 1])
         alpha[8] = 0
-        synth = CoeffTable(13, alpha, len(alpha) - 1)
+        synth = CoeffTable(alpha, len(alpha) - 1)
         with pytest.raises(ValueError):
             signflip_verify(8, 17, synth)
 

@@ -2,13 +2,19 @@
 of its top-level classes, has a product, acceptance or bench caller.
 
 The walk is by name over the module ASTs, so it over-approximates: a
-reference to `foo` from anywhere reachable keeps every top-level `foo` and
-every method `foo` in every module. It starts from `cli.main`, from every
-name that tests/test_acceptance.py imports or references, and from every
-name that perfbench/*.py takes from halfint (module attributes, `from
-halfint...` imports, and the dotted function names its tracer patches by
-string). It then follows the names, attributes and identifier strings inside
-each definition it reaches. The files are only read.
+reference to `foo` from anywhere reachable keeps every top-level `foo` in
+every module. It starts from `cli.main`, from every name that
+tests/test_acceptance.py references, and from every name that perfbench/*.py
+takes from halfint (module attributes, `from halfint...` imports, and the
+dotted function names its tracer patches by string). It then follows the
+references inside each definition it reaches.
+
+Two kinds of reference are told apart. A top-level definition is kept only
+by a name that is read (not one that is bound: a local, a parameter or a
+dataclass field), by a `from ... import` of it, by an attribute of a halfint
+module (`import ... as` aliases resolved), or by an identifier-like string.
+A method or property is kept by any attribute of that name, on any object,
+or by such a string. The files are only read.
 """
 
 import ast
@@ -17,6 +23,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "halfint"
+MODULES = {path.stem for path in SRC.glob("*.py")}
 
 # Top-level names that only unit tests reach but that stay on purpose, each
 # with its reason. Keep this empty unless a name cannot have another caller.
@@ -25,20 +32,84 @@ ALLOWED_TEST_ONLY: dict = {}
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
 
 
-def _references(node: ast.AST) -> set:
-    """Names, attribute names and the parts of identifier-like strings."""
+def _module_aliases(tree: ast.AST) -> set:
+    """Local names that the imports of one file bind to halfint or to one of
+    its modules."""
     out = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            out.add(sub.name.rsplit(".", 1)[-1])
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            if _IDENT.match(sub.value):
-                out.update(sub.value.split("."))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "halfint" or (node.level and not node.module):
+                out.update(a.asname or a.name for a in node.names if a.name in MODULES)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "halfint" or a.name.startswith("halfint."):
+                    out.add(a.asname or "halfint")
     return out
+
+
+def _is_module(node: ast.AST, aliases: set) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in aliases
+    return (isinstance(node, ast.Attribute) and node.attr in MODULES
+            and _is_module(node.value, aliases))
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound(scope: ast.AST) -> set:
+    """The names a function, lambda or comprehension binds itself: its
+    parameters and the names stored outside its nested scopes."""
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = scope.args
+        out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+               + [args.vararg, args.kwarg] if a is not None}
+        stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        out = set()
+        stack = [g.target for g in scope.generators]
+    declared = set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            out.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return out - declared
+
+
+def _references(node: ast.AST, aliases: set, bound: frozenset = frozenset()) -> tuple:
+    """(top, member): the names that keep a top-level definition alive, and
+    those that keep a method or property alive. `bound` holds the names the
+    enclosing scopes bind, whose reads are not references."""
+    top, member = set(), set()
+    if isinstance(node, _SCOPES):
+        bound = bound | _bound(node)
+    if isinstance(node, ast.Name):
+        if isinstance(node.ctx, ast.Load) and node.id not in bound:
+            top.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        member.add(node.attr)
+        if _is_module(node.value, aliases):
+            top.add(node.attr)
+    elif isinstance(node, ast.ImportFrom):
+        top.update(a.name for a in node.names)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if _IDENT.match(node.value):
+            top.update(node.value.split("."))
+            member.update(node.value.split("."))
+    for child in ast.iter_child_nodes(node):
+        t, m = _references(child, aliases, bound)
+        top |= t
+        member |= m
+    return top, member
 
 
 def _is_method(node: ast.AST) -> bool:
@@ -80,45 +151,73 @@ def _definitions() -> dict:
     return defs
 
 
-def _bench_roots() -> set:
-    """Names perfbench/*.py takes from halfint: attributes of `halfint` or of
-    a name spelled like one of its modules, `from halfint...` imports, and
-    the parts of identifier-like strings."""
-    modules = {"halfint"} | {path.stem for path in SRC.glob("*.py")}
-    roots = set()
+def _bench_roots() -> tuple:
+    """(top, member) references perfbench/*.py makes into halfint: for top,
+    attributes of halfint modules, `from halfint...` imports and the parts
+    of identifier-like strings; for member, also every other attribute."""
+    top, member = set(), set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("halfint"):
-                roots.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id in modules:
-                    roots.add(node.attr)
+                top.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                member.add(node.attr)
+                if _is_module(node.value, aliases):
+                    top.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if _IDENT.match(node.value):
-                    roots.update(node.value.split("."))
-    return roots
+                    top.update(node.value.split("."))
+                    member.update(node.value.split("."))
+    return top, member
 
 
 def unreachable() -> list:
     defs = _definitions()
+    aliases = {path.stem: _module_aliases(ast.parse(path.read_text(encoding="utf-8")))
+               for path in SRC.glob("*.py")}
     by_name: dict = {}
     for mod, name in defs:
-        by_name.setdefault(name.rsplit(".", 1)[-1], []).append((mod, name))
-    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
-    todo = ["main"] + sorted(_references(acceptance) | _bench_roots() | set(ALLOWED_TEST_ONLY))
+        kind = "member" if "." in name else "top"
+        by_name.setdefault((kind, name.rsplit(".", 1)[-1]), []).append((mod, name))
+    path = ROOT / "tests" / "test_acceptance.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top, member = _references(tree, _module_aliases(tree))
+    bench_top, bench_member = _bench_roots()
+    todo = [("top", name) for name in {"main"} | top | bench_top | set(ALLOWED_TEST_ONLY)]
+    todo += [("member", name) for name in member | bench_member]
     seen = set()
     while todo:
-        name = todo.pop()
-        for key in by_name.get(name, ()):
+        ref = todo.pop()
+        for key in by_name.get(ref, ()):
             if key not in seen:
                 seen.add(key)
-                todo.extend(_references(defs[key]))
+                top, member = _references(defs[key], aliases[key[0]])
+                todo += [("top", name) for name in top]
+                todo += [("member", name) for name in member]
     return sorted(f"{mod}.{name}" for mod, name in defs if (mod, name) not in seen)
 
 
 def test_every_definition_has_a_caller():
     dead = unreachable()
     assert not dead, "no product, acceptance or bench caller: " + ", ".join(dead)
+
+
+def test_bound_names_and_foreign_attributes_are_not_references():
+    # a local, a parameter, a field and an attribute of a non-halfint object
+    # named `nu` do not keep a top-level `nu`; a halfint module attribute does
+    code = ast.parse(
+        "import numpy as np\n"
+        "from halfint import mollifier as mo\n"
+        "class A:\n    nu: complex\n"
+        "def f(nu, x):\n    y = nu\n    return [nu for nu in x], x.nu, np.nu, y\n"
+        "def g():\n    return mo.nu_fold, lambda nu: nu\n"
+    )
+    top, member = _references(code, _module_aliases(code))
+    assert "nu" not in top and "nu" in member
+    assert {"nu_fold", "complex", "np", "mo"} <= top
+    assert _module_aliases(code) == {"mo"}
 
 
 def test_walk_sees_the_roots():
@@ -128,4 +227,4 @@ def test_walk_sees_the_roots():
                 ("lvalue", "first_moment_scan"), ("mollifier", "nu_fold"),
                 ("hecke", "HeckeTable.lam"), ("qseries", "CoeffTable.sign_array")]:
         assert key in defs
-    assert {"first_moment_scan", "delta_halfintegral"} <= _bench_roots()
+    assert {"first_moment_scan", "delta_halfintegral"} <= _bench_roots()[0]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from halfint import lvalue
 from halfint.arith import enumerate_nflat
 from halfint.errors import InsufficientTableError
 from halfint.hecke import build_hecke_table
@@ -39,16 +40,27 @@ class TestWKernel:
     def test_against_contour_oracle(self):
         assert w_kernel_worst() < 1e-10
 
-    def test_oracle_richardson_stable(self):
-        a = w_kernel_oracle(0.5, 6, quadrature_step=0.04)
-        b = w_kernel_oracle(0.5, 6, quadrature_step=0.02)
+    def test_oracle_richardson_stable(self, monkeypatch):
+        b = w_kernel_oracle(0.5, 6)
+        monkeypatch.setattr(lvalue, "_CONTOUR_STEP", 0.04)
+        a = w_kernel_oracle(0.5, 6)
         assert a == pytest.approx(b, abs=1e-11)
 
-    def test_oracle_tail_guard(self):
+    def test_oracle_tail_guard(self, monkeypatch):
         from halfint.errors import ConvergenceError
 
+        monkeypatch.setattr(lvalue, "_CONTOUR_SPAN", 5.0)
         with pytest.raises(ConvergenceError):
-            w_kernel_oracle(0.5, 6, quadrature_span=5.0)
+            w_kernel_oracle(0.5, 6)
+
+    def test_array_is_the_scalar_elementwise(self):
+        x = np.array([1e-8, 0.01, 0.3, 1.0, 2.5, 7.0, 30.0])
+        for k in (2, 6):
+            w = w_kernel(x, k)
+            assert isinstance(w, np.ndarray) and isinstance(w_kernel(0.3, k), float)
+            assert w.tolist() == [w_kernel(float(v), k) for v in x]
+        with pytest.raises(ValueError):
+            w_kernel(np.array([1.0, 0.0]), 6)
 
 
 class TestChiArray:
@@ -152,7 +164,7 @@ class TestWaldspurger:
 
         alpha = list(big_table.alpha[:101])
         alpha[8] = 0
-        synth = CoeffTable(13, alpha, 100)
+        synth = CoeffTable(alpha, 100)
         with pytest.raises(InconsistencyError):
             waldspurger_ratio(8, synth, hecke26k)
 
@@ -194,13 +206,12 @@ class TestFirstMoment:
         assert ref() is None
 
     def test_window_rows_stay_on_table(self, monkeypatch):
-        # every window scanned on a table is reused while the table lives,
-        # however many other windows were scanned in between
-        from halfint import lvalue
-
+        # the central values of every x scanned on a table are reused while
+        # the table lives, for every twist and however many other x were
+        # scanned in between
         t = build_hecke_table(1600)
-        windows = [(0.5 - 0.05 * i, 1.0) for i in range(9)]
-        first = [first_moment_scan(200, 3, t, window=w) for w in windows]
+        xs = [200 - 10 * i for i in range(9)]
+        first = [first_moment_scan(x, 3, t) for x in xs]
         computed = []
         real = lvalue.central_lvalue
 
@@ -209,8 +220,8 @@ class TestFirstMoment:
             return real(d, *args, **kwargs)
 
         monkeypatch.setattr(lvalue, "central_lvalue", counting)
-        again = [first_moment_scan(200, 3, t, window=w) for w in windows]
-        first_moment_scan(200, 5, t, window=windows[0])
+        again = [first_moment_scan(x, 3, t) for x in xs]
+        first_moment_scan(xs[0], 5, t)
         assert computed == []
         assert again == first
 

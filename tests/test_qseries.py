@@ -310,7 +310,6 @@ class TestCoeffCache:
         path = tmp_path / "t.hicf"
         save_coeffs(t, str(path))
         back = load_coeffs(str(path))
-        assert back.weight_times_two == 13
         assert back.N == t.N
         assert np.array_equal(back.alpha, t.alpha)
 
@@ -401,17 +400,15 @@ class TestCoeffCache:
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
-            CoeffTable(weight_times_two=12, alpha=[0, 1], N=1)
-        with pytest.raises(ValueError):
-            CoeffTable(weight_times_two=13, alpha=[0, 1, 2], N=1)
+            CoeffTable(alpha=[0, 1, 2], N=1)
         # every entry is checked, not only the first few
         for bad in (1.5, None, "7"):
             with pytest.raises(ValueError):
-                CoeffTable(weight_times_two=13, alpha=[0] * 20 + [bad], N=20)
+                CoeffTable(alpha=[0] * 20 + [bad], N=20)
 
     def test_table_dtype(self):
-        assert CoeffTable(13, [0, 1, -2], 2).alpha.dtype == np.int64
-        wide = CoeffTable(13, [0, 1, -(2**63) - 1], 2)
+        assert CoeffTable([0, 1, -2], 2).alpha.dtype == np.int64
+        wide = CoeffTable([0, 1, -(2**63) - 1], 2)
         assert wide.alpha.dtype == object
         assert wide.a(2) == -(2**63) - 1 and type(wide.a(2)) is int
         assert wide.sign_array().tolist() == [0, 1, -1]
