@@ -10,6 +10,7 @@ pure, so concurrent readers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -110,27 +111,25 @@ def kronecker(d: int, n: int) -> int:
     return result * _jacobi(d % n, n)
 
 
-def _is_squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 2
-    return True
+@lru_cache(maxsize=1)
+def kronecker_row(n: int) -> np.ndarray:
+    """(a|n) over one period of a, read-only float64: 0 <= a < n, or
+    0 <= a < 4n when n = 2 mod 4. One row serves a sweep at a fixed n."""
+    period = 4 * n if n % 4 == 2 else n
+    row = np.array([kronecker(a, n) for a in range(period)], dtype=np.float64)
+    row.flags.writeable = False
+    return row
 
 
 def is_fundamental_discriminant(d: int) -> bool:
     """True iff d = 1 mod 4 square-free, or d = 4m with m = 2,3 mod 4 square-free."""
     if d == 0:
         raise ValueError("0 is not a discriminant")
-    if d % 4 == 1:
-        return _is_squarefree(abs(d))
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and _is_squarefree(abs(m))
-    return False
+    if d % 4 == 0 and (d // 4) % 4 in (2, 3):
+        d //= 4
+    elif d % 4 != 1:
+        return False
+    return all(e == 1 for _, e in factorize_small(abs(d)).prime_powers)
 
 
 def odd_squarefree_flags(limit: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from .arith import (
     enumerate_nflat,
     euler_phi,
     factorize_small,
-    kronecker,
     odd_squarefree_flags,
     sigma3_table,
     smallest_prime_factors,
@@ -101,26 +100,6 @@ def cmd_signchanges(X: int, index_set: str, coeffs: CoeffTable) -> SignChangeRep
     )
 
 
-def _mollifier_scan(params, t, nmax: int) -> np.ndarray:
-    """M((-1)^k 8n; 1/kappa) for 1 <= n <= nmax, vectorized over n."""
-    narr = np.arange(nmax + 1, dtype=np.int64)
-    logfac = math.log(params.x) ** (1.0 / (2.0 * params.kappa))
-    m_total = np.full(nmax + 1, logfac)
-    for j in range(params.J + 1):
-        p_arr = np.zeros(nmax + 1)
-        for p in params.primes[j]:
-            table = np.fromiter(
-                (kronecker(r, p) for r in range(p)), dtype=np.float64, count=p
-            )
-            p_arr += (
-                mollifier.coeff_a(p, params.J, params, t)
-                / math.sqrt(p)
-                * table[(8 * narr) % p]
-            )
-        m_total *= mollifier._e_truncated_vec(-p_arr / params.kappa, params.ell[j])
-    return m_total
-
-
 def cmd_moments(
     X_list: list,
     coeffs: CoeffTable,
@@ -140,7 +119,9 @@ def cmd_moments(
     csq = np.where(flags, c[8 * n] ** 2, 0.0)
     rows = []
     if mollifier_params is not None:
-        msq = _mollifier_scan(mollifier_params, hecke_table, xmax) ** 2
+        msq = mollifier.mollifier_value(
+            8 * n, mollifier_params.kappa, mollifier_params, hecke_table
+        ).value ** 2
     for X in X_list:
         row = {"X": X, "second": float(np.add.reduce(csq[: X + 1])) / X}
         if mollifier_params is not None:
@@ -155,7 +136,7 @@ def cmd_moments(
 
 def cmd_waldspurger(d_max: int, tol: float, hecke_table=None) -> list:
     ds = [d for d in enumerate_nflat(d_max) if d >= 8]
-    need = lvalue._truncation_length(d_max, tol)  # the longest AFE sum, at d = d_max
+    need = lvalue.truncation_length(d_max, tol)  # the longest AFE sum, at d = d_max
     if hecke_table is None or hecke_table.N < need:
         hecke_table = build_hecke_table(need)
     coeffs = delta_halfintegral(d_max)
@@ -347,13 +328,14 @@ def _suite_mollifier():
     params = mollifier.build_params(
         x=1.0e6, l=2.0, kappa=0.5, eta2=0.2, c0=2.0, theta0_override=0.1
     )
+    ms = 8 * np.arange(1, 400)
+    mollifier.mollifier_value(ms, 0.5, params, tab)  # raises unless positive
     worst = 0.0
-    for m in range(1, 400):
-        mollifier.mollifier_value(8 * m, 0.5, params, tab)  # raises unless positive
-        for j in range(params.J + 1):
-            enum = mollifier.m_factor(8 * m, j, 0.5, params, tab, method="enumerate")
-            iden = mollifier.m_factor(8 * m, j, 0.5, params, tab, method="identity")
-            worst = max(worst, abs(enum - iden) / max(1.0, abs(iden)))
+    for j in range(params.J + 1):
+        iden = mollifier.m_factor(ms, j, 0.5, params, tab, method="identity")
+        enum = [mollifier.m_factor(int(m), j, 0.5, params, tab, method="enumerate") for m in ms]
+        gap = np.abs(np.array(enum) - iden) / np.maximum(1.0, np.abs(iden))
+        worst = max(worst, float(gap.max()))
     if not (expansion_identity_holds(tab) and taylor_bound_holds((4, 8, 16, 64), 41)):
         return 1.0, False
     return _below(worst, 1e-12)

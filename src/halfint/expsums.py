@@ -12,12 +12,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import euler_phi, factorize_small, kronecker, primes_up_to
+from .arith import euler_phi, factorize_small, kronecker, kronecker_row, primes_up_to
 from .errors import BudgetExceededError, ConvergenceError, InsufficientTableError
 from .qseries import K, WEIGHT_TIMES_TWO, CoeffTable
 
@@ -46,15 +45,7 @@ def gauss_sum_bruteforce(l: int, n: int) -> complex:
     pref = (1 - 1j) / 2 + kronecker(-1, n) * (1 + 1j) / 2
     a = np.arange(n)
     phase = np.exp(2j * np.pi * ((a * (l % n)) % n) / n)
-    return complex(pref * np.dot(_jacobi_row(n), phase))
-
-
-@lru_cache(maxsize=1)
-def _jacobi_row(n: int) -> np.ndarray:
-    """(a|n) for 0 <= a < n, read-only: an oracle sweeps every l at one n."""
-    row = np.fromiter((kronecker(a, n) for a in range(n)), dtype=np.float64, count=n)
-    row.flags.writeable = False
-    return row
+    return complex(pref * np.dot(kronecker_row(n), phase))
 
 
 def _gauss_prime_power(l: int, p: int, beta: int) -> float:
@@ -118,8 +109,10 @@ def build_jutila_system(Q: float, eta: float, Delta: int) -> JutilaSystem:
     Each r is an odd prime, so phi(q) = phi(4 Delta) (r - 1) when r does not
     divide Delta and phi(4 Delta) r when it does. Every r >= r_lo thus adds
     at least phi(4 Delta) (r_lo - 1) to L. When that alone passes the
-    budget, the system is refused as soon as trial division upward from r_lo
-    finds the first admissible r, before anything is sieved."""
+    budget, the system is refused before anything is sieved: every r lies in
+    [x, 2x] with x = Q / (4 Delta) >= sqrt(Q)/4, far above 7 there, and for
+    x >= 7 Breusch's theorem (Math. Z. 34, 1932) puts a prime = 1 mod 4 in
+    (x, 2x), so some r is admissible."""
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     if Delta < 1 or Delta > Q ** (eta / 2) + 1e-9:
@@ -127,12 +120,10 @@ def build_jutila_system(Q: float, eta: float, Delta: int) -> JutilaSystem:
     r_lo = math.ceil(Q / (4 * Delta))
     r_hi = math.floor(2 * Q / (4 * Delta))
     phi4 = euler_phi(4 * Delta)
-    if 2 * phi4 * (r_lo - 1) > _ENDPOINT_BUDGET:
-        for r in range(r_lo + (1 - r_lo) % 4, r_hi + 1, 4):
-            if factorize_small(r).prime_powers == ((r, 1),):
-                raise BudgetExceededError(
-                    f"at least {2 * phi4 * (r - 1)} arc endpoints exceed budget"
-                )
+    if 2 * phi4 * (r_lo - 1) > _ENDPOINT_BUDGET and Q / (4 * Delta) >= 7:
+        raise BudgetExceededError(
+            f"at least {2 * phi4 * (r_lo - 1)} arc endpoints exceed budget"
+        )
     rs = [
         r
         for r in primes_up_to(max(r_hi, 2))

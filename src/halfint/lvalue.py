@@ -57,6 +57,7 @@ __all__ = [
     "first_moment_scan",
     "bump_window",
     "chi_array",
+    "truncation_length",
 ]
 
 
@@ -130,7 +131,8 @@ def chi_array(d: int, N: int) -> np.ndarray:
     return chi
 
 
-def _truncation_length(d: int, tol: float) -> int:
+def truncation_length(d: int, tol: float) -> int:
+    """Length N0 of the AFE sum at d for tolerance tol."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     return math.ceil(abs(d) * max(8.0, (K + math.log(1.0 / tol)) / (2 * math.pi)))
@@ -152,7 +154,7 @@ def central_lvalue(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueResult:
         raise ValueError(f"{d} is not a fundamental discriminant")
     if d < 0:
         return LValueResult(value=0.0, truncation_bound=0.0, terms_used=0, root_number=-1)
-    N0 = _truncation_length(d, tol)
+    N0 = truncation_length(d, tol)
     if N0 > t.N:
         raise InsufficientTableError(
             f"need eigenvalues to {N0} for d={d}, table holds {t.N}"

@@ -4,9 +4,9 @@ combinatorial identities behind its Dirichlet-series expansion.
 Construction. A scale x is split into prime blocks I_0 = (c0, x^{t_0}],
 I_j = (x^{t_{j-1}}, x^{t_j}] with geometrically growing exponents
 t_j = t_0 e^j, stopped once t_J lands in [eta2, e*eta2]. Each block carries
-an even truncation length ell_j = 2 floor(t_j^{-3/4}) and a smooth damping
-w(p; j) so that the block coefficients a(p; j) = lambda(p) w(p; j) taper to
-zero at the block's upper edge. The mollifier at twist m is
+an even truncation length ell_j = 2 floor(t_j^{-3/4}). One smooth damping
+w(p) = w(p; J), which vanishes at the top edge x^{t_J}, gives every prime
+the coefficient a(p) = lambda(p) w(p). The mollifier at twist m is
 
     M(m; 1/kappa) = (log x)^{1/(2 kappa)} prod_j M_j(m; 1/kappa),
 
@@ -18,9 +18,11 @@ ell_j prime factors. By the multinomial identity
 
 with nu the multiplicative weight nu(p^a) = 1/a!, the block factor
 collapses to the truncated exponential M_j(m) = E_{ell_j}(-P_j(m)/kappa),
-which is strictly positive for even ell_j. Both routes are implemented: the definitional divisor enumeration
-(`m_factor` with method="enumerate") and the collapsed form
-(method="identity"); their agreement is one of the verification suites.
+which is strictly positive for even ell_j. Both routes are implemented: the
+definitional divisor enumeration (`m_factor` with method="enumerate") and
+the collapsed form (method="identity"); their agreement is one of the
+verification suites. The collapsed form also takes an int array of twists,
+and `halfint moments --mollify` evaluates it so.
 
 Asymptotically-shaped parameters make I_0 empty at any feasible scale, so
 `build_params` accepts an explicit leading exponent; in that desk mode the
@@ -38,7 +40,7 @@ from math import factorial
 
 import numpy as np
 
-from .arith import factorize_small, kronecker, primes_up_to
+from .arith import factorize_small, kronecker, kronecker_row, primes_up_to
 from .errors import (
     BudgetExceededError,
     CapacityError,
@@ -81,13 +83,15 @@ class MollifierParams:
 
 @dataclass(frozen=True)
 class MollifierValue:
-    value: float
+    value: float | np.ndarray
 
 
 # nodes one block-support enumeration may visit
 _BUDGET = 10_000_000
 # relative tolerance of dirichlet_expansion_check
 _EXPANSION_TOL = 1e-12
+# relative error bound past which e_truncated recomputes an entry exactly
+_E_REL = 2.0**-43
 
 
 def build_params(
@@ -149,79 +153,76 @@ def build_params(
     )
 
 
-def weight_w(t: float, j: int, params: MollifierParams) -> float:
-    """Block damping t^{-1/(theta_j log x)} (1 - log t / (theta_j log x)):
-    tends to 1 as t -> 1+, vanishes at t = x^{theta_j}."""
+def weight_w(t: float, params: MollifierParams) -> float:
+    """Damping w(t) = t^{-1/(theta_J log x)} (1 - log t / (theta_J log x)):
+    tends to 1 as t -> 1+, vanishes at the top block edge t = x^{theta_J}."""
     if t <= 1:
         raise ValueError("weight argument must exceed 1")
-    tl = params.theta[j] * math.log(params.x)
+    tl = params.theta[params.J] * math.log(params.x)
     return t ** (-1.0 / tl) * (1.0 - math.log(t) / tl)
 
 
-def coeff_a(p: int, j: int, params: MollifierParams, t: HeckeTable) -> float:
-    """a(p; j) = lambda(p) w(p; j) at a prime p."""
+def coeff_a(p: int, params: MollifierParams, t: HeckeTable) -> float:
+    """a(p) = lambda(p) w(p) at a prime p."""
     if p > t.N:
         raise ValueError(f"prime {p} beyond eigenvalue table {t.N}")
-    return float(t.lam[p]) * weight_w(p, j, params)
+    return float(t.lam[p]) * weight_w(p, params)
 
 
-def p_sum(m: int, j: int, u: int, params: MollifierParams, t: HeckeTable) -> float:
-    """P_{I_j}(m; a(.; u)) = sum over primes p in I_j of a(p;u)(m|p)/sqrt(p)."""
-    acc = 0.0
+def p_sum(m, j: int, params: MollifierParams, t: HeckeTable):
+    """P_{I_j}(m) = sum over primes p in I_j of a(p)(m|p)/sqrt(p), for an int
+    m or an int array. A scalar reads kronecker(m, p) and an array the row of
+    (r|p); both add a(p)/sqrt(p) times the same +-1 or 0, so both round alike."""
+    scalar = np.ndim(m) == 0
+    acc = 0.0 if scalar else np.zeros(np.shape(m))
     for p in params.primes[j]:
-        sym = kronecker(m, p)
-        if sym:
-            acc += coeff_a(p, u, params, t) * sym / math.sqrt(p)
+        if scalar:
+            sym = kronecker(m, p)
+        else:
+            row = kronecker_row(p)
+            sym = row[np.asarray(m) % row.size]
+        acc = acc + coeff_a(p, params, t) / math.sqrt(p) * sym
     return acc
 
 
-def e_truncated(t: float, ell: int) -> float:
-    """Partial exponential sum_{s <= ell} t^s/s!; strictly positive for even
-    ell. Negative arguments route through exact rational arithmetic: in the
-    regime where the truncation has converged to e^t the float sum loses all
-    significant digits to cancellation, and the sign must not."""
+def e_truncated(t, ell: int):
+    """Partial exponential E_ell(t) = sum_{s <= ell} t^s/s! of a float or an
+    array; strictly positive for even ell.
+
+    Each term takes at most 2 ell roundings (term * t / s) and the sum ell
+    more, so the float result is within gamma_{3 ell} sum |t^s/s!| of the
+    exact value, gamma_n = n u / (1 - n u), u = 2^-53. Entries where that
+    bound exceeds 2^-43 of the result (the cancellation zone of negative t)
+    are recomputed exactly, which also settles their sign. A float argument
+    returns a float."""
     if ell < 2 or ell % 2:
         raise ValueError("truncation length must be even and >= 2")
-    if t >= 0:
-        term = 1.0
-        acc = 1.0
-        for s in range(1, ell + 1):
-            term *= t / s
-            acc += term
-        return acc
-    tf = Fraction(t)
-    term = Fraction(1)
-    acc = Fraction(1)
+    scalar = np.ndim(t) == 0
+    ts = float(t) if scalar else np.asarray(t, dtype=np.float64)
+    term = acc = mass = 1.0
     for s in range(1, ell + 1):
-        term = term * tf / s
-        acc += term
-    return float(acc)
-
-
-def _e_truncated_vec(t: np.ndarray, ell: int) -> np.ndarray:
-    """Vectorized partial exponential with a cancellation rescue: entries
-    whose float result is tiny against the largest term are recomputed
-    exactly."""
-    acc = np.ones_like(t)
-    term = np.ones_like(t)
-    maxterm = np.ones_like(t)
-    for s in range(1, ell + 1):
-        term = term * t / s
+        term = term * ts / s
         acc = acc + term
-        maxterm = np.maximum(maxterm, np.abs(term))
-    risky = np.abs(acc) < 1e-6 * maxterm
-    if np.any(risky):
-        idx = np.nonzero(risky)[0]
-        for i in idx:
-            acc[i] = e_truncated(float(t[i]), ell)
-    return acc
+        mass = mass + abs(term)
+    g = 3 * ell * 2.0**-53
+    risky = np.flatnonzero(g / (1 - g) * mass > _E_REL * abs(acc))
+    acc, ts = np.atleast_1d(acc, ts)
+    for i in risky:
+        # t = a/b: E = sum_s a^s w_s / w_0, w_s = b^(ell-s) ell!/s!, rounded once
+        a, b = float(ts.flat[i]).as_integer_ratio()
+        num, w = 0, 1
+        for s in range(ell, 0, -1):
+            num = num * a + w
+            w *= b * s
+        acc.flat[i] = (num * a + w) / w
+    return float(acc[0]) if scalar else acc
 
 
 def _block_support(j: int, max_omega: int, params: MollifierParams, t: HeckeTable):
     """All I_j-smooth n with Omega(n) <= max_omega as
-    (n, omega, a(n;J), nu(n), exponent map); DFS over block primes."""
+    (n, omega, a(n), nu(n), exponent map); DFS over block primes."""
     plist = params.primes[j]
-    a_at = {p: coeff_a(p, params.J, params, t) for p in plist}
+    a_at = {p: coeff_a(p, params, t) for p in plist}
     out = []
     count = 0
 
@@ -293,7 +294,7 @@ def _twist_signs(m: int, j: int, params: MollifierParams, s: _Support) -> np.nda
 def _block_sum(
     m: int, j: int, kappa: float, weight: np.ndarray, params: MollifierParams, s: _Support
 ) -> float:
-    """sum of kappa^{-Omega} a(n;J) (-1)^Omega weight(n) (m|n)/sqrt(n) over
+    """sum of kappa^{-Omega} a(n) (-1)^Omega weight(n) (m|n)/sqrt(n) over
     the support: each term is rounded as that product is, left to right, and
     the terms are added in DFS order, so the result is bit-identical to a
     Python loop over `_block_support`."""
@@ -304,21 +305,23 @@ def _block_sum(
 
 
 def m_factor(
-    m: int,
+    m,
     j: int,
     kappa: float,
     params: MollifierParams,
     t: HeckeTable,
     method: str = "identity",
-) -> float:
+):
     """Block factor M_j(m; 1/kappa).
 
     method="enumerate": the defining truncated sum over I_j-smooth n with
-    Omega(n) <= ell_j of kappa^{-Omega} a(n;J) lambda(n) nu(n) (m|n)/sqrt(n).
-    method="identity": the collapsed form E_{ell_j}(-P_{I_j}(m; a(.;J))/kappa).
+    Omega(n) <= ell_j of kappa^{-Omega} a(n) lambda(n) nu(n) (m|n)/sqrt(n),
+    for an int m.
+    method="identity": the collapsed form E_{ell_j}(-P_{I_j}(m)/kappa), for
+    an int m or an int array.
     """
     if method == "identity":
-        return e_truncated(-p_sum(m, j, params.J, params, t) / kappa, params.ell[j])
+        return e_truncated(-p_sum(m, j, params, t) / kappa, params.ell[j])
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
     s = _support(j, params.ell[j], params, t)
@@ -326,14 +329,20 @@ def m_factor(
 
 
 def mollifier_value(
-    m: int, kappa: float, params: MollifierParams, t: HeckeTable
+    m, kappa: float, params: MollifierParams, t: HeckeTable
 ) -> MollifierValue:
-    factors = tuple(
-        m_factor(m, j, kappa, params, t, method="identity") for j in range(params.J + 1)
-    )
-    value = math.log(params.x) ** (1.0 / (2.0 * kappa)) * math.prod(factors)
-    if value <= 0:
-        raise InconsistencyError(f"mollifier must be positive, got {value} at m={m}")
+    """M(m; 1/kappa) for an int m or an int array: the (log x)^{1/(2 kappa)}
+    prefactor times each block factor in order. Raises InconsistencyError at
+    the first m whose value is not positive."""
+    value = math.log(params.x) ** (1.0 / (2.0 * kappa))
+    for j in range(params.J + 1):
+        value = value * m_factor(m, j, kappa, params, t, method="identity")
+    bad = np.flatnonzero(~(np.asarray(value) > 0))
+    if bad.size:
+        i = bad[0]
+        raise InconsistencyError(
+            f"mollifier must be positive, got {np.ravel(value)[i]} at m={np.ravel(m)[i]}"
+        )
     return MollifierValue(value=value)
 
 
@@ -390,7 +399,7 @@ def dirichlet_expansion_check(
 ) -> bool:
     """Compare M(m; 1/kappa)^{l kappa} with its expanded Dirichlet series
 
-        (log x)^{l/2} sum_n h(n) a(n;J) lambda(n) kappa^{-Omega(n)} (m|n)/sqrt(n),
+        (log x)^{l/2} sum_n h(n) a(n) lambda(n) kappa^{-Omega(n)} (m|n)/sqrt(n),
 
     the sum running over products of block parts n_j with Omega(n_j) <=
     lk ell_j, and h(n) the product over blocks of nu_truncated(lk, n_j, ell_j).

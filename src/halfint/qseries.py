@@ -29,7 +29,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class PowerSeries:
     """q-expansion sum a_n q^n for 0 <= n <= truncation, exact rationals."""
 
     coeffs: list
-    label: str = ""
 
     def __post_init__(self):
         self.coeffs = [Fraction(c) for c in self.coeffs]
@@ -76,9 +75,6 @@ class PowerSeries:
     @property
     def truncation(self) -> int:
         return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.truncation, other.truncation)
@@ -90,7 +86,7 @@ class PowerSeries:
 
     def scale(self, c) -> "PowerSeries":
         c = Fraction(c)
-        return PowerSeries([c * a for a in self.coeffs], label=self.label)
+        return PowerSeries([c * a for a in self.coeffs])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
@@ -141,36 +137,22 @@ def theta_series(N: int) -> PowerSeries:
     out[0] = Fraction(1)
     for m in range(1, isqrt(N) + 1):
         out[m * m] = Fraction(2)
-    return PowerSeries(out, label="theta")
+    return PowerSeries(out)
 
 
-def _bernoulli(k: int) -> Fraction:
-    vals = [Fraction(1)]
-    for m in range(1, k + 1):
-        s = sum(comb(m + 1, j) * vals[j] for j in range(m))
-        vals.append(-s / (m + 1))
-    return vals[k]
-
-
-def zeta_neg(k: int) -> Fraction:
-    """zeta(1-k) = -B_k / k for integer k >= 2, exact."""
-    return -_bernoulli(k) / k
-
-
-def eisenstein_g(k: int, N: int) -> PowerSeries:
-    """Constant term zeta(1-k)/2, then sigma_{k-1}(n) q^n."""
-    if k % 2 != 0 or k < 4:
-        raise ValueError(f"unsupported weight {k}: need even k >= 4")
+def eisenstein_g(N: int) -> PowerSeries:
+    """G4 truncated at N: the constant term zeta(-3)/2 = 1/240, then
+    sigma_3(n) q^n."""
     out = [Fraction(0)] * (N + 1)
-    out[0] = zeta_neg(k) / 2
+    out[0] = Fraction(1, 240)
     sig = [0] * (N + 1)
     for d in range(1, N + 1):
-        dk = d ** (k - 1)
+        cube = d**3
         for m in range(d, N + 1, d):
-            sig[m] += dk
+            sig[m] += cube
     for n in range(1, N + 1):
         out[n] = Fraction(sig[n])
-    return PowerSeries(out, label=f"G{k}")
+    return PowerSeries(out)
 
 
 # ----------------------------------------------------------------------------
@@ -347,7 +329,7 @@ def delta_halfintegral_reference(N: int) -> CoeffTable:
     the result is asserted: every denominator introduced by the 1/240
     constant term must cancel.
     """
-    g4 = eisenstein_g(4, N)
+    g4 = eisenstein_g(N)
     th = theta_series(N)
     term1 = ps_mul(ps_dilate(g4, 4), ps_derivative_over_2pii(th))
     term2 = ps_mul(ps_dilate(ps_derivative_over_2pii(g4), 4), th)

@@ -13,6 +13,7 @@ from halfint.arith import (
     factorize_small,
     is_fundamental_discriminant,
     kronecker,
+    kronecker_row,
     odd_squarefree_flags,
     primes_up_to,
     sigma3_table,
@@ -178,6 +179,15 @@ class TestKronecker:
             for a in range(-n, 2 * n):
                 assert kronecker(a, n) == kronecker(a % n, n)
 
+    def test_row_covers_one_period(self):
+        # (a|n) has period n, or 4n when n = 2 mod 4
+        for n in (1, 2, 3, 4, 6, 8, 9, 10, 12, 15, 45):
+            row = kronecker_row(n)
+            assert not row.flags.writeable
+            assert row.size == (4 * n if n % 4 == 2 else n)
+            for a in range(-3 * row.size, 3 * row.size):
+                assert row[a % row.size] == kronecker(a, n), (a, n)
+
 
 class TestFundamentalDiscriminants:
     def test_examples(self):
@@ -194,6 +204,21 @@ class TestFundamentalDiscriminants:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             is_fundamental_discriminant(0)
+
+    def test_matches_the_definition_below_1e4(self):
+        # square-free by a sieve of squares, apart from factorize_small
+        lim = 10_000
+        squarefree = [True] * lim
+        for k in range(2, math.isqrt(lim) + 1):
+            squarefree[k * k :: k * k] = [False] * len(squarefree[k * k :: k * k])
+        for d in range(-lim + 1, lim):
+            if d == 0:
+                continue
+            m = d // 4
+            expect = (d % 4 == 1 and squarefree[abs(d)]) or (
+                d % 4 == 0 and m % 4 in (2, 3) and squarefree[abs(m)]
+            )
+            assert is_fundamental_discriminant(d) == expect, d
 
 
 class TestNflat:

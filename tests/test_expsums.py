@@ -176,6 +176,17 @@ class TestJutila:
         with pytest.raises(BudgetExceededError, match="arc endpoints exceed budget"):
             build_jutila_system(2e8, 0.5, 1)
 
+    def test_oversized_grid_refused_without_a_search(self, monkeypatch):
+        # Breusch's theorem guarantees an admissible r in (Q/4, Q/2), so no
+        # trial division or sieve may look for one
+        def no_search(n):
+            raise AssertionError(f"searched at {n}")
+
+        monkeypatch.setattr(expsums, "factorize_small", no_search)
+        monkeypatch.setattr(expsums, "primes_up_to", no_search)
+        with pytest.raises(BudgetExceededError, match="arc endpoints exceed budget"):
+            build_jutila_system(1e16, 0.5, 1)
+
 
 class TestPoisson:
     def test_trivial_character(self):

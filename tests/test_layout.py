@@ -15,6 +15,10 @@ dataclass field), by a `from ... import` of it, by an attribute of a halfint
 module (`import ... as` aliases resolved), or by an identifier-like string.
 A method or property is kept by any attribute of that name, on any object,
 or by such a string. The files are only read.
+
+A second walk keeps each module's private names its own: no src/halfint
+module may read an underscore name of another halfint module, by attribute
+or by `from ... import`.
 """
 
 import ast
@@ -197,6 +201,43 @@ def unreachable() -> list:
                 todo += [("top", name) for name in top]
                 todo += [("member", name) for name in member]
     return sorted(f"{mod}.{name}" for mod, name in defs if (mod, name) not in seen)
+
+
+def _private_reads(tree: ast.AST) -> list:
+    """The underscore names, dunders aside, that one file reads from halfint
+    modules, as `module.name` in the file's own spelling."""
+    aliases = _module_aliases(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_module(node.value, aliases):
+            out.append((ast.unparse(node.value), node.attr))
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "halfint"
+        ):
+            out += [(node.module or ".", a.name) for a in node.names]
+    return sorted(f"{mod}.{name}" for mod, name in out if name.startswith("_")
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_no_module_reads_another_modules_privates():
+    reads = [f"{path.stem} -> {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for name in _private_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not reads, "private names read across modules: " + ", ".join(reads)
+
+
+def test_private_reads_resolve_module_aliases():
+    # an aliased module's private attribute and a private from-import count;
+    # public names, dunders and attributes of other objects do not
+    code = ast.parse(
+        "import numpy as np\n"
+        "from . import lvalue\n"
+        "from . import mollifier as mo\n"
+        "from .arith import _jacobi, kronecker\n"
+        "def f(x, _e):\n"
+        "    return mo._scan(x), lvalue.w_kernel, np._priv, x._y, mo.__doc__, _e\n"
+    )
+    assert _private_reads(code) == ["arith._jacobi", "mo._scan"]
 
 
 def test_every_definition_has_a_caller():

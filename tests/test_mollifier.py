@@ -60,24 +60,24 @@ class TestBuildParams:
 
 class TestWeightAndCoeff:
     def test_vanishes_at_upper_edge(self, params):
-        x_edge = params.x ** params.theta[0]
-        assert mo.weight_w(x_edge, 0, params) == pytest.approx(0.0, abs=1e-12)
+        x_edge = params.x ** params.theta[params.J]
+        assert mo.weight_w(x_edge, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_tends_to_one(self, params):
-        assert mo.weight_w(1.0 + 1e-12, 0, params) == pytest.approx(1.0, abs=1e-9)
+        assert mo.weight_w(1.0 + 1e-12, params) == pytest.approx(1.0, abs=1e-9)
 
     def test_midpoint_interior(self, params):
-        mid = params.x ** (params.theta[0] / 2)
-        assert 0.0 < mo.weight_w(mid, 0, params) < 1.0
+        mid = params.x ** (params.theta[params.J] / 2)
+        assert 0.0 < mo.weight_w(mid, params) < 1.0
 
     def test_domain_error(self, params):
         with pytest.raises(ValueError):
-            mo.weight_w(1.0, 0, params)
+            mo.weight_w(1.0, params)
 
     def test_coeff_bounded_by_two(self, params, tab):
         for j in range(params.J + 1):
             for p in params.primes[j]:
-                assert abs(mo.coeff_a(p, j, params, tab)) <= 2.0
+                assert abs(mo.coeff_a(p, params, tab)) <= 2.0
 
     def test_coeff_approaches_lambda_for_tiny_prime(self, tab):
         # w(p) -> 1 as the block edge grows, at rate (1-w) log(edge) -> 2 log p
@@ -85,7 +85,7 @@ class TestWeightAndCoeff:
         for x in (1.0e6, 1.0e8, 1.0e10):
             p = mo.build_params(x=x, l=2.0, kappa=0.5, eta2=0.45, c0=2.0,
                                 theta0_override=0.5)
-            a3 = mo.coeff_a(3, p.J, p, tab)
+            a3 = mo.coeff_a(3, p, tab)
             w3 = a3 / float(tab.lam[3])
             gaps.append((1.0 - w3) * math.log(p.x ** p.theta[p.J]))
         # scaled gaps rise toward the first-order limit 2 log 3 from below
@@ -99,19 +99,28 @@ class TestPSum:
         m = 1
         for p in params.primes[0]:
             m *= p
-        assert mo.p_sum(m * m, 0, params.J, params, tab) == 0.0
+        assert mo.p_sum(m * m, 0, params, tab) == 0.0
 
     def test_trivial_twist_sums_all(self, params, tab):
         expect = sum(
-            mo.coeff_a(p, params.J, params, tab) / math.sqrt(p)
+            mo.coeff_a(p, params, tab) / math.sqrt(p)
             for p in params.primes[1]
         )
-        assert mo.p_sum(1, 1, params.J, params, tab) == pytest.approx(expect, rel=1e-12)
+        assert mo.p_sum(1, 1, params, tab) == pytest.approx(expect, rel=1e-12)
+
+    def test_array_equals_the_scalar(self, tab):
+        # c0 = 1.5 puts p = 2 in the lead block, where (m|2) has period 8
+        params = mo.build_params(x=1.0e6, eta2=0.2, c0=1.5, theta0_override=0.06)
+        assert params.primes[0][0] == 2
+        ms = np.arange(-60, 400)
+        for j in range(params.J + 1):
+            arr = mo.p_sum(ms, j, params, tab)
+            assert [mo.p_sum(int(m), j, params, tab) for m in ms] == arr.tolist()
 
     def test_power_identity(self, params, tab):
         # P^s = s! sum over n with Omega(n)=s of a(n) nu(n) (m|n)/sqrt(n)
         for m in (5, 11, 17):
-            p1 = mo.p_sum(m, 0, params.J, params, tab)
+            p1 = mo.p_sum(m, 0, params, tab)
             for s in (2, 3):
                 rhs = _omega_layer_sum(m, 0, s, params, tab)
                 assert p1**s == pytest.approx(math.factorial(s) * rhs, rel=1e-10)
@@ -148,11 +157,28 @@ class TestTruncatedExponential:
         with pytest.raises(ValueError):
             mo.e_truncated(1.0, 3)
 
-    def test_vector_matches_scalar_in_cancellation_zone(self):
-        ts = np.linspace(-24.0, -16.0, 33)
-        vec = mo._e_truncated_vec(ts.copy(), 64)
-        for t, v in zip(ts, vec):
-            assert v == pytest.approx(mo.e_truncated(float(t), 64), rel=1e-9)
+    def test_within_its_bound_of_the_exact_sum(self):
+        # dense grids over the cancellation zone and beyond; the array call
+        # and the scalar call round alike
+        for ell in (2, 4, 10, 16, 32, 64):
+            ts = np.linspace(-3.0 * ell, 3.0 * ell, 601)
+            got = mo.e_truncated(ts, ell)
+            assert isinstance(mo.e_truncated(float(ts[0]), ell), float)
+            for t, g in zip(ts, got):
+                assert mo.e_truncated(float(t), ell) == g
+                x = Fraction(float(t))
+                term = exact = Fraction(1)
+                for s in range(1, ell + 1):
+                    term = term * x / s
+                    exact += term
+                assert abs(Fraction(float(g)) - exact) <= Fraction(2) ** -43 * abs(exact)
+
+    def test_taylor_inequality_through_the_cancellation_zone(self):
+        # e^t <= (1 + e^{-ell/2}) E_ell(t) on 1001 points of [-20, 0] at
+        # ell = 64, where the float sum alone loses every digit
+        ts = np.linspace(-20.0, 0.0, 1001)
+        got = mo.e_truncated(ts, 64)
+        assert np.all(np.exp(ts) <= (1 + math.exp(-32)) * got * (1 + 1e-12))
 
 
 class TestMFactor:
@@ -165,7 +191,7 @@ class TestMFactor:
         prime = 3
         kappa = 0.5
         for m in (1, 5, 7):
-            a3 = mo.coeff_a(prime, p.J, p, tab)
+            a3 = mo.coeff_a(prime, p, tab)
             sym = kronecker(m, prime)
             expect = (
                 1
@@ -235,6 +261,14 @@ class TestMFactor:
         monkeypatch.setattr(mo, "e_truncated", lambda t, ell: 0.0)
         with pytest.raises(InconsistencyError):
             mo.mollifier_value(8, 0.5, params, tab)
+
+    def test_nonpositive_entry_is_named(self, params, tab, monkeypatch):
+        # zero from the fourth twist on: the error names m = 24 alone
+        monkeypatch.setattr(mo, "e_truncated",
+                            lambda t, ell: np.where(np.arange(t.size) < 3, 1.0, 0.0))
+        with pytest.raises(InconsistencyError, match=r"at m=24$") as err:
+            mo.mollifier_value(8 * np.arange(5000), 0.5, params, tab)
+        assert len(str(err.value)) < 100
 
 
 class TestNuFunctions:
@@ -310,7 +344,7 @@ class TestExpansionCheck:
         # a(p) > 0 it is negative while the n = 1 term is +1
         cfg = tiny_mollifier_configs()[1]
         p = cfg.primes[0][0]
-        a_p = mo.coeff_a(p, cfg.J, cfg, tab)
+        a_p = mo.coeff_a(p, cfg, tab)
         assert a_p > 0
         # h(n) is nu_truncated(l kappa, n, ell_0) on the single block
         lk = round(cfg.l * cfg.kappa)
@@ -326,15 +360,16 @@ class TestExpansionCheck:
 
 
 class TestMollifiedMoments:
-    def test_vector_scan_matches_scalar(self, hecke26k):
-        from halfint.cli import _mollifier_scan
-
+    def test_array_equals_the_scalar(self, hecke26k):
+        # the README configuration: one call over n = 0..2000 against one
+        # call per n, bit for bit
         params = mo.build_params(x=float(2**21), l=2.0, kappa=0.5, eta2=0.2,
                                  c0=2.0, theta0_override=0.08)
-        scan = _mollifier_scan(params, hecke26k, 64)
-        for n in (1, 7, 23, 40, 64):
-            direct = mo.mollifier_value(8 * n, 0.5, params, hecke26k).value
-            assert scan[n] == pytest.approx(direct, rel=1e-12)
+        n = np.arange(2001)
+        arr = mo.mollifier_value(8 * n, 0.5, params, hecke26k).value
+        assert arr.shape == n.shape
+        for k in range(2001):
+            assert mo.mollifier_value(8 * k, 0.5, params, hecke26k).value == arr[k]
 
     def test_blocks_positive_and_fourth_bounded(self, big_table, hecke26k, pins):
         from halfint.cli import cmd_moments

@@ -21,7 +21,6 @@ from halfint.qseries import (
     ps_mul,
     save_coeffs,
     theta_series,
-    zeta_neg,
 )
 
 small_series = st.lists(
@@ -188,7 +187,7 @@ class TestPowerSeriesOps:
         assert ps_dilate(a, 4).coeffs == [1, 0, 0, 0, 1]
 
     def test_dilate_constant_term_of_g4(self):
-        g4 = eisenstein_g(4, 8)
+        g4 = eisenstein_g(8)
         assert ps_dilate(g4, 4).coeffs[0] == Fraction(1, 240)
 
     @settings(max_examples=40, derandomize=True)
@@ -205,18 +204,14 @@ class TestConstructors:
         assert int(th.coeffs[3]) == 0
 
     def test_g4_values(self):
-        g4 = eisenstein_g(4, 6)
+        g4 = eisenstein_g(6)
         assert g4.coeffs[0] == Fraction(1, 240)
         assert int(g4.coeffs[1]) == 1
         assert int(g4.coeffs[6]) == 252
 
-    def test_zeta_negative_odd(self):
-        assert zeta_neg(4) == Fraction(1, 120)  # zeta(-3)
-        assert zeta_neg(2) == Fraction(-1, 12)  # zeta(-1)
-
-    def test_odd_weight_rejected(self):
-        with pytest.raises(ValueError):
-            eisenstein_g(5, 10)
+    def test_g4_constant_term_is_half_zeta_minus_three(self):
+        # zeta(-3) = -B_4/4 with B_4 = -1/30
+        assert eisenstein_g(0).coeffs == [-Fraction(-1, 30) / 4 / 2]
 
 
 class TestDeltaHalfIntegral:
