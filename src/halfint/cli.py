@@ -43,7 +43,7 @@ from .errors import (
     InsufficientTableError,
 )
 from .hecke import HeckeTable, build_hecke_table, shimura_identity_check
-from .qseries import CoeffTable, delta_halfintegral, load_coeffs, save_coeffs
+from .qseries import CoeffTable, delta_halfintegral, load_coeffs, replacing, save_coeffs
 
 __all__ = [
     "SignChangeReport",
@@ -451,6 +451,8 @@ def _parse_mollify(text: str):
     for tok in text.split(","):
         if not tok.strip():
             continue
+        if "=" not in tok:
+            raise ValueError(f"--mollify token {tok.strip()!r} is not key=value")
         k, v = tok.split("=", 1)
         k = k.strip()
         if k not in _MOLLIFY_KEYS:
@@ -527,9 +529,9 @@ def main(argv=None) -> int:
     fmt = args.format or "csv"
     try:
         rows, status = _dispatch(args, ap)
-        # open the report only once the command has returned its rows
+        # the report replaces --out only once it is written in full
         if args.out:
-            with open(args.out, "w", newline="") as out:
+            with replacing(args.out, "w") as out:
                 _emit(rows, fmt, out)
         else:
             _emit(rows, fmt, sys.stdout)

@@ -11,9 +11,9 @@ upper incomplete gamma
     W(x) = Gamma(k, 2 pi x) / Gamma(k) = e^{-2 pi x} sum_{m<k} (2 pi x)^m/m!.
 
 `w_kernel` implements the closed form, on a float or an array;
-`w_kernel_oracle` evaluates the contour integral numerically and exists only
-to certify the derivation. The lift is the weight-12 discriminant form, so
-the central values below use k = K = 6.
+`w_kernel_oracle` evaluates the contour integral numerically (ln Gamma from
+the Stirling series) to certify the derivation. The lift is the weight-12
+discriminant form, so the central values below use k = K = 6.
 
 Central value. For a fundamental discriminant d > 0 (the sign that makes the
 completed function even, k being even) the two halves of the functional
@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import loggamma
 
 from .arith import (
     factorize_small,
@@ -92,18 +92,39 @@ _CONTOUR_STEP = 0.02
 _CONTOUR_SPAN = 60.0
 _CONTOUR_TAIL = 1e-12
 
+# B_2m / (2m (2m - 1)) for B_2 ... B_20; at |w| > 8 the first omitted term,
+# B_22 / (462 w^21), is below 2e-18
+_STIRLING = [float(b / (2 * m * (2 * m - 1))) for m, b in enumerate((
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+    Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798),
+    Fraction(-174611, 330)), 1)]
+
+
+def _log_gamma(z):
+    """A logarithm of Gamma(z) for Re z > 0, the principal one up to a
+    multiple of 2 pi i: the Stirling series (DLMF 5.11.1) at w = z + 8, less
+    the log of the product z (z + 1) ... (z + 7)."""
+    z = np.asarray(z, dtype=complex)
+    w = z + 8
+    r = 1.0 / (w * w)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * r + c
+    return ((w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi) + series / w
+            - np.log(np.prod([z + j for j in range(8)], axis=0)))
+
 
 def w_kernel_oracle(x: float, k: int) -> float:
     """Trapezoidal evaluation of the defining vertical-line integral.
 
     Validation oracle only: independent of the closed form above (complex
-    log-gamma from scipy, plain quadrature).
+    ln Gamma from the Stirling series, plain quadrature).
     """
     if x <= 0:
         raise ValueError("kernel argument must be positive")
     t = np.arange(-_CONTOUR_SPAN, _CONTOUR_SPAN + _CONTOUR_STEP, _CONTOUR_STEP)
     s = 1.0 + 1j * t
-    vals = np.exp(loggamma(s + k) - loggamma(k) - s * math.log(2 * math.pi * x)) / s
+    vals = np.exp(_log_gamma(s + k) - math.lgamma(k) - s * math.log(2 * math.pi * x)) / s
     # Gamma decay e^{-pi|t|/2} bounds the discarded tail by ~ endpoint/(pi/2)
     tail = (abs(vals[0]) + abs(vals[-1])) / (math.pi / 2)
     if tail > _CONTOUR_TAIL:

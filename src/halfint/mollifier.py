@@ -104,6 +104,8 @@ def build_params(
     c0: float = 2.0,
     theta0_override: float | None = None,
 ) -> MollifierParams:
+    if not 1 < x < math.inf:
+        raise ValueError(f"mollifier length x must satisfy 1 < x < inf, got {x}")
     lk = l * kappa
     if abs(lk - round(lk)) > 1e-9 or not 1 <= round(lk) <= C:
         raise ValueError(f"l*kappa must be an integer in [1, {C}], got {lk}")

@@ -433,7 +433,7 @@ def _checksum() -> "hashlib._Hash":
 
 
 @contextmanager
-def _replacing(path: str, mode: str):
+def replacing(path: str, mode: str):
     """Write to a sibling temp file that replaces path only once the block
     completes, so a failed write never leaves a partial file at path."""
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -488,13 +488,13 @@ def save_coeffs(t: CoeffTable, path: str) -> None:
     the plain-text "n,alpha" form instead. Either file appears only once it
     is complete. Records are encoded _CHUNK entries at a time."""
     if str(path).endswith(".csv"):
-        with _replacing(path, "w") as fh:
+        with replacing(path, "w") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["n", "alpha"])
             w.writerows(zip(range(1, t.N + 1), t.alpha[1:].tolist()))
         return
     h = _checksum()
-    with _replacing(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
 
         def emit(b: bytes):
             h.update(b)

@@ -153,6 +153,17 @@ class TestCliEndToEnd:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("mollify, named", [
+        ("x=1,theta0=0.1", "mollifier length x must satisfy 1 < x < inf, got 1.0"),
+        ("x=0.5", "mollifier length x must satisfy 1 < x < inf, got 0.5"),
+        ("x=0", "mollifier length x must satisfy 1 < x < inf, got 0.0"),
+        ("x=2e6, theta0 ,c0=2", "--mollify token 'theta0' is not key=value"),
+    ], ids=["x-one", "x-half", "x-zero", "no-equals"])
+    def test_mollify_usage_error_names_its_input(self, small_coeffs, capsys, mollify, named):
+        argv = ["moments", "--blocks", "64", "--coeffs", small_coeffs, "--mollify", mollify]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {named}\n")
+
     def test_integer_list_is_exact(self, small_coeffs, capsys):
         # 2^53 + 1 has no float64; the table check must see the value given
         assert cli.main(["moments", "--blocks", "9007199254740993", "--coeffs", small_coeffs]) == 3
@@ -164,6 +175,19 @@ class TestCliEndToEnd:
         rc = cli.main(["--out", str(out), "moments", "--blocks", "4096", "--coeffs", small_coeffs])
         assert rc == 3
         assert not out.exists()
+
+    def test_failed_report_write_keeps_the_old_report(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.csv"
+        out.write_bytes(b"old,report\r\n1,2\n")
+
+        def failing_emit(rows, fmt, fh):
+            fh.write("Q,arcs,defect\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_emit", failing_emit)
+        assert cli.main(["--out", str(out), "jutila", "--qgrid", "300"]) == 2
+        assert out.read_bytes() == b"old,report\r\n1,2\n"
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 def _nflat_member(d):

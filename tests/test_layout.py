@@ -19,11 +19,16 @@ or by such a string. The files are only read.
 A second walk keeps each module's private names its own: no src/halfint
 module may read an underscore name of another halfint module, by attribute
 or by `from ... import`.
+
+A third keeps the runtime dependencies declared: the packages src/halfint
+imports, outside halfint and the standard library, are exactly those that
+pyproject.toml lists under [project].dependencies.
 """
 
 import ast
 import pathlib
 import re
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "halfint"
@@ -238,6 +243,32 @@ def test_private_reads_resolve_module_aliases():
         "    return mo._scan(x), lvalue.w_kernel, np._priv, x._y, mo.__doc__, _e\n"
     )
     assert _private_reads(code) == ["arith._jacobi", "mo._scan"]
+
+
+def _third_party_imports() -> set:
+    """The top-level names of the absolute imports in src/halfint that are
+    neither halfint nor standard library."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                out.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                out.add(node.module.split(".")[0])
+    return out - {"halfint"} - set(sys.stdlib_module_names)
+
+
+def _declared_dependencies() -> set:
+    """The package names in [project].dependencies of pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project, re.M | re.S).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0)
+            for spec in re.findall(r"\"([^\"]+)\"", listed)}
+
+
+def test_imports_match_declared_dependencies():
+    assert _third_party_imports() == _declared_dependencies() == {"numpy"}
 
 
 def test_every_definition_has_a_caller():

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +63,47 @@ class TestWKernel:
             assert w.tolist() == [w_kernel(float(v), k) for v in x]
         with pytest.raises(ValueError):
             w_kernel(np.array([1.0, 0.0]), 6)
+
+
+class TestLogGamma:
+    """lvalue._log_gamma against identities of Gamma, on the real axis and
+    on the oracle's lines Re z = 1 + k for k = 2 and 6."""
+
+    T = np.concatenate([np.linspace(-60.0, -0.01, 600), np.linspace(0.01, 60.0, 600)])
+
+    def test_real_axis_is_lgamma(self):
+        x = np.linspace(0.5, 80.0, 400)
+        exact = np.array([math.lgamma(v) for v in x])
+        got = lvalue._log_gamma(x)
+        assert np.all(np.abs(got.real - exact) <= 1e-14 * np.maximum(1.0, np.abs(exact)))
+        assert np.all(got.imag == 0.0)
+
+    def test_modulus_on_the_oracle_lines(self):
+        # |Gamma(n + 1 + it)|^2 = pi t / sinh(pi t) prod_{j=1..n} (j^2 + t^2)
+        t = self.T
+        for n in (2, 6):
+            exact = (np.log(np.pi * np.abs(t)) - np.log(np.sinh(np.pi * np.abs(t)))
+                     + sum(np.log(j * j + t * t) for j in range(1, n + 1)))
+            got = 2.0 * lvalue._log_gamma(n + 1 + 1j * t).real
+            assert np.max(np.abs(got - exact)) < 5e-13
+
+    def test_phase_by_duplication_and_recurrence(self):
+        # Gamma(z) Gamma(z + 1/2) = 2^{1-2z} sqrt(pi) Gamma(2z) and
+        # Gamma(z + 1) = z Gamma(z), compared through exp so that the 2 pi i
+        # freedom of the logarithm drops out
+        lg = lvalue._log_gamma
+        for k in (2, 6):
+            z = 1 + k + 1j * self.T
+            dup = (lg(z) + lg(z + 0.5) - lg(2 * z)
+                   - (1 - 2 * z) * math.log(2) - 0.5 * math.log(math.pi))
+            rec = lg(z + 1) - lg(z) - np.log(z)
+            assert np.max(np.abs(np.exp(dup) - 1)) < 1e-12
+            assert np.max(np.abs(np.exp(rec) - 1)) < 1e-12
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, halfint.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestChiArray:
