@@ -3,11 +3,10 @@ central-value sweeps, exponential-sum grids, and the self-test suite.
 
 Subcommands: coeffs, signchanges, waldspurger, moments, shifted, jutila,
 selftest. Output is CSV (header row, LF endings, 6-decimal ratios) or JSON
-lines with --format jsonl. A plain `key = value` config file may supply any
-long-option default; explicit flags win; unknown keys are rejected. Exit
-codes: 0 success, 1 suite/verification failure, 2 usage error, 3
-resource/budget error or a truncation bound that misses its tolerance
-(ConvergenceError).
+lines with --format jsonl. A `key = value` config file may set any long
+option; flags win, and a config value passes the flag's parser and checks.
+Exit codes: 0 success, 1 suite/verification failure, 2 usage error, 3
+resource/budget error or a truncation bound that misses its tolerance.
 
 All reductions run in a fixed order, so reports are byte-identical across
 runs within one numpy build.
@@ -20,6 +19,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,13 +136,12 @@ def cmd_moments(
 
 
 def cmd_waldspurger(d_max: int, tol: float, hecke_table=None) -> list:
-    ds = [d for d in enumerate_nflat(d_max) if d >= 8]
     need = lvalue.truncation_length(d_max, tol)  # the longest AFE sum, at d = d_max
     if hecke_table is None or hecke_table.N < need:
         hecke_table = build_hecke_table(need)
     coeffs = delta_halfintegral(d_max)
     rows = []
-    for d in ds:
+    for d in enumerate_nflat(d_max):
         res = lvalue.central_lvalue_cached(d, hecke_table, tol)
         alpha = coeffs.a(d)
         ratio = lvalue.waldspurger_quotient(d, alpha, res.value, tol)
@@ -390,7 +390,7 @@ def cmd_selftest() -> list:
     return rows
 
 
-# -- output, config, entry point ---------------------------------------------------
+# -- output, options, entry point --------------------------------------------------
 
 
 def _emit(rows: list, fmt: str, out) -> None:
@@ -413,52 +413,90 @@ def _emit(rows: list, fmt: str, out) -> None:
         out.write(",".join(cells) + "\n")
 
 
-def _load_config(path: str) -> dict:
-    cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            cfg[key] = val
-    return cfg
+def _number(kind, noun: str):
+    """A parser for one number; its message says what the text is not."""
+    def parse(text: str, what: str = "value"):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"{what} {text.strip()!r} is not {noun}") from None
+    return parse
 
 
-def _apply_config(args: argparse.Namespace, cfg: dict, parser: argparse.ArgumentParser):
-    known = vars(args)
-    for key, val in cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            parser.error(f"unknown config key {key!r}")
-        if known[dest] is None:
-            setattr(args, dest, val)
+_int = _number(int, "an integer")
+_float = _number(float, "a number")
 
 
 def _int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [_int(tok, "entry") for tok in text.split(",") if tok.strip()]
 
 
 _MOLLIFY_KEYS = ("x", "C", "l", "kappa", "eta1", "eta2", "c0", "theta0")
 
 
-def _parse_mollify(text: str):
-    """build_params from the given keys; x defaults to 2e6, the other keys
-    to the build_params defaults."""
+def _parse_mollify(text: str) -> dict:
+    """build_params keyword arguments from the given keys; x defaults to
+    2e6, the other keys to the build_params defaults."""
     kv = {"x": 2.0e6}
     for tok in text.split(","):
         if not tok.strip():
             continue
         if "=" not in tok:
-            raise ValueError(f"--mollify token {tok.strip()!r} is not key=value")
+            raise ValueError(f"token {tok.strip()!r} is not key=value")
         k, v = tok.split("=", 1)
         k = k.strip()
         if k not in _MOLLIFY_KEYS:
-            raise ValueError(f"unknown --mollify key {k!r}")
-        kv["theta0_override" if k == "theta0" else k] = float(v)
-    return mollifier.build_params(**kv)
+            raise ValueError(f"key {k!r} is not one of {', '.join(_MOLLIFY_KEYS)}")
+        kv["theta0_override" if k == "theta0" else k] = _float(v, f"key {k} value")
+    return kv
+
+
+_REQUIRED = object()  # the default of an option that must be set
+
+
+@dataclass(frozen=True)
+class _Opt:
+    """A long option: its parser, default text (None: unset), allowed
+    values, --help line, and flag when that is not "--" + its config key."""
+
+    parse: Callable
+    default: object = None
+    choices: tuple = ()
+    help: str = ""
+    flag: str = ""
+
+
+# The program's options, then each subcommand's; argparse, --help and the
+# config merge are all built from these tables.
+_GLOBAL = {
+    "format": _Opt(str, "csv", ("csv", "jsonl")),
+    "out": _Opt(str, help="write the report here instead of stdout"),
+}
+_COEFFS = _Opt(str, _REQUIRED, help="coefficient table file")
+_INTS = "comma-separated integers"
+_COMMANDS = {
+    "coeffs": ("build and save the coefficient table", {
+        "weight": _Opt(_int, "13", (13,)), "limit": _Opt(_int, _REQUIRED),
+        "coeffs_out": _Opt(str, _REQUIRED, help="table file to write", flag="--out")}),
+    "signchanges": ("sign-change statistics", {
+        "limit": _Opt(_int, _REQUIRED), "set": _Opt(str, "all", ("all", "nflat")),
+        "coeffs": _COEFFS}),
+    "waldspurger": ("squared-coefficient / central-value ratios", {
+        "dmax": _Opt(_int, "2000"), "tol": _Opt(_float, "1e-8")}),
+    "moments": ("dyadic moment ratios", {
+        "blocks": _Opt(_int_list, _REQUIRED, help=_INTS),
+        "coeffs": _COEFFS,
+        "mollify": _Opt(_parse_mollify, help="key=value,... mollifier params, x=2e6 unless set")}),
+    "shifted": ("shifted convolution on an X grid", {
+        "h": _Opt(_int, _REQUIRED),
+        "delta": _Opt(_int, "1"), "v": _Opt(_int, "0"),
+        "xgrid": _Opt(_int_list, _REQUIRED, help=_INTS),
+        "coeffs": _COEFFS}),
+    "jutila": ("circle-method L2 defect on a Q grid", {
+        "qgrid": _Opt(_int_list, _REQUIRED, help=_INTS),
+        "eta": _Opt(_float, "0.5"), "delta": _Opt(_int, "1")}),
+    "selftest": ("oracle-equivalence and identity suites", {}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -467,78 +505,68 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Half-integral weight form coefficients, twisted central "
         "values, mollifiers, and sign-change statistics.",
     )
-    ap.add_argument("--config", help="key = value config file")
-    ap.add_argument("--format", choices=["csv", "jsonl"], default=None)
-    ap.add_argument("--out", default=None, help="write report here instead of stdout")
+    ap.add_argument("--config", help="key = value file setting any long option; flags win")
     sub = ap.add_subparsers(dest="command", required=True)
-    # config-fillable options carry no argparse defaults or required flags;
-    # requiredness and defaults resolve after the config merge
-
-    p = sub.add_parser("coeffs", help="build and save the coefficient table")
-    p.add_argument("--weight")
-    p.add_argument("--limit")
-    p.add_argument("--out", dest="coeffs_out")
-
-    p = sub.add_parser("signchanges", help="sign-change statistics")
-    p.add_argument("--limit")
-    p.add_argument("--set", choices=["all", "nflat"])
-    p.add_argument("--coeffs")
-
-    p = sub.add_parser("waldspurger", help="squared-coefficient / central-value ratios")
-    p.add_argument("--dmax")
-    p.add_argument("--tol")
-
-    p = sub.add_parser("moments", help="dyadic moment ratios")
-    p.add_argument("--blocks", help="comma-separated X values")
-    p.add_argument("--coeffs")
-    p.add_argument("--mollify", help="key=value,... mollifier params")
-
-    p = sub.add_parser("shifted", help="shifted convolution on an X grid")
-    p.add_argument("--h")
-    p.add_argument("--delta")
-    p.add_argument("--v")
-    p.add_argument("--xgrid")
-    p.add_argument("--coeffs")
-
-    p = sub.add_parser("jutila", help="circle-method L2 defect on a Q grid")
-    p.add_argument("--qgrid")
-    p.add_argument("--eta")
-    p.add_argument("--delta")
-
-    sub.add_parser("selftest", help="oracle-equivalence and identity suites")
+    parsers = [(ap, _GLOBAL)] + [
+        (sub.add_parser(cmd, help=about), table) for cmd, (about, table) in _COMMANDS.items()]
+    # argparse keeps the text; _resolve parses it, whatever its source
+    for parser, table in parsers:
+        for key, opt in table.items():
+            note = ("required" if opt.default is _REQUIRED
+                    else opt.default and f"default {opt.default}")
+            parser.add_argument(
+                opt.flag or "--" + key, dest=key,
+                metavar="{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None,
+                help="; ".join(filter(None, (opt.help, note))))
     return ap
 
 
-def _require(args, ap, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            ap.error(f"the following argument is required: --{name.replace('_', '-')}")
+def _resolve(cmd: str, flags: dict) -> dict:
+    """Each option of the program and of `cmd` from its flag, else its key
+    in the --config file (`key = value` lines, # comments), else its default,
+    through the option's parser and choice check. A ValueError names the
+    flag or key at fault."""
+    table = {**_GLOBAL, **_COMMANDS[cmd][1]}
+    given = {}
+    if flags["config"] is not None:
+        with open(flags["config"], encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{flags['config']}:{lineno}: expected key = value")
+                key, text = (part.strip() for part in line.split("=", 1))
+                if (dest := key.replace("-", "_")) not in table:
+                    raise ValueError(f"unknown config key {key!r}")
+                given[dest] = (f"config key {key!r}", text)
+    values = {}
+    for key, opt in table.items():
+        flag = opt.flag or "--" + key
+        name, text = ((flag, flags[key]) if flags[key] is not None
+                      else given.get(key, (flag, opt.default)))
+        if text is _REQUIRED:
+            raise ValueError(f"{flag} is required (config key {key})")
+        try:
+            values[key] = None if text is None else opt.parse(text)
+            if opt.choices and values[key] not in opt.choices:
+                raise ValueError(
+                    f"value {text!r} is not one of {', '.join(map(str, opt.choices))}")
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+    return values
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    if args.config:
-        if not os.path.exists(args.config):
-            ap.error(f"config file {args.config} not found")
-        try:
-            cfg = _load_config(args.config)
-        except ValueError as exc:
-            ap.error(str(exc))
-        _apply_config(args, cfg, ap)
-    fmt = args.format or "csv"
+    flags = vars(_build_parser().parse_args(argv))
     try:
-        rows, status = _dispatch(args, ap)
+        opts = _resolve(flags["command"], flags)
+        rows, status = _dispatch(flags["command"], opts)
         # the report replaces --out only once it is written in full
-        if args.out:
-            with replacing(args.out, "w") as out:
-                _emit(rows, fmt, out)
-        else:
-            _emit(rows, fmt, sys.stdout)
+        with replacing(opts["out"], "w") if opts["out"] else nullcontext(sys.stdout) as out:
+            _emit(rows, opts["format"], out)
         return status
-    except (
-        BudgetExceededError, CapacityError, ConvergenceError, InsufficientTableError
-    ) as exc:
+    except (BudgetExceededError, CapacityError, ConvergenceError, InsufficientTableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (FormatError, ChecksumError, InconsistencyError) as exc:
@@ -549,66 +577,36 @@ def main(argv=None) -> int:
         return 2
 
 
-def _load_table(path: str, ap) -> CoeffTable:
-    if not os.path.exists(path):
-        ap.error(f"coefficient file {path} not found")
-    return load_coeffs(path)
-
-
-def _dispatch(args, ap):
-    cmd = args.command
+def _dispatch(cmd: str, o: dict):
+    """Run `cmd` on its resolved options; return the rows and exit status."""
     if cmd == "coeffs":
-        _require(args, ap, "limit", "coeffs_out")
-        if args.weight is not None and int(args.weight) != 13:
-            ap.error("only weight 13 (the weight-13/2 form) is supported")
-        parent = os.path.dirname(os.path.abspath(args.coeffs_out))
-        if not os.path.isdir(parent):
-            ap.error(f"output directory {parent} does not exist")
-        table = delta_halfintegral(int(args.limit))
-        save_coeffs(table, args.coeffs_out)
-        return [{"written": args.coeffs_out, "N": table.N}], 0
+        if not os.path.isdir(os.path.dirname(os.path.abspath(o["coeffs_out"]))):
+            raise ValueError(f"the directory of {o['coeffs_out']} does not exist")
+        table = delta_halfintegral(o["limit"])
+        save_coeffs(table, o["coeffs_out"])
+        return [{"written": o["coeffs_out"], "N": table.N}], 0
     if cmd == "signchanges":
-        _require(args, ap, "limit", "coeffs")
-        table = _load_table(args.coeffs, ap)
-        which = "all_supported" if args.set in ("all", None) else "nflat"
-        rep = cmd_signchanges(int(args.limit), which, table)
-        return [dict(vars(rep))], 0
+        which = "all_supported" if o["set"] == "all" else "nflat"
+        return [dict(vars(cmd_signchanges(o["limit"], which, load_coeffs(o["coeffs"]))))], 0
     if cmd == "waldspurger":
-        dmax = int(args.dmax) if args.dmax is not None else 2000
-        tol = float(args.tol) if args.tol is not None else 1e-8
-        rows = cmd_waldspurger(dmax, tol)
+        rows = cmd_waldspurger(o["dmax"], o["tol"])
         vals = np.array([r["ratio"] for r in rows if not math.isnan(r["ratio"])])
         rel_std = float(vals.std() / vals.mean()) if vals.size else float("nan")
         print(f"# rel_std_dev = {rel_std:.3e}", file=sys.stderr)
         return rows, 0 if rel_std < 1e-3 else 1
     if cmd == "moments":
-        _require(args, ap, "blocks", "coeffs")
-        table = _load_table(args.coeffs, ap)
-        params = None
-        htab = None
-        if args.mollify is not None:
-            params = _parse_mollify(args.mollify)
+        table = load_coeffs(o["coeffs"])
+        params = htab = None
+        if o["mollify"] is not None:
+            params = mollifier.build_params(**o["mollify"])
             htab = build_hecke_table(max(200, math.ceil(params.intervals[-1][1]) + 1))
-        rows = cmd_moments(_int_list(args.blocks), table, params, htab)
-        return rows, 0
+        return cmd_moments(o["blocks"], table, params, htab), 0
     if cmd == "shifted":
-        _require(args, ap, "h", "xgrid", "coeffs")
-        table = _load_table(args.coeffs, ap)
-        delta = int(args.delta) if args.delta is not None else 1
-        v = int(args.v) if args.v is not None else 0
-        rows = cmd_shifted(int(args.h), v, delta, _int_list(args.xgrid), table)
-        return rows, 0
+        return cmd_shifted(o["h"], o["v"], o["delta"], o["xgrid"], load_coeffs(o["coeffs"])), 0
     if cmd == "jutila":
-        _require(args, ap, "qgrid")
-        eta = float(args.eta) if args.eta is not None else 0.5
-        delta = int(args.delta) if args.delta is not None else 1
-        rows = cmd_jutila(_int_list(args.qgrid), eta, delta)
-        return rows, 0
-    if cmd == "selftest":
-        rows = cmd_selftest()
-        ok = all(r["status"] == "pass" for r in rows)
-        return rows, 0 if ok else 1
-    ap.error(f"unknown command {cmd}")
+        return cmd_jutila(o["qgrid"], o["eta"], o["delta"]), 0
+    rows = cmd_selftest()
+    return rows, 0 if all(r["status"] == "pass" for r in rows) else 1
 
 
 if __name__ == "__main__":

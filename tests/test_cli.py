@@ -128,41 +128,58 @@ class TestCliEndToEnd:
         assert r.returncode == 0
         assert out.read_text().startswith("Q,arcs,defect\n")
 
+    # `named` is what the message must name: the flag, or the value at fault
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, named",
         [
-            (["waldspurger", "--dmax", "50", "--tol", "nan"], 2),
-            (["waldspurger", "--dmax", "50", "--tol", "0"], 2),
-            (["waldspurger", "--dmax", "50", "--tol=-1e-8"], 2),
-            (["waldspurger", "--dmax", "50", "--tol", "1e-16"], 3),
-            (["moments", "--blocks", "0,64", "--coeffs", "COEFFS"], 2),
-            (["moments", "--blocks", "16384.9", "--coeffs", "COEFFS"], 2),
+            (["waldspurger", "--dmax", "50", "--tol", "nan"], 2, "tolerance"),
+            (["waldspurger", "--dmax", "50", "--tol", "0"], 2, "tolerance"),
+            (["waldspurger", "--dmax", "50", "--tol=-1e-8"], 2, "tolerance"),
+            (["waldspurger", "--dmax", "50", "--tol", "1e-16"], 3, "tolerance"),
+            (["moments", "--blocks", "0,64", "--coeffs", "COEFFS"], 2, "block sizes"),
+            (["moments", "--blocks", "16384.9", "--coeffs", "COEFFS"], 2, "'16384.9'"),
             (["moments", "--blocks", "64", "--coeffs", "COEFFS",
-              "--mollify", "x=2097152,theta0=0.08,eta2=0.2,c0=2,kapa=1.5"], 2),
-            (["shifted", "--h", "1", "--xgrid", "0", "--coeffs", "COEFFS"], 2),
-            (["shifted", "--h", "1", "--xgrid", "inf", "--coeffs", "COEFFS"], 2),
-            (["signchanges", "--limit", "-5", "--coeffs", "COEFFS"], 2),
+              "--mollify", "x=2097152,theta0=0.08,eta2=0.2,c0=2,kapa=1.5"], 2, "'kapa'"),
+            (["shifted", "--h", "1", "--xgrid", "0", "--coeffs", "COEFFS"], 2, "X must"),
+            (["shifted", "--h", "1", "--xgrid", "inf", "--coeffs", "COEFFS"], 2, "'inf'"),
+            (["signchanges", "--limit", "-5", "--coeffs", "COEFFS"], 2, "limit"),
+            (["moments", "--blocks", "64,abc", "--coeffs", "COEFFS"], 2, "--blocks"),
+            (["signchanges", "--limit", "1e3", "--coeffs", "COEFFS"], 2, "--limit"),
+            (["waldspurger", "--dmax", "50", "--tol", "tight"], 2, "--tol"),
         ],
         ids=["tol-nan", "tol-zero", "tol-negative", "tol-unreachable", "block-zero",
              "block-fraction", "mollify-unknown-key", "xgrid-zero", "xgrid-inf",
-             "limit-negative"],
+             "limit-negative", "block-not-integer", "limit-not-integer",
+             "tol-not-a-number"],
     )
-    def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code):
+    def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code, named):
         argv = [small_coeffs if a == "COEFFS" else a for a in argv]
         assert cli.main(argv) == code
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+        assert named in err
 
     @pytest.mark.parametrize("mollify, named", [
         ("x=1,theta0=0.1", "mollifier length x must satisfy 1 < x < inf, got 1.0"),
         ("x=0.5", "mollifier length x must satisfy 1 < x < inf, got 0.5"),
         ("x=0", "mollifier length x must satisfy 1 < x < inf, got 0.0"),
         ("x=2e6, theta0 ,c0=2", "--mollify token 'theta0' is not key=value"),
-    ], ids=["x-one", "x-half", "x-zero", "no-equals"])
+        ("x=2e6,c0=abc", "--mollify key c0 value 'abc' is not a number"),
+    ], ids=["x-one", "x-half", "x-zero", "no-equals", "c0-not-a-number"])
     def test_mollify_usage_error_names_its_input(self, small_coeffs, capsys, mollify, named):
         argv = ["moments", "--blocks", "64", "--coeffs", small_coeffs, "--mollify", mollify]
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {named}\n")
+
+    def test_help_prints_the_defaults(self, capsys):
+        for argv, shown in [(["waldspurger"], ["default 2000", "default 1e-8"]),
+                            (["signchanges"], ["{all,nflat}", "default all", "required"]),
+                            ([], ["{csv,jsonl}", "default csv"])]:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--help"])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert all(s in out for s in shown), (argv, out)
 
     def test_integer_list_is_exact(self, small_coeffs, capsys):
         # 2^53 + 1 has no float64; the table check must see the value given
@@ -197,6 +214,43 @@ def _nflat_member(d):
     return all(m % (p * p) for p in range(2, int(m**0.5) + 1))
 
 
+# Each long option with two values to give it (equal where only one is
+# valid), and each command's required options to give as flags beside it.
+EVERY_OPTION = [
+    ("jutila", "--format", "format", "csv", "jsonl"),
+    ("jutila", "--out", "out", "a.csv", "b.csv"),
+    ("coeffs", "--weight", "weight", "13", "13"),
+    ("coeffs", "--limit", "limit", "100", "200"),
+    ("coeffs", "--out", "coeffs_out", "a.hicf", "b.hicf"),
+    ("coeffs", "--out", "coeffs-out", "a.hicf", "b.hicf"),
+    ("signchanges", "--limit", "limit", "100", "200"),
+    ("signchanges", "--set", "set", "all", "nflat"),
+    ("signchanges", "--coeffs", "coeffs", "a.hicf", "b.hicf"),
+    ("waldspurger", "--dmax", "dmax", "100", "200"),
+    ("waldspurger", "--tol", "tol", "1e-6", "1e-9"),
+    ("moments", "--blocks", "blocks", "64", "64,128"),
+    ("moments", "--coeffs", "coeffs", "a.hicf", "b.hicf"),
+    ("moments", "--mollify", "mollify", "x=3e6", "x=4e6,c0=2"),
+    ("shifted", "--h", "h", "1", "2"),
+    ("shifted", "--delta", "delta", "3", "5"),
+    ("shifted", "--v", "v", "1", "2"),
+    ("shifted", "--xgrid", "xgrid", "64", "64,128"),
+    ("shifted", "--coeffs", "coeffs", "a.hicf", "b.hicf"),
+    ("jutila", "--qgrid", "qgrid", "300", "300,600"),
+    ("jutila", "--eta", "eta", "0.5", "0.4"),
+    ("jutila", "--delta", "delta", "1", "2"),
+]
+OTHER_REQUIRED = {
+    "coeffs": {"--limit": "100", "--out": "t.hicf"},
+    "signchanges": {"--limit": "100", "--coeffs": "t.hicf"},
+    "waldspurger": {},
+    "moments": {"--blocks": "64", "--coeffs": "t.hicf"},
+    "shifted": {"--h": "1", "--xgrid": "64", "--coeffs": "t.hicf"},
+    "jutila": {"--qgrid": "300"},
+}
+
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -222,6 +276,67 @@ class TestConfigFile:
         cfg.write_text("qgrid 300\n")
         r = run_cli(["--config", str(cfg), "jutila"])
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["signchanges", "--limit", "100", "--coeffs", "COEFFS"], "set = bogus",
+         "config key 'set' value 'bogus' is not one of all, nflat"),
+        (["jutila", "--qgrid", "300"], "format = xml",
+         "config key 'format' value 'xml' is not one of csv, jsonl"),
+        (["jutila", "--qgrid", "300"], "command = waldspurger", "unknown config key 'command'"),
+        (["jutila", "--qgrid", "300"], "config = other.cfg", "unknown config key 'config'"),
+        (["jutila"], "qgrid = 30x", "config key 'qgrid' entry '30x' is not an integer"),
+    ], ids=["set-bogus", "format-xml", "command", "config", "qgrid-not-integer"])
+    def test_bad_value_names_its_key(self, tmp_path, small_coeffs, capsys, argv, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        argv = [small_coeffs if a == "COEFFS" else a for a in argv]
+        assert cli.main(["--config", str(cfg), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["--config", str(tmp_path), "jutila", "--qgrid", "300"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_coeffs_weight_12_writes_no_table(self, tmp_path, source):
+        table = tmp_path / "t.hicf"
+        argv = ["coeffs", "--limit", "100", "--out", str(table)]
+        if source == "flag":
+            argv += ["--weight", "12"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("weight = 12\n")
+            argv = ["--config", str(cfg), *argv]
+        r = run_cli(argv)
+        assert r.returncode == 2 and "weight" in r.stderr
+        assert not table.exists()
+
+    @pytest.mark.parametrize("cmd, flag, key, a, b", EVERY_OPTION,
+                             ids=[f"{row[0]}-{row[2]}" for row in EVERY_OPTION])
+    def test_every_option_from_config_and_flag_wins(self, tmp_path, monkeypatch,
+                                                     cmd, flag, key, a, b):
+        seen = []
+        monkeypatch.setattr(cli, "_dispatch", lambda cmd, opts: seen.append(opts) or ([], 0))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{key} = {a}\n")
+        others = [t for f, v in OTHER_REQUIRED[cmd].items() if f != flag for t in (f, v)]
+
+        def resolved(config, value):
+            pair = [flag, value] if value is not None else []
+            program, command = (pair, []) if key in ("format", "out") else ([], pair)
+            argv = ["--config", "run.cfg"] if config else []
+            assert cli.main([*argv, *program, cmd, *others, *command]) == 0
+            return seen.pop()
+
+        assert resolved(True, None) == resolved(False, a)
+        assert resolved(True, b) == resolved(False, b)
+        assert a == b or resolved(False, a) != resolved(False, b)
+
+    def test_every_option_has_a_row(self):
+        rows = {(cmd, key.replace("-", "_")) for cmd, _, key, _, _ in EVERY_OPTION}
+        table = {(cmd, key) for cmd, (_, opts) in cli._COMMANDS.items() for key in opts}
+        assert rows == table | {("jutila", key) for key in cli._GLOBAL}
 
 
 class TestDeterminism:
