@@ -111,12 +111,31 @@ def kronecker(d: int, n: int) -> int:
     return result * _jacobi(d % n, n)
 
 
+# (a|2) by a mod 8
+_KRONECKER_TWO = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
+
+
 @lru_cache(maxsize=1)
 def kronecker_row(n: int) -> np.ndarray:
     """(a|n) over one period of a, read-only float64: 0 <= a < n, or
-    0 <= a < 4n when n = 2 mod 4. One row serves a sweep at a fixed n."""
+    0 <= a < 4n when n = 2 mod 4. One row serves a sweep at a fixed n.
+
+    By multiplicativity in n the row is the product over p^e || n of
+    (a|p)^e, read from a table of (a|2) by a mod 8 at p = 2 and from the
+    Legendre table of p (squares +1, non-residues -1, 0 at 0) at odd p."""
     period = 4 * n if n % 4 == 2 else n
-    row = np.array([kronecker(a, n) for a in range(period)], dtype=np.float64)
+    a = np.arange(period)
+    row = np.ones(period, dtype=np.int8)
+    for p, e in factorize_small(n).prime_powers:
+        if p == 2:
+            leg = _KRONECKER_TWO
+        else:
+            leg = np.full(p, -1, dtype=np.int8)
+            leg[0] = 0
+            r = np.arange(1, p)
+            leg[r * r % p] = 1
+        row *= leg[a % leg.size] ** e
+    row = row.astype(np.float64)
     row.flags.writeable = False
     return row
 

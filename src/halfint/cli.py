@@ -428,7 +428,18 @@ _float = _number(float, "a number")
 
 
 def _int_list(text: str) -> list:
-    return [_int(tok, "entry") for tok in text.split(",") if tok.strip()]
+    values = [_int(tok, "entry") for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"value {text!r} lists no integers")
+    return values
+
+
+def _dmax(text: str) -> int:
+    """The largest discriminant; the least one checked is 8."""
+    d = _int(text)
+    if d < 8:
+        raise ValueError(f"value {d} is below 8, the least discriminant 8m, so nothing is checked")
+    return d
 
 
 _MOLLIFY_KEYS = ("x", "C", "l", "kappa", "eta1", "eta2", "c0", "theta0")
@@ -482,7 +493,7 @@ _COMMANDS = {
         "limit": _Opt(_int, _REQUIRED), "set": _Opt(str, "all", ("all", "nflat")),
         "coeffs": _COEFFS}),
     "waldspurger": ("squared-coefficient / central-value ratios", {
-        "dmax": _Opt(_int, "2000"), "tol": _Opt(_float, "1e-8")}),
+        "dmax": _Opt(_dmax, "2000"), "tol": _Opt(_float, "1e-8")}),
     "moments": ("dyadic moment ratios", {
         "blocks": _Opt(_int_list, _REQUIRED, help=_INTS),
         "coeffs": _COEFFS,

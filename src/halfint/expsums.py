@@ -12,7 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -43,9 +44,17 @@ def gauss_sum_bruteforce(l: int, n: int) -> complex:
     if n < 1 or n % 2 == 0:
         raise ValueError("modulus must be odd and positive")
     pref = (1 - 1j) / 2 + kronecker(-1, n) * (1 + 1j) / 2
-    a = np.arange(n)
-    phase = np.exp(2j * np.pi * ((a * (l % n)) % n) / n)
-    return complex(pref * np.dot(kronecker_row(n), phase))
+    row, roots = _gauss_tables(n)
+    phase = roots[(np.arange(n) * (l % n)) % n]
+    return complex(pref * np.dot(row, phase))
+
+
+@lru_cache(maxsize=1)
+def _gauss_tables(n: int) -> tuple:
+    """The Kronecker row of n as complex, and the roots e(k/n) for 0 <= k < n.
+    Gathering the roots at k = a l mod n gives the same floats as calling exp
+    at each a, since each root is the same exp of the same argument."""
+    return kronecker_row(n).astype(np.complex128), np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def _gauss_prime_power(l: int, p: int, beta: int) -> float:
@@ -150,10 +159,13 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
 
     The integrand is piecewise constant, so the integral is a finite sweep
     over arc endpoints. Float mode sums segments in a fixed order over the
-    float endpoints d/q +- delta. Exact mode runs the sweep in rational
-    arithmetic over the centres Fraction(d, q) +- Fraction(delta), so its
-    endpoints are not the float ones; the two modes agree to the 1e-9 that
-    the selftest allows.
+    float endpoints d/q +- delta; the order of tied endpoints is free, since
+    the segments between them have length 0 and add +0.0 wherever they fall.
+    Exact mode runs the sweep over the rational centres d/q +- Fraction(delta),
+    so its endpoints are not the float ones: every endpoint is an integer
+    over one common denominator D = lcm(Qset, denominator of delta), and the
+    integer numerators of val^2 * seglen are summed before one division.
+    The two modes agree to the 1e-9 that the selftest allows.
     """
     sys_ = build_jutila_system(Q, eta, Delta)
     if sys_.L == 0:
@@ -161,29 +173,28 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
     delta = float(Q) ** (eta - 2.0)
     weight = float(Q) ** (2.0 - eta) / (2.0 * sys_.L)
     if exact:
-        dfrac = Fraction(delta)
-        wfrac = Fraction(weight)
-        events = []
+        # val = inside - weight cov = (inside wd - wn cov) / wd, seglen = seg / D
+        dn, dd = delta.as_integer_ratio()
+        wn, wd = weight.as_integer_ratio()
+        D = lcm(*sys_.Qset, dd)
+        dk = dn * (D // dd)
+        events = [(0, 0), (D, 0)]
         for q in sys_.Qset:
+            step = D // q
             for d in range(1, q + 1):
                 if gcd(d, q) == 1:
-                    c = Fraction(d, q)
-                    events.append((c - dfrac, 1))
-                    events.append((c + dfrac, -1))
-        events.append((Fraction(0), 0))
-        events.append((Fraction(1), 0))
+                    events.append((d * step - dk, 1))
+                    events.append((d * step + dk, -1))
         events.sort()
-        total = Fraction(0)
+        total = 0
         cov = 0
-        for i in range(len(events) - 1):
-            cov += events[i][1]
-            seglen = events[i + 1][0] - events[i][0]
-            if seglen == 0:
+        for (x, s), (y, _) in zip(events, events[1:]):
+            cov += s
+            if y == x:
                 continue
-            inside = 1 if (events[i][0] >= 0 and events[i + 1][0] <= 1) else 0
-            val = inside - wfrac * cov
-            total += val * val * seglen
-        return float(total)
+            val = (wd if x >= 0 and y <= D else 0) - wn * cov
+            total += val * val * (y - x)
+        return float(Fraction(total, wd * wd * D))
     # endpoints [starts | ends | 0, 1], each block in modulus order
     L = sys_.L
     pos = np.empty(2 * L + 2)
@@ -198,7 +209,7 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
     step = np.zeros(2 * L + 2, dtype=np.int8)
     step[:L] = 1
     step[L : 2 * L] = -1
-    order = np.argsort(pos, kind="stable")
+    order = np.argsort(pos)
     pos = pos[order]
     step = step[order]
     del order

@@ -188,6 +188,15 @@ class TestKronecker:
             for a in range(-3 * row.size, 3 * row.size):
                 assert row[a % row.size] == kronecker(a, n), (a, n)
 
+    def test_row_matches_the_symbol_to_600(self):
+        # the row is built from Legendre tables; the per-a symbol is the
+        # reference, over n = 2 mod 4 (period 4n) and n = 2^v m alike
+        for n in range(1, 601):
+            row = kronecker_row(n)
+            expect = [kronecker(a, n) for a in range(4 * n if n % 4 == 2 else n)]
+            assert row.dtype == np.float64 and not row.flags.writeable
+            assert np.array_equal(row, np.array(expect, dtype=np.float64)), n
+
 
 class TestFundamentalDiscriminants:
     def test_examples(self):

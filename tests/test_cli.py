@@ -146,11 +146,15 @@ class TestCliEndToEnd:
             (["moments", "--blocks", "64,abc", "--coeffs", "COEFFS"], 2, "--blocks"),
             (["signchanges", "--limit", "1e3", "--coeffs", "COEFFS"], 2, "--limit"),
             (["waldspurger", "--dmax", "50", "--tol", "tight"], 2, "--tol"),
+            (["waldspurger", "--dmax", "7"], 2, "--dmax value 7 is below 8"),
+            (["jutila", "--qgrid", ","], 2, "--qgrid value ',' lists no integers"),
+            (["moments", "--blocks", ",", "--coeffs", "COEFFS"], 2,
+             "--blocks value ',' lists no integers"),
         ],
         ids=["tol-nan", "tol-zero", "tol-negative", "tol-unreachable", "block-zero",
              "block-fraction", "mollify-unknown-key", "xgrid-zero", "xgrid-inf",
              "limit-negative", "block-not-integer", "limit-not-integer",
-             "tol-not-a-number"],
+             "tol-not-a-number", "dmax-below-8", "qgrid-empty", "blocks-empty"],
     )
     def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code, named):
         argv = [small_coeffs if a == "COEFFS" else a for a in argv]
@@ -285,7 +289,13 @@ class TestConfigFile:
         (["jutila", "--qgrid", "300"], "command = waldspurger", "unknown config key 'command'"),
         (["jutila", "--qgrid", "300"], "config = other.cfg", "unknown config key 'config'"),
         (["jutila"], "qgrid = 30x", "config key 'qgrid' entry '30x' is not an integer"),
-    ], ids=["set-bogus", "format-xml", "command", "config", "qgrid-not-integer"])
+        (["waldspurger"], "dmax = 7",
+         "config key 'dmax' value 7 is below 8, the least discriminant 8m, so nothing is checked"),
+        (["jutila"], "qgrid = ,", "config key 'qgrid' value ',' lists no integers"),
+        (["moments", "--coeffs", "COEFFS"], "blocks = ,",
+         "config key 'blocks' value ',' lists no integers"),
+    ], ids=["set-bogus", "format-xml", "command", "config", "qgrid-not-integer",
+            "dmax-below-8", "qgrid-empty", "blocks-empty"])
     def test_bad_value_names_its_key(self, tmp_path, small_coeffs, capsys, argv, text, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text + "\n")

@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfint import cli, expsums
-from halfint.arith import euler_phi, primes_up_to
+from halfint.arith import euler_phi, kronecker, kronecker_row, primes_up_to
 from halfint.errors import BudgetExceededError, ConvergenceError, InsufficientTableError
 from halfint.expsums import (
     automorphy_factor,
@@ -57,12 +60,64 @@ class TestGaussSums:
                 else:
                     assert val == pytest.approx(math.sqrt(p), rel=1e-12)
 
+    def test_root_table_phases_equal_the_direct_exp(self):
+        # the direct exp at every a is the reference for the gathered roots,
+        # and the sum over it for the brute force: the same floats, not close
+        for n in range(1, 200, 2):
+            _, roots = expsums._gauss_tables(n)
+            a = np.arange(n)
+            pref = (1 - 1j) / 2 + kronecker(-1, n) * (1 + 1j) / 2
+            for l in range(-60, 61):
+                phase = np.exp(2j * np.pi * ((a * (l % n)) % n) / n)
+                assert np.array_equal(roots[(a * (l % n)) % n], phase), (l, n)
+                direct = complex(pref * np.dot(kronecker_row(n), phase))
+                assert gauss_sum_bruteforce(l, n) == direct, (l, n)
+
     def test_multiplicativity_against_bruteforce(self):
         for n1, n2 in ((9, 25), (3, 35), (15, 49)):
             for l in (1, 2, 7):
                 lhs = gauss_sum_bruteforce(l, n1 * n2)
                 rhs = gauss_sum_closed(l, n1) * gauss_sum_closed(l, n2)
                 assert abs(lhs - rhs) < 1e-8
+
+
+def _list_sweep(Q, eta, D):
+    """The float defect from Python endpoint lists in a stable sort, and the
+    number of tied endpoints."""
+    sys_ = build_jutila_system(Q, eta, D)
+    delta = float(Q) ** (eta - 2.0)
+    weight = float(Q) ** (2.0 - eta) / (2.0 * sys_.L)
+    centres = [d / q for q in sys_.Qset for d in range(1, q + 1) if math.gcd(d, q) == 1]
+    pos = np.array([c - delta for c in centres] + [c + delta for c in centres] + [0.0, 1.0])
+    step = np.array([1.0] * len(centres) + [-1.0] * len(centres) + [0.0, 0.0])
+    order = np.argsort(pos, kind="stable")
+    pos, step = pos[order], step[order]
+    cov = np.cumsum(step)[:-1]
+    inside = (pos[:-1] >= 0.0) & (pos[1:] <= 1.0)
+    val = inside.astype(np.float64) - weight * cov
+    ties = int(np.count_nonzero(np.diff(pos) == 0.0))
+    return float(np.add.reduce(val * val * np.diff(pos))), ties
+
+
+def _fraction_sweep(Q, eta, D):
+    """The exact defect with a Fraction for every endpoint and segment."""
+    sys_ = build_jutila_system(Q, eta, D)
+    dfrac = Fraction(float(Q) ** (eta - 2.0))
+    wfrac = Fraction(float(Q) ** (2.0 - eta) / (2.0 * sys_.L))
+    events = [(Fraction(0), 0), (Fraction(1), 0)]
+    for q in sys_.Qset:
+        for d in range(1, q + 1):
+            if math.gcd(d, q) == 1:
+                events += [(Fraction(d, q) - dfrac, 1), (Fraction(d, q) + dfrac, -1)]
+    events.sort()
+    total = Fraction(0)
+    cov = 0
+    for (x, s), (y, _) in zip(events, events[1:]):
+        cov += s
+        if y != x:
+            val = (1 if x >= 0 and y <= 1 else 0) - wfrac * cov
+            total += val * val * (y - x)
+    return float(total)
 
 
 class TestJutila:
@@ -112,22 +167,35 @@ class TestJutila:
             assert f == pytest.approx(e, abs=1e-9)
 
     def test_array_sweep_equals_the_list_sweep(self):
-        # the float sweep with Python endpoint lists, as the reference for
-        # the array build: both must give the same float, not a close one
+        # both must give the same float, not a close one; (100, 1, 10) has
+        # tied endpoints, where the array sweep's sort order may differ
+        ties = 0
         for Q, eta, D in ((20, 0.5, 1), (300, 0.5, 1), (2000, 0.5, 1), (2000, 1.0, 2),
                           (100, 1.0, 10), (3000, 0.8, 3)):
-            sys_ = build_jutila_system(Q, eta, D)
-            delta = float(Q) ** (eta - 2.0)
-            weight = float(Q) ** (2.0 - eta) / (2.0 * sys_.L)
-            centres = [d / q for q in sys_.Qset for d in range(1, q + 1) if math.gcd(d, q) == 1]
-            pos = np.array([c - delta for c in centres] + [c + delta for c in centres] + [0.0, 1.0])
-            step = np.array([1.0] * len(centres) + [-1.0] * len(centres) + [0.0, 0.0])
-            order = np.argsort(pos, kind="stable")
-            pos, step = pos[order], step[order]
-            cov = np.cumsum(step)[:-1]
-            inside = (pos[:-1] >= 0.0) & (pos[1:] <= 1.0)
-            val = inside.astype(np.float64) - weight * cov
-            assert jutila_l2_defect(Q, eta, D) == float(np.add.reduce(val * val * np.diff(pos)))
+            defect, tied = _list_sweep(Q, eta, D)
+            assert jutila_l2_defect(Q, eta, D) == defect
+            ties += tied
+        assert ties > 0
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(r=st.sampled_from([5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]),
+           D=st.integers(1, 6), k=st.sampled_from([1, 2]),
+           eta=st.one_of(st.just(1.0), st.floats(0.3, 1.0)))
+    def test_any_order_of_ties_gives_the_stable_defect(self, r, D, k, eta):
+        # at eta = 1 the half-width is 1/Q, and Q = 4 D r / k puts arc ends
+        # of the modulus 4 D r on arc starts or on 0: those grids tie
+        Q = 4 * D * r // k
+        D = max(1, min(D, math.floor(Q ** (eta / 2))))
+        if build_jutila_system(Q, eta, D).L == 0:
+            assert jutila_l2_defect(Q, eta, D) == 1.0
+            return
+        defect, tied = _list_sweep(Q, eta, D)
+        assert jutila_l2_defect(Q, eta, D) == defect
+        assert tied or eta != 1.0
+
+    def test_integer_sweep_equals_the_fraction_sweep(self):
+        for Q, eta, D in ((20, 0.5, 1), (200, 0.5, 1), (600, 0.5, 1), (100, 1.0, 10)):
+            assert jutila_l2_defect(Q, eta, D, exact=True) == _fraction_sweep(Q, eta, D)
 
     def test_defect_bounds_and_trend(self, pins):
         defects = {}
