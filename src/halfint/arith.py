@@ -1,5 +1,6 @@
-"""Number-theoretic kernel: sieves, the sigma_3 table, factorization with
-phi and mu, Kronecker symbol, fundamental discriminants, and the index set of
+"""Number-theoretic kernel: the prime and odd square-free sieves, the
+sigma_3 table, factorization with phi and mu, the Kronecker symbol and its
+vectorized rows (a|n), fundamental discriminants, and the index set of
 discriminants 8m with m odd and square-free. Every other module takes these
 primitives from here.
 
@@ -34,19 +35,6 @@ class Factorization:
         for p, _ in self.prime_powers:
             out += [(r * p, -m) for r, m in out]
         return out
-
-
-def smallest_prime_factors(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n for 2 <= n <= limit (0 at 0, 1)."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.nonzero(untouched)[0]
-    return spf
 
 
 def sigma3_table(M: int) -> np.ndarray:

@@ -30,9 +30,10 @@ from .arith import (
     enumerate_nflat,
     euler_phi,
     factorize_small,
+    is_fundamental_discriminant,
+    kronecker,
     odd_squarefree_flags,
     sigma3_table,
-    smallest_prime_factors,
 )
 from .errors import (
     BudgetExceededError,
@@ -259,15 +260,18 @@ def _below(metric, limit) -> tuple:
 
 def _suite_sieves():
     """The arithmetic primitives the commands use, against brute force for
-    n < 2000: spf, sigma_3, the odd square-free flags and the mu carried by
-    squarefree_divisors from each n's divisor list, phi from gcd counts. The
-    metric is the worst |sum mu(r)| over squarefree_divisors(n), n >= 2."""
+    n < 2000: sigma_3, the odd square-free flags and the mu carried by
+    squarefree_divisors from each n's divisor list, phi from gcd counts;
+    chi_d against the per-n symbol for the positive fundamental d < 200.
+    The metric is the worst |sum mu(r)| over squarefree_divisors(n), n >= 2."""
     lim = 2000
-    spf = smallest_prime_factors(lim)
     sig = sigma3_table(lim)
     odd_sf = odd_squarefree_flags(lim)
     ok = sig[1] == 1 and odd_sf[1] and euler_phi(1) == 1
     ok = ok and factorize_small(1).squarefree_divisors() == [(1, 1)]
+    ok = ok and all(lvalue.chi_array(d, 2 * d)[1:].tolist()
+                    == [kronecker(d, n) for n in range(1, 2 * d + 1)]
+                    for d in range(1, 200) if is_fundamental_discriminant(d))
     least = [0, 0]  # least divisor > 1, which is prime
     worst = 0
     for n in range(2, lim):
@@ -279,7 +283,7 @@ def _suite_sieves():
               for r in divs if all(r % (q * q) for q in primes)}
         pairs = factorize_small(n).squarefree_divisors()
         worst = max(worst, abs(sum(m for _, m in pairs)))
-        ok = (ok and spf[n] == divs[1] and sig[n] == sum(d**3 for d in divs)
+        ok = (ok and sig[n] == sum(d**3 for d in divs)
               and odd_sf[n] == (n % 2 == 1 and n in mu) and dict(pairs) == mu
               and euler_phi(n) == np.count_nonzero(np.gcd(a, n) == 1))
     return float(worst), bool(ok) and worst == 0
@@ -442,6 +446,15 @@ def _dmax(text: str) -> int:
     return d
 
 
+def _out_path(text: str) -> str:
+    """A file to write: not a directory, and in a directory that exists."""
+    if os.path.isdir(text):
+        raise ValueError(f"value {text!r} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(text))):
+        raise ValueError(f"value {text!r} is in a directory that does not exist")
+    return text
+
+
 _MOLLIFY_KEYS = ("x", "C", "l", "kappa", "eta1", "eta2", "c0", "theta0")
 
 
@@ -481,14 +494,14 @@ class _Opt:
 # config merge are all built from these tables.
 _GLOBAL = {
     "format": _Opt(str, "csv", ("csv", "jsonl")),
-    "out": _Opt(str, help="write the report here instead of stdout"),
+    "out": _Opt(_out_path, help="write the report here instead of stdout"),
 }
 _COEFFS = _Opt(str, _REQUIRED, help="coefficient table file")
 _INTS = "comma-separated integers"
 _COMMANDS = {
     "coeffs": ("build and save the coefficient table", {
         "weight": _Opt(_int, "13", (13,)), "limit": _Opt(_int, _REQUIRED),
-        "coeffs_out": _Opt(str, _REQUIRED, help="table file to write", flag="--out")}),
+        "coeffs_out": _Opt(_out_path, _REQUIRED, help="table file to write", flag="--out")}),
     "signchanges": ("sign-change statistics", {
         "limit": _Opt(_int, _REQUIRED), "set": _Opt(str, "all", ("all", "nflat")),
         "coeffs": _COEFFS}),
@@ -591,8 +604,6 @@ def main(argv=None) -> int:
 def _dispatch(cmd: str, o: dict):
     """Run `cmd` on its resolved options; return the rows and exit status."""
     if cmd == "coeffs":
-        if not os.path.isdir(os.path.dirname(os.path.abspath(o["coeffs_out"]))):
-            raise ValueError(f"the directory of {o['coeffs_out']} does not exist")
         table = delta_halfintegral(o["limit"])
         save_coeffs(table, o["coeffs_out"])
         return [{"written": o["coeffs_out"], "N": table.N}], 0

@@ -124,6 +124,8 @@ def build_jutila_system(Q: float, eta: float, Delta: int) -> JutilaSystem:
     (x, 2x), so some r is admissible."""
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
+    if not Q >= 1:
+        raise ValueError(f"Q must be at least 1, got {Q}")
     if Delta < 1 or Delta > Q ** (eta / 2) + 1e-9:
         raise ValueError("Delta must satisfy 1 <= Delta <= Q^{eta/2}")
     r_lo = math.ceil(Q / (4 * Delta))

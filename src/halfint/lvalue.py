@@ -36,11 +36,11 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
+    enumerate_nflat,
     factorize_small,
     is_fundamental_discriminant,
     kronecker,
-    odd_squarefree_flags,
-    smallest_prime_factors,
+    kronecker_row,
 )
 from .errors import ConvergenceError, InconsistencyError, InsufficientTableError
 from .hecke import HeckeTable
@@ -136,19 +136,23 @@ def w_kernel_oracle(x: float, k: int) -> float:
 # -- Kronecker character tables ------------------------------------------------
 
 def chi_array(d: int, N: int) -> np.ndarray:
-    """chi_d(n) for 0 <= n <= N as int8, filled multiplicatively. For a
-    discriminant d != 0 (d = 0 or 1 mod 4) chi_d has period |d|, so one
-    period is filled and tiled."""
-    M = min(N, abs(d)) if d and d % 4 < 2 else N
-    spf = smallest_prime_factors(M)
-    chi = np.zeros(N + 1, dtype=np.int8)
-    if N >= 1:
-        chi[1] = 1
-    for n in range(2, M + 1):
-        p = int(spf[n])
-        m = n // p
-        chi[n] = kronecker(d, p) if m == 1 else chi[p] * chi[m]
-    chi[M + 1 :] = np.resize(chi[1 : M + 1], N - M)
+    """chi_d(n) = (d|n) for 0 <= n <= N as int8 (0 at n = 0), for a
+    discriminant d (d = 0 or 1 mod 4, d != 0).
+
+    With d = 2^v d', d' odd of the sign of d, and e = 1 if d' = 3 mod 4
+    else 0: for odd n > 0, (2|n) = (n|2), and Jacobi reciprocity (Cohen, A
+    Course in Computational Algebraic Number Theory, 1.4.2) gives
+    (d'|n) = (n | |d'|) chi_{-4}(n)^e, so chi_d(n) = (n | |d|) chi_{-4}(n)^e.
+    At n = 2 both sides are 0 for even d, and (d|2) = (2 | |d|) for odd d,
+    where e = 0. Both are completely multiplicative in n, so chi_d is the row
+    kronecker_row(|d|), times chi_{-4} when e = 1 (then 4 | d), tiled to N."""
+    if d == 0 or d % 4 > 1:
+        raise ValueError(f"{d} is not a discriminant (d = 0 or 1 mod 4, d != 0)")
+    period = kronecker_row(abs(d)).astype(np.int8)
+    if d // (d & -d) % 4 == 3:
+        period *= np.resize(np.array([0, 1, 0, -1], dtype=np.int8), abs(d))  # chi_{-4}
+    chi = np.resize(period, N + 1)
+    chi[:1] = 0
     return chi
 
 
@@ -246,18 +250,6 @@ def central_lvalue_cached(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueRes
 _WINDOW = (0.5, 1.0)
 
 
-def _window_lvalues(x: int, t: HeckeTable) -> list:
-    """Rows (m, L(1/2, chi_8m), phi(8m/x)) of the window."""
-    lo, hi = _WINDOW
-    flags = odd_squarefree_flags(max(x // 8, 0))
-    phi = bump_window(lo, hi)
-    return [
-        (m, central_lvalue_cached(8 * m, t).value, phi(8 * m / x))
-        for m in range(1, x // 8 + 1)
-        if lo < 8 * m / x < hi and flags[m]
-    ]
-
-
 def first_moment_scan(x: int, u: int, t: HeckeTable) -> float:
     """Self-normalized twisted average of central values:
 
@@ -272,14 +264,17 @@ def first_moment_scan(x: int, u: int, t: HeckeTable) -> float:
     """
     if u < 1 or u % 2 == 0:
         raise ValueError("twist u must be odd and positive")
-    rows = _window_lvalues(x, t)
-    if not rows:
+    lo, hi = _WINDOW
+    window = [d for d in enumerate_nflat(x) if lo < d / x < hi]
+    if not window:
         raise ValueError(f"window {_WINDOW} times x={x} contains no index 8m")
+    phi = bump_window(lo, hi)
     s_u = 0.0
     s_1 = 0.0
-    for m, lval, w in rows:
-        s_1 += lval * w
-        s_u += lval * w * kronecker(8 * m, u)
+    for d in window:
+        lw = central_lvalue_cached(d, t).value * phi(d / x)
+        s_1 += lw
+        s_u += lw * kronecker(d, u)
     if s_1 == 0.0:
         raise InconsistencyError("normalizing sum vanished")
     u1 = 1

@@ -107,13 +107,15 @@ def build_params(
     if not 1 < x < math.inf:
         raise ValueError(f"mollifier length x must satisfy 1 < x < inf, got {x}")
     lk = l * kappa
-    if abs(lk - round(lk)) > 1e-9 or not 1 <= round(lk) <= C:
+    if not math.isfinite(lk) or abs(lk - round(lk)) > 1e-9 or not 1 <= round(lk) <= C:
         raise ValueError(f"l*kappa must be an integer in [1, {C}], got {lk}")
     logx = math.log(x)
     if theta0_override is not None:
         theta0 = float(theta0_override)
     else:
         theta0 = eta1 / math.log(logx) ** 5
+    if not 0 < theta0 < math.inf:
+        raise ValueError(f"leading exponent theta0 must be positive and finite, got {theta0}")
     if x**theta0 <= c0 and theta0_override is None:
         raise DegenerateIntervalError(
             f"x^theta0 = {x**theta0:.4g} <= c0 = {c0}: leading interval empty "

@@ -17,7 +17,6 @@ from halfint.arith import (
     odd_squarefree_flags,
     primes_up_to,
     sigma3_table,
-    smallest_prime_factors,
 )
 from halfint.errors import CapacityError
 
@@ -29,17 +28,18 @@ def sig():
     return sigma3_table(LIMIT)
 
 
-@pytest.fixture(scope="module")
-def spf():
-    return smallest_prime_factors(LIMIT)
-
-
 def sigma3_direct(n):
     return sum(d**3 for d in range(1, n + 1) if n % d == 0)
 
 
 def spf_direct(n):
     return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+@pytest.fixture(scope="module")
+def spf():
+    """Smallest prime factors to LIMIT by trial division (0 at 0, 1)."""
+    return np.array([0, 0] + [spf_direct(n) for n in range(2, LIMIT + 1)])
 
 
 def mu_direct(n):

@@ -150,11 +150,13 @@ class TestCliEndToEnd:
             (["jutila", "--qgrid", ","], 2, "--qgrid value ',' lists no integers"),
             (["moments", "--blocks", ",", "--coeffs", "COEFFS"], 2,
              "--blocks value ',' lists no integers"),
+            (["jutila", "--qgrid", "-5"], 2, "Q must be at least 1, got -5"),
         ],
         ids=["tol-nan", "tol-zero", "tol-negative", "tol-unreachable", "block-zero",
              "block-fraction", "mollify-unknown-key", "xgrid-zero", "xgrid-inf",
              "limit-negative", "block-not-integer", "limit-not-integer",
-             "tol-not-a-number", "dmax-below-8", "qgrid-empty", "blocks-empty"],
+             "tol-not-a-number", "dmax-below-8", "qgrid-empty", "blocks-empty",
+             "qgrid-negative"],
     )
     def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code, named):
         argv = [small_coeffs if a == "COEFFS" else a for a in argv]
@@ -163,17 +165,45 @@ class TestCliEndToEnd:
         assert out == "" and err.startswith("error: ")
         assert named in err
 
+    # in a subprocess with a timeout, so that a build_params that never returns fails its row
     @pytest.mark.parametrize("mollify, named", [
         ("x=1,theta0=0.1", "mollifier length x must satisfy 1 < x < inf, got 1.0"),
         ("x=0.5", "mollifier length x must satisfy 1 < x < inf, got 0.5"),
         ("x=0", "mollifier length x must satisfy 1 < x < inf, got 0.0"),
         ("x=2e6, theta0 ,c0=2", "--mollify token 'theta0' is not key=value"),
         ("x=2e6,c0=abc", "--mollify key c0 value 'abc' is not a number"),
-    ], ids=["x-one", "x-half", "x-zero", "no-equals", "c0-not-a-number"])
-    def test_mollify_usage_error_names_its_input(self, small_coeffs, capsys, mollify, named):
+        ("theta0=0", "leading exponent theta0 must be positive and finite, got 0.0"),
+        ("theta0=-0.1", "leading exponent theta0 must be positive and finite, got -0.1"),
+        ("eta1=0,c0=0.5", "leading exponent theta0 must be positive and finite, got 0.0"),
+        ("l=inf", "l*kappa must be an integer in [1, 4.0], got inf"),
+    ], ids=["x-one", "x-half", "x-zero", "no-equals", "c0-not-a-number", "theta0-zero",
+            "theta0-negative", "eta1-zero", "l-inf"])
+    def test_mollify_usage_error_names_its_input(self, small_coeffs, mollify, named):
         argv = ["moments", "--blocks", "64", "--coeffs", small_coeffs, "--mollify", mollify]
+        r = run_cli(argv, timeout=60)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {named}\n")
+
+    @pytest.mark.parametrize("target, fault", [
+        ("missing/r.csv", "is in a directory that does not exist"), ("", "is a directory")])
+    @pytest.mark.parametrize("argv, key", [
+        (["selftest"], "out"), (["coeffs", "--limit", "100"], "coeffs_out")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_path_is_checked_before_the_command_runs(self, tmp_path, monkeypatch, capsys,
+                                                         target, fault, argv, key, source):
+        monkeypatch.setattr(cli, "_SUITES", [("ran", lambda: pytest.fail("a suite ran"))])
+        monkeypatch.setattr(cli, "delta_halfintegral", lambda N: pytest.fail("a table was built"))
+        path = str(tmp_path / target)
+        if source == "flag":
+            name = "--out"
+            argv = ["--out", path, *argv] if key == "out" else [*argv, "--out", path]
+        else:
+            name = f"config key {key!r}"
+            (tmp_path / "run.cfg").write_text(f"{key} = {path}\n")
+            argv = ["--config", str(tmp_path / "run.cfg"), *argv]
         assert cli.main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: {named}\n")
+        out, err = capsys.readouterr()
+        assert out == "" and ".tmp" not in err
+        assert err == f"error: {name} value {path!r} {fault}\n"
 
     def test_help_prints_the_defaults(self, capsys):
         for argv, shown in [(["waldspurger"], ["default 2000", "default 1e-8"]),
@@ -294,8 +324,9 @@ class TestConfigFile:
         (["jutila"], "qgrid = ,", "config key 'qgrid' value ',' lists no integers"),
         (["moments", "--coeffs", "COEFFS"], "blocks = ,",
          "config key 'blocks' value ',' lists no integers"),
+        (["jutila"], "qgrid = -5", "Q must be at least 1, got -5"),
     ], ids=["set-bogus", "format-xml", "command", "config", "qgrid-not-integer",
-            "dmax-below-8", "qgrid-empty", "blocks-empty"])
+            "dmax-below-8", "qgrid-empty", "blocks-empty", "qgrid-negative"])
     def test_bad_value_names_its_key(self, tmp_path, small_coeffs, capsys, argv, text, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text + "\n")

@@ -127,6 +127,15 @@ class TestJutila:
         assert sys_.L == 0
         assert jutila_l2_defect(24, 1.0, 1) == 1.0
 
+    def test_q_below_one_is_refused(self):
+        # Q^(eta/2) is complex for Q < 0; Q = 1..3 still give no moduli
+        for Q in (-5, 0, 0.5):
+            with pytest.raises(ValueError, match=f"Q must be at least 1, got {Q}"):
+                build_jutila_system(Q, 0.5, 1)
+        for Q in (1, 2, 3):
+            assert build_jutila_system(Q, 0.5, 1).L == 0
+            assert jutila_l2_defect(Q, 0.5, 1) == 1.0
+
     def test_modulus_set_structure(self):
         sys_ = build_jutila_system(2000, 0.5, 1)
         assert sys_.L == sum(math.gcd(a, q) == 1 for q in sys_.Qset for a in range(1, q + 1))

@@ -119,12 +119,27 @@ class TestChiArray:
         from halfint.arith import kronecker
 
         # discriminants are tiled by one period |d|; d = 2, 3 mod 4 and d = 0
-        # are filled in full
-        for d in (5, 8, 12, 13, 24, 40, 3224, -3, -4, 1, 0, -1, 3, 6):
+        # are refused
+        for d in (5, 8, 12, 13, 24, 40, 3224, -3, -4, 1):
             N = 3 * abs(d) + 7
             chi = chi_array(d, N)
             assert chi.dtype == np.int8
             assert chi.tolist() == [0] + [kronecker(d, n) for n in range(1, N + 1)]
+        for d in (0, -1, 3, 6):
+            with pytest.raises(ValueError, match=f"{d} is not a discriminant"):
+                chi_array(d, 3 * abs(d) + 7)
+
+    def test_every_discriminant_to_400_matches_kronecker(self):
+        # the gather by reciprocity against the per-n symbol, both signs,
+        # over two periods and a partial third
+        from halfint.arith import kronecker
+
+        for d in range(-400, 401):
+            if d == 0 or d % 4 > 1:
+                continue
+            N = 2 * abs(d) + 9
+            expect = [0] + [kronecker(d, n) for n in range(1, N + 1)]
+            assert chi_array(d, N).tolist() == expect, d
 
 
 class TestCentralValue:
