@@ -340,7 +340,8 @@ def _suite_mollifier():
         enum = [mollifier.m_factor(int(m), j, 0.5, params, tab, method="enumerate") for m in ms]
         gap = np.abs(np.array(enum) - iden) / np.maximum(1.0, np.abs(iden))
         worst = max(worst, float(gap.max()))
-    if not (expansion_identity_holds(tab) and taylor_bound_holds((4, 8, 16, 64), 41)):
+    if not (expansion_identity_holds(tab)
+            and taylor_bound_holds((4, 8, 16, mollifier.ELL_MAX), 41)):
         return 1.0, False
     return _below(worst, 1e-12)
 

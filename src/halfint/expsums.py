@@ -99,9 +99,13 @@ def gauss_sum_closed(l: int, n: int) -> float:
 # -- Jutila's circle-method measure ---------------------------------------------
 
 
-# arc endpoints one defect sweep may hold; each takes several 8-byte entries
-# in the sorted sweep
+# arc endpoints one defect sweep may hold. The float sweep keeps about 12
+# bytes per endpoint (a sorted centre for each pair, one 8-byte term each),
+# so the budget costs about 600 MB; the one-argsort sweep it replaced held
+# about 25 (endpoints, their argsort and the gathered copy), about 1.25 GB
 _ENDPOINT_BUDGET = 50_000_000
+# arc starts the float sweep merges at a time
+_SWEEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,9 +164,15 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
     q in the modulus set.
 
     The integrand is piecewise constant, so the integral is a finite sweep
-    over arc endpoints. Float mode sums segments in a fixed order over the
-    float endpoints d/q +- delta; the order of tied endpoints is free, since
-    the segments between them have length 0 and add +0.0 wherever they fall.
+    over arc endpoints. Float mode sorts the centres d/q once and sweeps the
+    float endpoints d/q +- delta in blocks (_float_sweep), writing the term
+    val^2 * seglen of each segment at its index in sorted order; one
+    np.add.reduce over that array gives the same pairwise sum (Higham,
+    "Accuracy and Stability of Numerical Algorithms", ch. 4) as one sort of
+    all endpoints would. The order of tied endpoints is free: a segment of
+    nonzero length starts at the last event of its tie group, so its
+    coverage, index and length do not depend on that order, and the segments
+    inside a tie group have length 0 and add +0.0 wherever they fall.
     Exact mode runs the sweep over the rational centres d/q +- Fraction(delta),
     so its endpoints are not the float ones: every endpoint is an integer
     over one common denominator D = lcm(Qset, denominator of delta), and the
@@ -197,36 +207,72 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
             val = (wd if x >= 0 and y <= D else 0) - wn * cov
             total += val * val * (y - x)
         return float(Fraction(total, wd * wd * D))
-    # endpoints [starts | ends | 0, 1], each block in modulus order
     L = sys_.L
-    pos = np.empty(2 * L + 2)
+    centres = np.empty(L)
     at = 0
     for q in sys_.Qset:
-        centres = _farey_centres(q)
-        pos[at : at + centres.size] = centres
-        at += centres.size
-    np.add(pos[:L], delta, out=pos[L : 2 * L])
-    pos[:L] -= delta
-    pos[2 * L :] = (0.0, 1.0)
-    step = np.zeros(2 * L + 2, dtype=np.int8)
-    step[:L] = 1
-    step[L : 2 * L] = -1
-    order = np.argsort(pos)
-    pos = pos[order]
-    step = step[order]
-    del order
-    cov = np.cumsum(step[:-1], dtype=np.float64)
-    del step
-    inside = pos[:-1] >= 0.0
-    inside &= pos[1:] <= 1.0
-    seglen = np.diff(pos)
-    del pos
-    cov *= weight
-    val = np.subtract(inside, cov, out=cov)
-    del inside
-    val *= val
-    val *= seglen
-    return float(np.add.reduce(val))
+        row = _farey_centres(q)
+        centres[at : at + row.size] = row
+        at += row.size
+    centres.sort()
+    return _float_sweep(centres, delta, weight)
+
+
+def _float_sweep(centres: np.ndarray, delta: float, weight: float) -> float:
+    """The float defect over the sorted centres c: starts fl(c - delta)
+    (+1), ends fl(c + delta) (-1) and the two step-0 events 0.0 and 1.0.
+
+    Rounding is monotone, so the starts and the ends are each sorted. Block
+    k takes _SWEEP_BLOCK starts, the ends below the next block's first start
+    and whichever of 0.0, 1.0 lies there too, so every event of a later
+    block is at or above every event of this one. A stable argsort merges
+    the block; the coverage is carried in, and the next block's first start
+    closes the block's last segment. Each segment writes val^2 * seglen at
+    its index in one term array, and np.add.reduce sums it once.
+    """
+    L = centres.size
+    terms = np.empty(2 * L + 1)
+    unit = np.array([0.0, 1.0])
+    cov = 0.0
+    at = e_lo = u_lo = 0
+    for lo in range(0, L, _SWEEP_BLOCK):
+        hi = min(lo + _SWEEP_BLOCK, L)
+        if hi < L:
+            nxt = centres[hi] - delta
+            # fl(c + delta) < nxt holds on a prefix; searchsorted finds it to a
+            # rounding, and the walks settle it
+            e_hi = int(np.searchsorted(centres, nxt - delta))
+            while e_hi < L and centres[e_hi] + delta < nxt:
+                e_hi += 1
+            while e_hi > e_lo and centres[e_hi - 1] + delta >= nxt:
+                e_hi -= 1
+            u_hi = int(np.searchsorted(unit, nxt))
+        else:
+            e_hi, u_hi = L, 2
+        pos = np.concatenate(
+            (centres[lo:hi] - delta, centres[e_lo:e_hi] + delta, unit[u_lo:u_hi])
+        )
+        step = np.zeros(pos.size)
+        step[: hi - lo] = 1.0
+        step[hi - lo : hi - lo + e_hi - e_lo] = -1.0
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        if hi < L:
+            pos = np.append(pos, nxt)
+        n = pos.size - 1
+        val = terms[at : at + n]
+        np.cumsum(step[order][:n], out=val)
+        val += cov
+        cov = val[-1]
+        inside = pos[:-1] >= 0.0
+        inside &= pos[1:] <= 1.0
+        val *= weight
+        np.subtract(inside, val, out=val)
+        val *= val
+        val *= np.diff(pos)
+        at += n
+        e_lo, u_lo = e_hi, u_hi
+    return float(np.add.reduce(terms))
 
 
 # -- Poisson summation over odd moduli -------------------------------------------

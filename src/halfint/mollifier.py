@@ -92,6 +92,9 @@ _BUDGET = 10_000_000
 _EXPANSION_TOL = 1e-12
 # relative error bound past which e_truncated recomputes an entry exactly
 _E_REL = 2.0**-43
+# the largest truncation length ell_j a mollifier may use: the largest ell
+# that the selftest Taylor check certifies
+ELL_MAX = 64
 
 
 def build_params(
@@ -124,13 +127,18 @@ def build_params(
     theta = [theta0]
     while theta[-1] < eta2:
         theta.append(theta[-1] * math.e)
+    ell = [max(2, 2 * math.floor(t ** (-0.75))) for t in theta]
+    if ell[0] > ELL_MAX:
+        raise ValueError(
+            f"leading exponent theta0 must give ell_0 = 2 floor(theta0^(-3/4)) <= {ELL_MAX}, "
+            f"the largest ell the Taylor check certifies, got {theta0}"
+        )
     J = len(theta) - 1
     if not eta2 <= theta[J] <= math.e * eta2 + 1e-12:
         raise ValueError(
             f"theta_J = {theta[J]:.4g} outside [eta2, e*eta2] = "
             f"[{eta2:.4g}, {math.e * eta2:.4g}]"
         )
-    ell = [max(2, 2 * math.floor(t ** (-0.75))) for t in theta]
     bounds = [c0] + [x**t for t in theta]
     intervals = [(bounds[j], bounds[j + 1]) for j in range(J + 1)]
     delta0 = sum(l_ * t_ for l_, t_ in zip(ell, theta))

@@ -14,6 +14,10 @@ from halfint.qseries import delta_halfintegral, save_coeffs
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
+_ELL_CAP = ("leading exponent theta0 must give ell_0 = 2 floor(theta0^(-3/4)) <= 64, "
+            "the largest ell the Taylor check certifies")
+
+
 def run_cli(args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "halfint.cli", *args],
@@ -176,8 +180,12 @@ class TestCliEndToEnd:
         ("theta0=-0.1", "leading exponent theta0 must be positive and finite, got -0.1"),
         ("eta1=0,c0=0.5", "leading exponent theta0 must be positive and finite, got 0.0"),
         ("l=inf", "l*kappa must be an integer in [1, 4.0], got inf"),
+        ("theta0=1e-6", f"{_ELL_CAP}, got 1e-06"),
+        ("theta0=1e-300", f"{_ELL_CAP}, got 1e-300"),
+        ("theta0=5e-324", f"{_ELL_CAP}, got 5e-324"),
     ], ids=["x-one", "x-half", "x-zero", "no-equals", "c0-not-a-number", "theta0-zero",
-            "theta0-negative", "eta1-zero", "l-inf"])
+            "theta0-negative", "eta1-zero", "l-inf", "theta0-1e-6", "theta0-1e-300",
+            "theta0-subnormal"])
     def test_mollify_usage_error_names_its_input(self, small_coeffs, mollify, named):
         argv = ["moments", "--blocks", "64", "--coeffs", small_coeffs, "--mollify", mollify]
         r = run_cli(argv, timeout=60)

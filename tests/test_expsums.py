@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,6 +100,26 @@ def _list_sweep(Q, eta, D):
     val = inside.astype(np.float64) - weight * cov
     ties = int(np.count_nonzero(np.diff(pos) == 0.0))
     return float(np.add.reduce(val * val * np.diff(pos))), ties
+
+
+def _argsort_sweep(Q, eta, D):
+    """The float defect with every endpoint in one argsort over arrays, in
+    modulus order: the sweep before the block merge."""
+    sys_ = build_jutila_system(Q, eta, D)
+    delta = float(Q) ** (eta - 2.0)
+    weight = float(Q) ** (2.0 - eta) / (2.0 * sys_.L)
+    L = sys_.L
+    centres = np.concatenate([expsums._farey_centres(q) for q in sys_.Qset])
+    pos = np.concatenate((centres - delta, centres + delta, [0.0, 1.0]))
+    step = np.zeros(2 * L + 2, dtype=np.int8)
+    step[:L] = 1
+    step[L : 2 * L] = -1
+    order = np.argsort(pos)
+    pos, step = pos[order], step[order]
+    cov = np.cumsum(step[:-1], dtype=np.float64) * weight
+    inside = (pos[:-1] >= 0.0) & (pos[1:] <= 1.0)
+    val = np.subtract(inside, cov)
+    return float(np.add.reduce(val * val * np.diff(pos)))
 
 
 def _fraction_sweep(Q, eta, D):
@@ -201,6 +224,51 @@ class TestJutila:
         defect, tied = _list_sweep(Q, eta, D)
         assert jutila_l2_defect(Q, eta, D) == defect
         assert tied or eta != 1.0
+
+    def test_block_sweep_equals_the_argsort_sweep(self):
+        # the README grid, where each sweep spans many blocks
+        for Q in (2000, 4000, 8000, 16000):
+            assert jutila_l2_defect(Q, 0.5, 1) == _argsort_sweep(Q, 0.5, 1), Q
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(r=st.sampled_from([5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]),
+           D=st.integers(1, 6), k=st.sampled_from([1, 2]),
+           eta=st.one_of(st.just(1.0), st.floats(0.3, 1.0)), block=st.integers(1, 4))
+    def test_small_blocks_give_the_argsort_defect(self, r, D, k, eta, block):
+        # blocks of a few starts put tied endpoints, and 0.0, on block edges
+        Q = 4 * D * r // k
+        D = max(1, min(D, math.floor(Q ** (eta / 2))))
+        if build_jutila_system(Q, eta, D).L == 0:
+            return
+        with mock.patch.object(expsums, "_SWEEP_BLOCK", block):
+            assert jutila_l2_defect(Q, eta, D) == _argsort_sweep(Q, eta, D)
+
+    def test_block_edges_on_ties_and_on_zero(self):
+        # a block edge is the next block's first start; on these grids some
+        # edge ties an arc end, and on two of them an edge is the start 0.0
+        for (Q, eta, D), block, zero in (((52, 1.0, 1), 1, True), ((116, 1.0, 1), 3, True),
+                                         ((100, 1.0, 10), 2, False), ((68, 1.0, 1), 4, False)):
+            sys_ = build_jutila_system(Q, eta, D)
+            centres = np.sort(np.concatenate([expsums._farey_centres(q) for q in sys_.Qset]))
+            delta = float(Q) ** (eta - 2.0)
+            edges = (centres - delta)[block::block]
+            assert np.isin(edges, centres + delta).any(), (Q, eta, D)
+            assert (0.0 in edges) == zero, (Q, eta, D)
+            with mock.patch.object(expsums, "_SWEEP_BLOCK", block):
+                assert jutila_l2_defect(Q, eta, D) == _argsort_sweep(Q, eta, D)
+
+    def test_float_sweep_memory(self):
+        # in a fresh interpreter (ru_maxrss in KiB, as Linux reports it): the
+        # sorted centres and the term array take about 12 bytes per endpoint
+        # at Q = 16000 (5.5e6 endpoints), where one argsort over all
+        # endpoints took about 25
+        code = ("import resource; from halfint.expsums import jutila_l2_defect as j\n"
+                "j(20, 0.5, 1); r = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "j(16000, 0.5, 1)\n"
+                "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - r) / 1024)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert float(out.stdout) <= 90
 
     def test_integer_sweep_equals_the_fraction_sweep(self):
         for Q, eta, D in ((20, 0.5, 1), (200, 0.5, 1), (600, 0.5, 1), (100, 1.0, 10)):

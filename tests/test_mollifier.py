@@ -57,6 +57,18 @@ class TestBuildParams:
         with pytest.raises(ValueError):
             mo.build_params(x=1e6, l=1.0, kappa=0.7, theta0_override=0.1)
 
+    def test_ell_is_capped_at_the_taylor_check(self):
+        # theta0 = 0.0098 gives ell_0 = 64, the largest ell the selftest
+        # Taylor check runs; 0.0094 gives 66, and the eta1 route is capped too
+        for theta0, ell0 in ((0.0098, 64), (0.01, 62), (0.08, 12)):
+            p = mo.build_params(x=2097152, eta2=0.2, c0=2.0, theta0_override=theta0)
+            assert p.ell[0] == ell0 <= mo.ELL_MAX
+        assert all(cfg.ell[0] <= mo.ELL_MAX for cfg in tiny_mollifier_configs())
+        assert mo.ELL_MAX == 64
+        for kw in (dict(theta0_override=0.0094), dict(eta1=1e-9, c0=0.5)):
+            with pytest.raises(ValueError, match="<= 64, the largest ell the Taylor check"):
+                mo.build_params(x=2097152, eta2=0.2, **kw)
+
 
 class TestWeightAndCoeff:
     def test_vanishes_at_upper_edge(self, params):
