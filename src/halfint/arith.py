@@ -11,7 +11,6 @@ pure, so concurrent readers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -103,9 +102,8 @@ def kronecker(d: int, n: int) -> int:
 _KRONECKER_TWO = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
 
 
-@lru_cache(maxsize=1)
 def kronecker_row(n: int) -> np.ndarray:
-    """(a|n) over one period of a, read-only float64: 0 <= a < n, or
+    """(a|n) over one period of a, as a new int8 array: 0 <= a < n, or
     0 <= a < 4n when n = 2 mod 4. One row serves a sweep at a fixed n.
 
     By multiplicativity in n the row is the product over p^e || n of
@@ -123,8 +121,6 @@ def kronecker_row(n: int) -> np.ndarray:
             r = np.arange(1, p)
             leg[r * r % p] = 1
         row *= leg[a % leg.size] ** e
-    row = row.astype(np.float64)
-    row.flags.writeable = False
     return row
 
 

@@ -456,12 +456,12 @@ def _out_path(text: str) -> str:
     return text
 
 
-_MOLLIFY_KEYS = ("x", "C", "l", "kappa", "eta1", "eta2", "c0", "theta0")
+_MOLLIFY_KEYS = ("x", "C", "l", "kappa", "eta2", "c0", "theta0")
 
 
 def _parse_mollify(text: str) -> dict:
-    """build_params keyword arguments from the given keys; x defaults to
-    2e6, the other keys to the build_params defaults."""
+    """build_params keyword arguments from the given keys; theta0 is
+    required, x defaults to 2e6, the other keys to the build_params defaults."""
     kv = {"x": 2.0e6}
     for tok in text.split(","):
         if not tok.strip():
@@ -473,6 +473,8 @@ def _parse_mollify(text: str) -> dict:
         if k not in _MOLLIFY_KEYS:
             raise ValueError(f"key {k!r} is not one of {', '.join(_MOLLIFY_KEYS)}")
         kv["theta0_override" if k == "theta0" else k] = _float(v, f"key {k} value")
+    if "theta0_override" not in kv:
+        raise ValueError(f"value {text!r} does not set the required key theta0")
     return kv
 
 

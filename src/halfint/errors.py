@@ -1,17 +1,17 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: 1 for verification failures
-(FormatError, ChecksumError, InconsistencyError), 2 for usage problems
-(ValueError), 3 for resource problems (CapacityError, BudgetExceededError,
-InsufficientTableError) and for a truncation bound that misses its
-tolerance (ConvergenceError).
+(FormatError, ChecksumError, InconsistencyError), 2 for usage problems (a
+plain ValueError; no subclass of it is defined here), 3 for resource
+problems (CapacityError, BudgetExceededError, InsufficientTableError) and
+for a truncation bound that misses its tolerance (ConvergenceError).
 """
 
 
 class CapacityError(Exception):
     """A requested size is past what the code can fill exactly or feasibly:
-    an int64 bound, the builder's cap or lift window, the tau prime set, or
-    a mollifier sieve."""
+    an int64 bound, the builder's cap or lift window, the tau table budget
+    or prime set, or a mollifier sieve."""
 
 
 class BudgetExceededError(Exception):
@@ -36,7 +36,3 @@ class InconsistencyError(Exception):
 
 class ConvergenceError(Exception):
     """A quadrature tail estimate exceeds the requested tolerance."""
-
-
-class DegenerateIntervalError(ValueError):
-    """Mollifier construction produced an empty leading prime interval."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +19,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .arith import euler_phi, factorize_small, kronecker, kronecker_row, primes_up_to
-from .errors import BudgetExceededError, ConvergenceError, InsufficientTableError
+from .errors import BudgetExceededError, CapacityError, ConvergenceError, InsufficientTableError
 from .qseries import K, WEIGHT_TIMES_TWO, CoeffTable
 
 __all__ = [
@@ -130,6 +131,8 @@ def build_jutila_system(Q: float, eta: float, Delta: int) -> JutilaSystem:
         raise ValueError("eta must lie in (0, 1]")
     if not Q >= 1:
         raise ValueError(f"Q must be at least 1, got {Q}")
+    if Q > sys.float_info.max:
+        raise ValueError(f"Q must be at most {sys.float_info.max:.4g}, the largest float")
     if Delta < 1 or Delta > Q ** (eta / 2) + 1e-9:
         raise ValueError("Delta must satisfy 1 <= Delta <= Q^{eta/2}")
     r_lo = math.ceil(Q / (4 * Delta))
@@ -330,6 +333,9 @@ def shifted_convolution(
         raise ValueError(f"X must be positive and finite, got {X}")
     if Delta < 1 or gcd(v, Delta) != 1:
         raise ValueError("need Delta >= 1 and gcd(v, Delta) = 1")
+    top = abs(v) * max(Delta - 1, 1)  # the largest |v (n mod Delta)|
+    if top >= 2**63:
+        raise CapacityError(f"phase numerator v (n mod Delta) reaches {top}, past int64")
     n0 = math.ceil(X * math.log(1e12) / (4 * math.pi))
     if coeffs.N < n0 + abs(h):
         raise InsufficientTableError(

@@ -30,6 +30,7 @@ sum_{m<k} y^m/m! <= 2 y^{k-1}/(k-1)! for y >= 2(k-1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,7 +149,7 @@ def chi_array(d: int, N: int) -> np.ndarray:
     kronecker_row(|d|), times chi_{-4} when e = 1 (then 4 | d), tiled to N."""
     if d == 0 or d % 4 > 1:
         raise ValueError(f"{d} is not a discriminant (d = 0 or 1 mod 4, d != 0)")
-    period = kronecker_row(abs(d)).astype(np.int8)
+    period = kronecker_row(abs(d))
     if d // (d & -d) % 4 == 3:
         period *= np.resize(np.array([0, 1, 0, -1], dtype=np.int8), abs(d))  # chi_{-4}
     chi = np.resize(period, N + 1)
@@ -157,10 +158,15 @@ def chi_array(d: int, N: int) -> np.ndarray:
 
 
 def truncation_length(d: int, tol: float) -> int:
-    """Length N0 of the AFE sum at d for tolerance tol."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    return math.ceil(abs(d) * max(8.0, (K + math.log(1.0 / tol)) / (2 * math.pi)))
+    """Length N0 = ceil(|d| max(8, (k + log(1/tol)) / 2 pi)) of the AFE sum
+    at d for tolerance tol, in integers, so that no |d| overflows a float.
+    tol must be a normal float: below that the tail bound underflows."""
+    if not sys.float_info.min <= tol < math.inf:
+        raise ValueError(
+            f"tolerance must be finite and at least {sys.float_info.min:.4g}, the least "
+            f"normal float, got {tol}")
+    num, den = max(8.0, (K + math.log(1.0 / tol)) / (2 * math.pi)).as_integer_ratio()
+    return -(-abs(d) * num // den)
 
 
 def _tail_bound(N0: int, d: int) -> float:

@@ -24,10 +24,11 @@ the collapsed form (method="identity"); their agreement is one of the
 verification suites. The collapsed form also takes an int array of twists,
 and `halfint moments --mollify` evaluates it so.
 
-Asymptotically-shaped parameters make I_0 empty at any feasible scale, so
-`build_params` accepts an explicit leading exponent; in that desk mode the
-total-length bound sum ell_j t_j < 1/2 is recorded but not enforced (the
-canonical desk configurations violate it by design).
+`build_params` takes the leading exponent t_0 as given. The paper's
+asymptotic shape t_0 = eta_1 / (log log x)^5 with the total-length bound
+sum ell_j t_j < 1/2 cannot be built here. The cap ell_0 <= ELL_MAX = 64
+means m = floor(t_0^(-3/4)) <= 32 and t_0 > (m + 1)^(-4/3), so
+ell_0 t_0 > 2m (m + 1)^(-4/3) >= 64 * 33^(-4/3) = 0.6046 > 1/2 at every x.
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from math import factorial
 import numpy as np
 
 from .arith import factorize_small, kronecker, kronecker_row, primes_up_to
-from .errors import (
-    BudgetExceededError,
-    CapacityError,
-    DegenerateIntervalError,
-    InconsistencyError,
-)
+from .errors import BudgetExceededError, CapacityError, InconsistencyError
 from .hecke import HeckeTable
 
 __all__ = [
@@ -74,8 +70,6 @@ class MollifierParams:
     ell: list
     J: int
     intervals: list
-    delta0: float
-    length_ok: bool
     primes: list = field(repr=False)
     # enumerated block supports, keyed by (j, max_omega); see _support
     _supports: dict = field(default_factory=dict, repr=False, compare=False)
@@ -102,28 +96,19 @@ def build_params(
     C: float = 4.0,
     l: float = 2.0,
     kappa: float = 0.5,
-    eta1: float = 1.0,
     eta2: float = 0.2,
     c0: float = 2.0,
-    theta0_override: float | None = None,
+    *,
+    theta0_override: float,
 ) -> MollifierParams:
     if not 1 < x < math.inf:
         raise ValueError(f"mollifier length x must satisfy 1 < x < inf, got {x}")
     lk = l * kappa
     if not math.isfinite(lk) or abs(lk - round(lk)) > 1e-9 or not 1 <= round(lk) <= C:
         raise ValueError(f"l*kappa must be an integer in [1, {C}], got {lk}")
-    logx = math.log(x)
-    if theta0_override is not None:
-        theta0 = float(theta0_override)
-    else:
-        theta0 = eta1 / math.log(logx) ** 5
+    theta0 = float(theta0_override)
     if not 0 < theta0 < math.inf:
         raise ValueError(f"leading exponent theta0 must be positive and finite, got {theta0}")
-    if x**theta0 <= c0 and theta0_override is None:
-        raise DegenerateIntervalError(
-            f"x^theta0 = {x**theta0:.4g} <= c0 = {c0}: leading interval empty "
-            "(supply theta0_override for desk-scale runs)"
-        )
     theta = [theta0]
     while theta[-1] < eta2:
         theta.append(theta[-1] * math.e)
@@ -139,16 +124,11 @@ def build_params(
             f"theta_J = {theta[J]:.4g} outside [eta2, e*eta2] = "
             f"[{eta2:.4g}, {math.e * eta2:.4g}]"
         )
+    top = theta[J] * math.log(x)  # the top edge in logs, so that no x^t overflows
+    if top > math.log(5.0e7):
+        raise CapacityError(f"largest block edge x^theta_J = e^{top:.4g} needs an infeasible sieve")
     bounds = [c0] + [x**t for t in theta]
     intervals = [(bounds[j], bounds[j + 1]) for j in range(J + 1)]
-    delta0 = sum(l_ * t_ for l_, t_ in zip(ell, theta))
-    length_ok = delta0 < 0.5
-    if theta0_override is None and not length_ok:
-        raise ValueError(f"mollifier length sum {delta0:.4g} >= 1/2")
-    if bounds[-1] > 5.0e7:
-        raise CapacityError(
-            f"largest block edge x^theta_J = {bounds[-1]:.3g} needs an infeasible sieve"
-        )
     allp = primes_up_to(math.floor(bounds[-1]))
     primes = [[p for p in allp if lo < p <= hi] for lo, hi in intervals]
     return MollifierParams(
@@ -159,8 +139,6 @@ def build_params(
         ell=ell,
         J=J,
         intervals=intervals,
-        delta0=delta0,
-        length_ok=length_ok,
         primes=primes,
     )
 

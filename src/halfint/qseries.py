@@ -346,6 +346,12 @@ def delta_halfintegral_reference(N: int) -> CoeffTable:
 # -- tau of the discriminant form ---------------------------------------------
 
 
+# tau entries one table may hold. A table with its lambda row keeps about 225
+# bytes per entry (the exact ints of tau dominate), so the budget costs about
+# 0.9 GB; building it took 50 s on a 2-vCPU x86_64 host
+_TAU_BUDGET = 4_000_000
+
+
 def delta_integral(N: int) -> list:
     """tau(n) for 1 <= n <= N from q prod (1-q^n)^24, exact; index 0 unused.
 
@@ -369,6 +375,8 @@ def delta_integral(N: int) -> list:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N > _TAU_BUDGET:
+        raise CapacityError(f"a tau table of {N} entries is past the budget of {_TAU_BUDGET}")
     size = 1 << (2 * N - 2).bit_length()  # > 2(N-1), so the square does not wrap
     k, e = size.bit_length(), 2.0**-53
     grow = 3 * k * (math.log1p(e) + math.log1p(2 * e)) + (3 * k + 1) * math.log1p(e * 5**0.5)

@@ -1,12 +1,14 @@
+import inspect
 import json
 import pathlib
+import resource
 import shlex
 import subprocess
 import sys
 
 import pytest
 
-from halfint import cli
+from halfint import cli, mollifier
 from halfint.arith import enumerate_nflat
 from halfint.cli import cmd_signchanges
 from halfint.qseries import delta_halfintegral, save_coeffs
@@ -155,37 +157,67 @@ class TestCliEndToEnd:
             (["moments", "--blocks", ",", "--coeffs", "COEFFS"], 2,
              "--blocks value ',' lists no integers"),
             (["jutila", "--qgrid", "-5"], 2, "Q must be at least 1, got -5"),
+            (["waldspurger", "--dmax", "8", "--tol", "1e-320"], 2,
+             "tolerance must be finite and at least 2.225e-308"),
+            (["waldspurger", "--dmax", "1" + "0" * 400], 3, "entries is past the budget of"),
+            (["jutila", "--qgrid", "1" + "0" * 400], 2, "Q must be at most 1.798e+308"),
+            (["shifted", "--h", "1", "--v", "100000000000000000001", "--delta", "3",
+              "--xgrid", "512", "--coeffs", "COEFFS"], 3,
+             "v (n mod Delta) reaches 200000000000000000002, past int64"),
+            (["shifted", "--h", "1", "--delta", "100000000000000000000", "--v", "1",
+              "--xgrid", "512", "--coeffs", "COEFFS"], 3,
+             "v (n mod Delta) reaches 99999999999999999999, past int64"),
+            (["moments", "--blocks", "64", "--coeffs", "COEFFS",
+              "--mollify", "x=1e300,theta0=2,eta2=2"], 3,
+             "largest block edge x^theta_J = e^1382 needs an infeasible sieve"),
         ],
         ids=["tol-nan", "tol-zero", "tol-negative", "tol-unreachable", "block-zero",
              "block-fraction", "mollify-unknown-key", "xgrid-zero", "xgrid-inf",
              "limit-negative", "block-not-integer", "limit-not-integer",
              "tol-not-a-number", "dmax-below-8", "qgrid-empty", "blocks-empty",
-             "qgrid-negative"],
+             "qgrid-negative", "tol-subnormal", "dmax-past-float", "qgrid-past-float",
+             "v-past-int64", "delta-past-int64", "mollify-edge-past-float"],
     )
     def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code, named):
         argv = [small_coeffs if a == "COEFFS" else a for a in argv]
         assert cli.main(argv) == code
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    def test_tau_table_is_refused_before_it_is_allocated(self):
+        # 8e7 entries would need about 18 GB; under a 3 GB address space the
+        # refusal must come before numpy asks for any of it
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        r = run_cli(["waldspurger", "--dmax", "10000000"], preexec_fn=limit, timeout=60)
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr == "error: a tau table of 80000000 entries is past the budget of 4000000\n"
+
+    def test_mollify_keys_are_the_build_params_keywords(self):
+        keys = {"theta0_override" if k == "theta0" else k for k in cli._MOLLIFY_KEYS}
+        assert keys == set(inspect.signature(mollifier.build_params).parameters)
 
     # in a subprocess with a timeout, so that a build_params that never returns fails its row
     @pytest.mark.parametrize("mollify, named", [
         ("x=1,theta0=0.1", "mollifier length x must satisfy 1 < x < inf, got 1.0"),
-        ("x=0.5", "mollifier length x must satisfy 1 < x < inf, got 0.5"),
-        ("x=0", "mollifier length x must satisfy 1 < x < inf, got 0.0"),
+        ("x=0.5,theta0=0.1", "mollifier length x must satisfy 1 < x < inf, got 0.5"),
+        ("x=0,theta0=0.1", "mollifier length x must satisfy 1 < x < inf, got 0.0"),
         ("x=2e6, theta0 ,c0=2", "--mollify token 'theta0' is not key=value"),
         ("x=2e6,c0=abc", "--mollify key c0 value 'abc' is not a number"),
         ("theta0=0", "leading exponent theta0 must be positive and finite, got 0.0"),
         ("theta0=-0.1", "leading exponent theta0 must be positive and finite, got -0.1"),
-        ("eta1=0,c0=0.5", "leading exponent theta0 must be positive and finite, got 0.0"),
-        ("l=inf", "l*kappa must be an integer in [1, 4.0], got inf"),
+        ("eta1=1,theta0=0.08",
+         "--mollify key 'eta1' is not one of x, C, l, kappa, eta2, c0, theta0"),
+        ("x=2e6", "--mollify value 'x=2e6' does not set the required key theta0"),
+        ("l=inf,theta0=0.1", "l*kappa must be an integer in [1, 4.0], got inf"),
         ("theta0=1e-6", f"{_ELL_CAP}, got 1e-06"),
         ("theta0=1e-300", f"{_ELL_CAP}, got 1e-300"),
         ("theta0=5e-324", f"{_ELL_CAP}, got 5e-324"),
     ], ids=["x-one", "x-half", "x-zero", "no-equals", "c0-not-a-number", "theta0-zero",
-            "theta0-negative", "eta1-zero", "l-inf", "theta0-1e-6", "theta0-1e-300",
-            "theta0-subnormal"])
+            "theta0-negative", "eta1-unknown-key", "theta0-missing", "l-inf", "theta0-1e-6",
+            "theta0-1e-300", "theta0-subnormal"])
     def test_mollify_usage_error_names_its_input(self, small_coeffs, mollify, named):
         argv = ["moments", "--blocks", "64", "--coeffs", small_coeffs, "--mollify", mollify]
         r = run_cli(argv, timeout=60)
@@ -272,7 +304,7 @@ EVERY_OPTION = [
     ("waldspurger", "--tol", "tol", "1e-6", "1e-9"),
     ("moments", "--blocks", "blocks", "64", "64,128"),
     ("moments", "--coeffs", "coeffs", "a.hicf", "b.hicf"),
-    ("moments", "--mollify", "mollify", "x=3e6", "x=4e6,c0=2"),
+    ("moments", "--mollify", "mollify", "x=3e6,theta0=0.1", "x=4e6,c0=2,theta0=0.1"),
     ("shifted", "--h", "h", "1", "2"),
     ("shifted", "--delta", "delta", "3", "5"),
     ("shifted", "--v", "v", "1", "2"),

@@ -7,7 +7,7 @@ import pytest
 from halfint import mollifier as mo
 from halfint.arith import kronecker
 from halfint.cli import taylor_bound_holds, tiny_mollifier_configs
-from halfint.errors import BudgetExceededError, DegenerateIntervalError, InconsistencyError
+from halfint.errors import BudgetExceededError, InconsistencyError
 from halfint.hecke import HeckeTable, build_hecke_table
 
 
@@ -28,11 +28,6 @@ def params(tab):
 
 
 class TestBuildParams:
-    def test_asymptotic_shape_degenerates(self):
-        # eta1 = 1, x = 1e6: x^{theta_0} = 1.117 < c0
-        with pytest.raises(DegenerateIntervalError):
-            mo.build_params(x=1.0e6, eta1=1.0)
-
     def test_override_geometry(self):
         # x^0.05 = 1.995, so c0 must sit below it for a nonempty lead block
         p = mo.build_params(x=1.0e6, eta2=0.2, c0=1.5, theta0_override=0.05)
@@ -47,27 +42,20 @@ class TestBuildParams:
             assert t == pytest.approx(0.1 * math.e**j, rel=1e-12)
             assert params.ell[j] == 2 * math.floor(t ** (-0.75))
 
-    def test_length_constraint_recorded(self, params):
-        assert params.delta0 == sum(
-            l * t for l, t in zip(params.ell, params.theta)
-        )
-        assert not params.length_ok  # desk-scale override: recorded, not fatal
-
     def test_lk_validation(self):
         with pytest.raises(ValueError):
             mo.build_params(x=1e6, l=1.0, kappa=0.7, theta0_override=0.1)
 
     def test_ell_is_capped_at_the_taylor_check(self):
         # theta0 = 0.0098 gives ell_0 = 64, the largest ell the selftest
-        # Taylor check runs; 0.0094 gives 66, and the eta1 route is capped too
+        # Taylor check runs; 0.0094 gives 66
         for theta0, ell0 in ((0.0098, 64), (0.01, 62), (0.08, 12)):
             p = mo.build_params(x=2097152, eta2=0.2, c0=2.0, theta0_override=theta0)
             assert p.ell[0] == ell0 <= mo.ELL_MAX
         assert all(cfg.ell[0] <= mo.ELL_MAX for cfg in tiny_mollifier_configs())
         assert mo.ELL_MAX == 64
-        for kw in (dict(theta0_override=0.0094), dict(eta1=1e-9, c0=0.5)):
-            with pytest.raises(ValueError, match="<= 64, the largest ell the Taylor check"):
-                mo.build_params(x=2097152, eta2=0.2, **kw)
+        with pytest.raises(ValueError, match="<= 64, the largest ell the Taylor check"):
+            mo.build_params(x=2097152, eta2=0.2, theta0_override=0.0094)
 
 
 class TestWeightAndCoeff:
