@@ -456,7 +456,7 @@ def _out_path(text: str) -> str:
     return text
 
 
-_MOLLIFY_KEYS = ("x", "C", "l", "kappa", "eta2", "c0", "theta0")
+_MOLLIFY_KEYS = ("x", "l", "kappa", "eta2", "c0", "theta0")
 
 
 def _parse_mollify(text: str) -> dict:

@@ -333,9 +333,12 @@ def shifted_convolution(
         raise ValueError(f"X must be positive and finite, got {X}")
     if Delta < 1 or gcd(v, Delta) != 1:
         raise ValueError("need Delta >= 1 and gcd(v, Delta) = 1")
-    top = abs(v) * max(Delta - 1, 1)  # the largest |v (n mod Delta)|
+    v %= Delta  # the phase depends on v mod Delta alone
+    top = v * (Delta - 1)  # the largest v (n mod Delta)
     if top >= 2**63:
         raise CapacityError(f"phase numerator v (n mod Delta) reaches {top}, past int64")
+    if X >= coeffs.N:  # n0 > X; checked before X meets a float
+        raise InsufficientTableError(f"need coefficients past X = {X}, table holds {coeffs.N}")
     n0 = math.ceil(X * math.log(1e12) / (4 * math.pi))
     if coeffs.N < n0 + abs(h):
         raise InsufficientTableError(

@@ -64,7 +64,6 @@ __all__ = [
 @dataclass
 class MollifierParams:
     x: float
-    l: float
     kappa: float
     theta: list
     ell: list
@@ -89,11 +88,12 @@ _E_REL = 2.0**-43
 # the largest truncation length ell_j a mollifier may use: the largest ell
 # that the selftest Taylor check certifies
 ELL_MAX = 64
+# the largest moment l*kappa a mollifier is built for
+_LK_MAX = 4
 
 
 def build_params(
     x: float,
-    C: float = 4.0,
     l: float = 2.0,
     kappa: float = 0.5,
     eta2: float = 0.2,
@@ -103,9 +103,13 @@ def build_params(
 ) -> MollifierParams:
     if not 1 < x < math.inf:
         raise ValueError(f"mollifier length x must satisfy 1 < x < inf, got {x}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not math.isfinite(c0):
+        raise ValueError(f"lowest block edge c0 must be finite, got {c0}")
     lk = l * kappa
-    if not math.isfinite(lk) or abs(lk - round(lk)) > 1e-9 or not 1 <= round(lk) <= C:
-        raise ValueError(f"l*kappa must be an integer in [1, {C}], got {lk}")
+    if not math.isfinite(lk) or abs(lk - round(lk)) > 1e-9 or not 1 <= round(lk) <= _LK_MAX:
+        raise ValueError(f"l*kappa must be an integer in [1, {_LK_MAX}], got {lk}")
     theta0 = float(theta0_override)
     if not 0 < theta0 < math.inf:
         raise ValueError(f"leading exponent theta0 must be positive and finite, got {theta0}")
@@ -133,7 +137,6 @@ def build_params(
     primes = [[p for p in allp if lo < p <= hi] for lo, hi in intervals]
     return MollifierParams(
         x=x,
-        l=l,
         kappa=kappa,
         theta=theta,
         ell=ell,
@@ -208,41 +211,14 @@ def e_truncated(t, ell: int):
     return float(acc[0]) if scalar else acc
 
 
-def _block_support(j: int, max_omega: int, params: MollifierParams, t: HeckeTable):
-    """All I_j-smooth n with Omega(n) <= max_omega as
-    (n, omega, a(n), nu(n), exponent map); DFS over block primes."""
-    plist = params.primes[j]
-    a_at = {p: coeff_a(p, params, t) for p in plist}
-    out = []
-    count = 0
-
-    def rec(i: int, n: int, omega: int, aval: float, nuval: Fraction, expo: tuple):
-        nonlocal count
-        count += 1
-        if count > _BUDGET:
-            raise BudgetExceededError(
-                f"block {j}: more than {_BUDGET} nodes with Omega <= {max_omega}"
-            )
-        out.append((n, omega, aval, nuval, expo))
-        for idx in range(i, len(plist)):
-            p = plist[idx]
-            pe, av, e = n, aval, 0
-            while omega + e + 1 <= max_omega:
-                pe *= p
-                av *= a_at[p]
-                e += 1
-                rec(idx + 1, pe, omega + e, av, nuval / factorial(e), expo + ((p, e),))
-
-    rec(0, 1, 0, 1.0, Fraction(1), ())
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class _Support:
-    """`_block_support` as arrays in DFS order, for the table it was built
-    from: expo[i, k] is the exponent of params.primes[j][k] in the i-th n."""
+    """The I_j-smooth n with Omega(n) <= max_omega in DFS order, for the table
+    they were built from: expo[i, k] is the exponent of params.primes[j][k]
+    in n[i], and nu[i] = 1 / prod e!."""
 
     table: HeckeTable
+    n: list
     expo: np.ndarray
     omega: np.ndarray
     aval: np.ndarray
@@ -251,24 +227,46 @@ class _Support:
 
 
 def _support(j: int, max_omega: int, params: MollifierParams, t: HeckeTable) -> _Support:
-    """The block support, enumerated once per (j, max_omega) and table."""
+    """The block support, enumerated once per (j, max_omega) and table by a
+    DFS over the block primes; a(n) is the running product of the a(p)."""
     entry = params._supports.get((j, max_omega))
-    if entry is None or entry.table is not t:
-        nodes = _block_support(j, max_omega, params, t)
-        col = {p: k for k, p in enumerate(params.primes[j])}
-        expo = np.zeros((len(nodes), len(col)), dtype=np.min_scalar_type(max_omega))
-        for i, (*_, pairs) in enumerate(nodes):
-            for p, e in pairs:
-                expo[i, col[p]] = e
-        entry = _Support(
-            table=t,
-            expo=expo,
-            omega=np.array([node[1] for node in nodes], dtype=np.int64),
-            aval=np.array([node[2] for node in nodes], dtype=np.float64),
-            nu=np.array([float(node[3]) for node in nodes], dtype=np.float64),
-            sqrt_n=np.array([math.sqrt(node[0]) for node in nodes], dtype=np.float64),
-        )
-        params._supports[(j, max_omega)] = entry
+    if entry is not None and entry.table is t:
+        return entry
+    plist = params.primes[j]
+    a_at = [coeff_a(p, params, t) for p in plist]
+    ns, expo, omega, aval, nu = [], [], [], [], []
+    cur = [0] * len(plist)
+
+    def rec(i: int, n: int, om: int, av: float, fac: int):
+        if len(ns) >= _BUDGET:
+            raise BudgetExceededError(
+                f"block {j}: more than {_BUDGET} nodes with Omega <= {max_omega}"
+            )
+        ns.append(n)
+        expo.append(cur[:])
+        omega.append(om)
+        aval.append(av)
+        nu.append(1 / fac)
+        for k in range(i, len(plist)):
+            pe, ak = n, av
+            for e in range(1, max_omega - om + 1):
+                pe *= plist[k]
+                ak *= a_at[k]
+                cur[k] = e
+                rec(k + 1, pe, om + e, ak, fac * factorial(e))
+            cur[k] = 0
+
+    rec(0, 1, 0, 1.0, 1)
+    entry = _Support(
+        table=t,
+        n=ns,
+        expo=np.array(expo, dtype=np.min_scalar_type(max_omega)),
+        omega=np.array(omega, dtype=np.int64),
+        aval=np.array(aval, dtype=np.float64),
+        nu=np.array(nu, dtype=np.float64),
+        sqrt_n=np.array([math.sqrt(n) for n in ns], dtype=np.float64),
+    )
+    params._supports[(j, max_omega)] = entry
     return entry
 
 
@@ -287,7 +285,7 @@ def _block_sum(
     """sum of kappa^{-Omega} a(n) (-1)^Omega weight(n) (m|n)/sqrt(n) over
     the support: each term is rounded as that product is, left to right, and
     the terms are added in DFS order, so the result is bit-identical to a
-    Python loop over `_block_support`."""
+    Python loop over the support."""
     kpow = np.array([kappa ** (-w) for w in range(int(s.omega.max()) + 1)])
     sgn = np.where(s.omega % 2 == 1, -1.0, 1.0)
     terms = kpow[s.omega] * s.aval * sgn * weight * _twist_signs(m, j, params, s) / s.sqrt_n
@@ -405,8 +403,7 @@ def dirichlet_expansion_check(
     rhs = math.log(params.x) ** (l / 2.0)
     for j in range(params.J + 1):
         s = _support(j, lk * params.ell[j], params, t)
-        ns = [math.prod(p ** int(e) for p, e in zip(params.primes[j], row)) for row in s.expo]
-        h = np.array([float(nu_truncated(lk, n, params.ell[j])) for n in ns])
+        h = np.array([float(nu_truncated(lk, n, params.ell[j])) for n in s.n])
         rhs *= _block_sum(m, j, kappa, h, params, s)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale <= _EXPANSION_TOL

@@ -161,9 +161,8 @@ class TestCliEndToEnd:
              "tolerance must be finite and at least 2.225e-308"),
             (["waldspurger", "--dmax", "1" + "0" * 400], 3, "entries is past the budget of"),
             (["jutila", "--qgrid", "1" + "0" * 400], 2, "Q must be at most 1.798e+308"),
-            (["shifted", "--h", "1", "--v", "100000000000000000001", "--delta", "3",
-              "--xgrid", "512", "--coeffs", "COEFFS"], 3,
-             "v (n mod Delta) reaches 200000000000000000002, past int64"),
+            (["shifted", "--h", "1", "--xgrid", "1" + "0" * 400, "--coeffs", "COEFFS"], 3,
+             "need coefficients past X = 1" + "0" * 400 + ", table holds 20000"),
             (["shifted", "--h", "1", "--delta", "100000000000000000000", "--v", "1",
               "--xgrid", "512", "--coeffs", "COEFFS"], 3,
              "v (n mod Delta) reaches 99999999999999999999, past int64"),
@@ -176,7 +175,7 @@ class TestCliEndToEnd:
              "limit-negative", "block-not-integer", "limit-not-integer",
              "tol-not-a-number", "dmax-below-8", "qgrid-empty", "blocks-empty",
              "qgrid-negative", "tol-subnormal", "dmax-past-float", "qgrid-past-float",
-             "v-past-int64", "delta-past-int64", "mollify-edge-past-float"],
+             "xgrid-past-float", "delta-past-int64", "mollify-edge-past-float"],
     )
     def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code, named):
         argv = [small_coeffs if a == "COEFFS" else a for a in argv]
@@ -184,6 +183,16 @@ class TestCliEndToEnd:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    def test_shifted_phase_reads_v_mod_delta(self, small_coeffs, capsys):
+        # 2^62 + 1 and 10^20 + 1 are 2 mod 3, and their phases are those of v = 2
+        def stdout(v):
+            assert cli.main(["shifted", "--h", "1", "--v", str(v), "--delta", "3",
+                             "--xgrid", "512,1024", "--coeffs", small_coeffs]) == 0
+            return capsys.readouterr().out
+
+        # the report prints each float to its last bit
+        assert stdout(2**62 + 1) == stdout(10**20 + 1) == stdout(2)
 
     def test_tau_table_is_refused_before_it_is_allocated(self):
         # 8e7 entries would need about 18 GB; under a 3 GB address space the
@@ -209,19 +218,45 @@ class TestCliEndToEnd:
         ("theta0=0", "leading exponent theta0 must be positive and finite, got 0.0"),
         ("theta0=-0.1", "leading exponent theta0 must be positive and finite, got -0.1"),
         ("eta1=1,theta0=0.08",
-         "--mollify key 'eta1' is not one of x, C, l, kappa, eta2, c0, theta0"),
+         "--mollify key 'eta1' is not one of x, l, kappa, eta2, c0, theta0"),
+        ("C=4,theta0=0.08", "--mollify key 'C' is not one of x, l, kappa, eta2, c0, theta0"),
         ("x=2e6", "--mollify value 'x=2e6' does not set the required key theta0"),
-        ("l=inf,theta0=0.1", "l*kappa must be an integer in [1, 4.0], got inf"),
+        ("l=inf,theta0=0.1", "l*kappa must be an integer in [1, 4], got inf"),
         ("theta0=1e-6", f"{_ELL_CAP}, got 1e-06"),
         ("theta0=1e-300", f"{_ELL_CAP}, got 1e-300"),
         ("theta0=5e-324", f"{_ELL_CAP}, got 5e-324"),
+        ("theta0=0.08,c0=nan", "lowest block edge c0 must be finite, got nan"),
+        ("theta0=0.08,c0=inf", "lowest block edge c0 must be finite, got inf"),
+        ("theta0=0.08,kappa=-4,l=-0.5", "kappa must be positive and finite, got -4.0"),
     ], ids=["x-one", "x-half", "x-zero", "no-equals", "c0-not-a-number", "theta0-zero",
-            "theta0-negative", "eta1-unknown-key", "theta0-missing", "l-inf", "theta0-1e-6",
-            "theta0-1e-300", "theta0-subnormal"])
+            "theta0-negative", "eta1-unknown-key", "C-unknown-key", "theta0-missing", "l-inf",
+            "theta0-1e-6", "theta0-1e-300", "theta0-subnormal", "c0-nan", "c0-inf",
+            "kappa-negative"])
     def test_mollify_usage_error_names_its_input(self, small_coeffs, mollify, named):
         argv = ["moments", "--blocks", "64", "--coeffs", small_coeffs, "--mollify", mollify]
         r = run_cli(argv, timeout=60)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {named}\n")
+
+    # each key with two valid values whose moments reports differ, but l: it
+    # only enters the check that l*kappa is an integer in [1, 4], and stays
+    # a build_params keyword because perfbench/ passes it
+    MOLLIFY_VALUES = {"x": ("2097152", "3e6"), "kappa": ("0.5", "1"), "eta2": ("0.2", "0.3"),
+                      "c0": ("2", "3"), "theta0": ("0.08", "0.1")}
+    OUTPUT_INERT = {"l"}
+
+    def test_every_mollify_key_changes_the_report(self, small_coeffs, capsys):
+        assert set(self.MOLLIFY_VALUES) == set(cli._MOLLIFY_KEYS) - self.OUTPUT_INERT
+        base = {"x": "2097152", "theta0": "0.08", "eta2": "0.2", "c0": "2"}
+
+        def report(key, value):
+            mollify = ",".join(f"{k}={v}" for k, v in {**base, key: value}.items())
+            argv = ["moments", "--blocks", "1024,2048", "--coeffs", small_coeffs,
+                    "--mollify", mollify]
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out
+
+        for key, (a, b) in self.MOLLIFY_VALUES.items():
+            assert report(key, a) != report(key, b), key
 
     @pytest.mark.parametrize("target, fault", [
         ("missing/r.csv", "is in a directory that does not exist"), ("", "is a directory")])

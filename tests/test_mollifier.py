@@ -126,15 +126,23 @@ class TestPSum:
                 assert p1**s == pytest.approx(math.factorial(s) * rhs, rel=1e-10)
 
 
+def _support_rows(j, max_omega, params, tab):
+    """The block support in DFS order, one (n, Omega, a(n), nu(n), [(p, e)])
+    per n, in Python numbers."""
+    s = mo._support(j, max_omega, params, tab)
+    pairs = [[(p, e) for p, e in zip(params.primes[j], row) if e] for row in s.expo.tolist()]
+    return zip(s.n, s.omega.tolist(), s.aval.tolist(), s.nu.tolist(), pairs)
+
+
 def _omega_layer_sum(m, j, s, params, tab):
     acc = 0.0
-    for n, omega, aval, nuval, expo in mo._block_support(j, s, params, tab):
+    for n, omega, aval, nuval, expo in _support_rows(j, s, params, tab):
         if omega != s:
             continue
         sym = 1
         for p, e in expo:
             sym *= kronecker(m, p) ** e
-        acc += aval * float(nuval) * sym / math.sqrt(n)
+        acc += aval * nuval * sym / math.sqrt(n)
     return acc
 
 
@@ -217,7 +225,7 @@ class TestMFactor:
     def test_enumerate_equals_the_loop_bit_for_bit(self, params, tab):
         # the defining sum as a Python loop over the DFS support, in its order
         for j in range(params.J + 1):
-            support = mo._block_support(j, params.ell[j], params, tab)
+            support = list(_support_rows(j, params.ell[j], params, tab))
             for m in (1, 8, 15, 40, 123, 2024):
                 for kappa in (0.5, 1.5):
                     acc = 0.0
@@ -225,8 +233,23 @@ class TestMFactor:
                         sym = math.prod(kronecker(m, p) ** e for p, e in expo)
                         if sym:
                             acc += (kappa ** (-omega) * aval * (-1) ** omega
-                                    * float(nuval) * sym / math.sqrt(n))
+                                    * nuval * sym / math.sqrt(n))
                     assert mo.m_factor(m, j, kappa, params, tab, method="enumerate") == acc
+
+    def test_support_record_matches_its_exponents(self, params, tab):
+        # each I_j-smooth n with Omega(n) <= ell_j once, with n, Omega, nu and
+        # a(n) as its exponent row gives them
+        for j in range(params.J + 1):
+            ps, ell = params.primes[j], params.ell[j]
+            rows = list(_support_rows(j, ell, params, tab))
+            assert len(rows) == math.comb(len(ps) + ell, ell)
+            assert len({n for n, *_ in rows}) == len(rows)
+            for n, omega, aval, nuval, expo in rows:
+                assert n == math.prod(p**e for p, e in expo)
+                assert omega == sum(e for _, e in expo) <= ell
+                assert nuval == 1 / math.prod(math.factorial(e) for _, e in expo)
+                assert aval == pytest.approx(
+                    math.prod(mo.coeff_a(p, params, tab) ** e for p, e in expo), rel=1e-13)
 
     def test_memo_follows_the_table(self, params, tab):
         # lambda(5) negated; 5 is a prime of block 1 and (8|5) = -1
@@ -347,7 +370,7 @@ class TestExpansionCheck:
         a_p = mo.coeff_a(p, cfg, tab)
         assert a_p > 0
         # h(n) is nu_truncated(l kappa, n, ell_0) on the single block
-        lk = round(cfg.l * cfg.kappa)
+        lk = round(4.0 * cfg.kappa)  # this configuration is checked at l = 4
         coef_1 = float(mo.nu_truncated(lk, 1, cfg.ell[0]))
         h_p = float(mo.nu_truncated(lk, p, cfg.ell[0]))
         coef_p = h_p * a_p * (-1) / (0.5 * math.sqrt(p))
