@@ -24,7 +24,6 @@ SIGMA3_INT64_LIMIT = 1_950_000
 
 @dataclass(frozen=True)
 class Factorization:
-    value: int
     prime_powers: tuple[tuple[int, int], ...]
 
     def squarefree_divisors(self) -> list[tuple[int, int]]:
@@ -173,7 +172,7 @@ def factorize_small(n: int) -> Factorization:
             pps.append((p, e))
     if m > 1:
         pps.append((m, 1))
-    return Factorization(value=n, prime_powers=tuple(pps))
+    return Factorization(prime_powers=tuple(pps))
 
 
 def euler_phi(n: int) -> int:

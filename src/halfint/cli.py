@@ -143,14 +143,12 @@ def cmd_waldspurger(d_max: int, tol: float, hecke_table=None) -> list:
     coeffs = delta_halfintegral(d_max)
     rows = []
     for d in enumerate_nflat(d_max):
-        res = lvalue.central_lvalue_cached(d, hecke_table, tol)
-        alpha = coeffs.a(d)
-        ratio = lvalue.waldspurger_quotient(d, alpha, res.value, tol)
+        ratio = lvalue.waldspurger_ratio(d, coeffs, hecke_table, tol)
         rows.append(
             {
                 "d": d,
-                "alpha": alpha,
-                "lvalue": res.value,
+                "alpha": coeffs.a(d),
+                "lvalue": lvalue.central_lvalue_cached(d, hecke_table, tol).value,
                 "ratio": float("nan") if ratio is None else ratio,
             }
         )

@@ -361,7 +361,6 @@ def shifted_convolution(
 @dataclass(frozen=True)
 class AutomorphyFactor:
     gamma: tuple
-    epsilon_d: complex
     nu: complex
     j_power: complex
 
@@ -390,7 +389,7 @@ def automorphy_factor(gamma: tuple, z: complex) -> AutomorphyFactor:
     nu = kronecker(c, d) * eps.conjugate()
     j = c * z + d
     jpow = j**K * cmath.sqrt(j)
-    return AutomorphyFactor(gamma=(a, b, c, d), epsilon_d=eps, nu=nu, j_power=jpow)
+    return AutomorphyFactor(gamma=(a, b, c, d), nu=nu, j_power=jpow)
 
 
 def _series_eval(coeffs: CoeffTable, z: complex) -> complex:

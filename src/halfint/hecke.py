@@ -29,15 +29,19 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class HeckeTable:
-    """Exact tau(n) and floating lambda(n) = tau(n)/n^{11/2}, n <= N."""
+    """Exact tau(n) and floating lambda(n) = tau(n)/n^{11/2}, n <= N, where
+    N = len(tau) - 1. Tables compare by identity."""
 
     tau: list
-    N: int
-    _lambda: np.ndarray = field(default=None, repr=False)
+    N: int = field(init=False)
+    _lambda: np.ndarray = field(init=False, default=None, repr=False)
     # central values L(1/2, chi_d) computed on this table, keyed by (d, tol)
-    _central: dict = field(default_factory=dict, repr=False)
+    _central: dict = field(init=False, default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.N = len(self.tau) - 1
 
     @property
     def lam(self) -> np.ndarray:
@@ -59,7 +63,7 @@ def build_hecke_table(N: int) -> HeckeTable:
     for p in primes_up_to(N):
         if tau[p] * tau[p] > 4 * p**11:
             raise InconsistencyError(f"Deligne bound violated: tau({p})^2 > 4 {p}^11")
-    return HeckeTable(tau=tau, N=N)
+    return HeckeTable(tau=tau)
 
 
 def shimura_identity_check(d: int, n: int, coeffs: CoeffTable, t: HeckeTable) -> bool:
@@ -70,8 +74,6 @@ def shimura_identity_check(d: int, n: int, coeffs: CoeffTable, t: HeckeTable) ->
     """
     if d <= 0:
         raise ValueError("d must be a positive fundamental discriminant here")
-    if n * n * d > coeffs.N:
-        raise ValueError(f"n^2 d = {n * n * d} exceeds table range {coeffs.N}")
     if n > t.N:
         raise ValueError(f"n = {n} exceeds eigenvalue table range {t.N}")
     rhs = 0
@@ -99,8 +101,6 @@ def signflip_verify(d: int, p: int, coeffs: CoeffTable) -> bool:
     alpha(d p^2) = alpha(d) (tau(p) - chi_d(p) p^{k-1}) and
     tau(p) < -2 p^{k-1} forces the second factor negative.
     """
-    if d * p * p > coeffs.N:
-        raise ValueError(f"d p^2 = {d * p * p} exceeds table range {coeffs.N}")
     ad = coeffs.a(d)
     if ad == 0:
         raise ValueError(f"alpha({d}) = 0: sign flip undefined")

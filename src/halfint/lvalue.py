@@ -54,9 +54,7 @@ __all__ = [
     "central_lvalue",
     "central_lvalue_cached",
     "waldspurger_ratio",
-    "waldspurger_quotient",
     "first_moment_scan",
-    "bump_window",
     "chi_array",
     "truncation_length",
 ]
@@ -207,20 +205,14 @@ def central_lvalue(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueResult:
 def waldspurger_ratio(
     d: int, coeffs: CoeffTable, t: HeckeTable, tol: float = 1e-8
 ) -> float | None:
-    """alpha(d)^2 / (d^{k-1/2} L(1/2)) for d in the positive index set.
+    """alpha(d)^2 / (d^{k-1/2} L(1/2)) for d in the positive index set, with
+    L(1/2) from central_lvalue_cached.
 
     None when the coefficient and the central value vanish together;
     InconsistencyError when exactly one of them is small.
     """
-    if d > coeffs.N:
-        raise ValueError(f"d={d} exceeds coefficient table range {coeffs.N}")
-    res = central_lvalue(d, t, tol)
-    return waldspurger_quotient(d, coeffs.a(d), res.value, tol)
-
-
-def waldspurger_quotient(d: int, alpha: int, lval: float, tol: float) -> float | None:
-    """The waldspurger_ratio of alpha = alpha(d) and a central value already
-    computed at tolerance tol."""
+    alpha = coeffs.a(d)
+    lval = central_lvalue_cached(d, t, tol).value
     small_l = abs(lval) < 10 * tol
     if alpha == 0 and small_l:
         return None
@@ -231,19 +223,6 @@ def waldspurger_quotient(d: int, alpha: int, lval: float, tol: float) -> float |
     return alpha * alpha / (d ** (K - 0.5) * lval)
 
 
-def bump_window(lo: float = 0.5, hi: float = 1.0):
-    """Smooth compactly-supported weight exp(-1/((t-lo)(hi-t))) on (lo, hi)."""
-    if not lo < hi:
-        raise ValueError("window needs lo < hi")
-
-    def phi(t: float) -> float:
-        if t <= lo or t >= hi:
-            return 0.0
-        return math.exp(-1.0 / ((t - lo) * (hi - t)))
-
-    return phi
-
-
 def central_lvalue_cached(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueResult:
     """central_lvalue(d, t, tol), computed once per table and kept on it."""
     key = (d, tol)
@@ -252,8 +231,17 @@ def central_lvalue_cached(d: int, t: HeckeTable, tol: float = 1e-8) -> LValueRes
     return t._central[key]
 
 
-# the support of the first moment's window phi = bump_window(*_WINDOW)
+# the support of the first moment's window _bump
 _WINDOW = (0.5, 1.0)
+
+
+def _bump(t: float) -> float:
+    """Smooth compactly-supported weight exp(-1/((t-lo)(hi-t))) on
+    (lo, hi) = _WINDOW."""
+    lo, hi = _WINDOW
+    if t <= lo or t >= hi:
+        return 0.0
+    return math.exp(-1.0 / ((t - lo) * (hi - t)))
 
 
 def first_moment_scan(x: int, u: int, t: HeckeTable) -> float:
@@ -262,7 +250,7 @@ def first_moment_scan(x: int, u: int, t: HeckeTable) -> float:
         S(u; x) sqrt(u1) / S(1; x),
 
     where S(u; x) = sum over odd square-free m of L(1/2, chi_{8m})
-    chi_{8m}(u) phi(8m/x), phi = bump_window(0.5, 1.0), the central values
+    chi_{8m}(u) phi(8m/x), phi = _bump on (0.5, 1.0), the central values
     are taken at tolerance 1e-8, and u = u1 u2^2 with u1 square-free. The
     unknown global constant cancels in the ratio; to leading order the
     statistic tracks a multiplicative function that is lambda(p)+O(1/p) at
@@ -274,11 +262,10 @@ def first_moment_scan(x: int, u: int, t: HeckeTable) -> float:
     window = [d for d in enumerate_nflat(x) if lo < d / x < hi]
     if not window:
         raise ValueError(f"window {_WINDOW} times x={x} contains no index 8m")
-    phi = bump_window(lo, hi)
     s_u = 0.0
     s_1 = 0.0
     for d in window:
-        lw = central_lvalue_cached(d, t).value * phi(d / x)
+        lw = central_lvalue_cached(d, t).value * _bump(d / x)
         s_1 += lw
         s_u += lw * kronecker(d, u)
     if s_1 == 0.0:

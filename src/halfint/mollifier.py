@@ -67,11 +67,14 @@ class MollifierParams:
     kappa: float
     theta: list
     ell: list
-    J: int
     intervals: list
     primes: list = field(repr=False)
     # enumerated block supports, keyed by (j, max_omega); see _support
-    _supports: dict = field(default_factory=dict, repr=False, compare=False)
+    _supports: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    @property
+    def J(self) -> int:
+        return len(self.theta) - 1
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,6 @@ def build_params(
         kappa=kappa,
         theta=theta,
         ell=ell,
-        J=J,
         intervals=intervals,
         primes=primes,
     )

@@ -27,7 +27,7 @@ import math
 import operator
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -87,9 +87,6 @@ class PowerSeries:
     def scale(self, c) -> "PowerSeries":
         c = Fraction(c)
         return PowerSeries([c * a for a in self.coeffs])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
 
 
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -163,21 +160,22 @@ def eisenstein_g(N: int) -> PowerSeries:
 class CoeffTable:
     """Integer coefficients alpha(n), 1 <= n <= N, of the weight-13/2 form.
 
-    alpha is an array indexed 0..N with alpha[0] = 0: int64, or an object
-    array of Python ints once some |alpha(n)| >= 2^63 (from n = 3799816
-    on). A sequence passed in is converted the same way; an entry that is
-    not an integer raises ValueError. Tables compare by identity;
-    np.array_equal compares their alpha. The normalized coefficients are
-    c(n) = alpha(n) / n^{11/4}.
+    alpha is an array indexed 0..N with alpha[0] = 0, so N = len(alpha) - 1:
+    int64, or an object array of Python ints once some |alpha(n)| >= 2^63
+    (from n = 3799816 on). A sequence passed in is converted the same way;
+    an entry that is not an integer raises ValueError. Tables compare by
+    identity; np.array_equal compares their alpha. The normalized
+    coefficients are c(n) = alpha(n) / n^{11/4}.
     """
 
     alpha: np.ndarray
-    N: int
+    N: int = field(init=False)
 
     def __post_init__(self):
         self.alpha = _exact_integers(self.alpha)
-        if self.alpha.shape != (self.N + 1,):
-            raise ValueError("alpha must have N+1 entries (index 0 unused)")
+        if self.alpha.ndim != 1 or self.alpha.size == 0:
+            raise ValueError("alpha must be a nonempty 1-D array (index 0 unused)")
+        self.N = self.alpha.size - 1
 
     def a(self, n: int) -> int:
         if not 1 <= n <= self.N:
@@ -319,7 +317,7 @@ def delta_halfintegral(N: int) -> CoeffTable:
     alpha = np.zeros(N + 1, dtype=vals.dtype)
     for row in (0, 1):
         alpha[row::4] = vals[row, : len(range(row, N + 1, 4))]
-    return CoeffTable(alpha=alpha, N=N)
+    return CoeffTable(alpha=alpha)
 
 
 def delta_halfintegral_reference(N: int) -> CoeffTable:
@@ -340,7 +338,7 @@ def delta_halfintegral_reference(N: int) -> CoeffTable:
         if c.denominator != 1:
             raise ArithmeticError(f"non-integral coefficient at n={n}: {c}")
         alpha[n] = int(c)
-    return CoeffTable(alpha=alpha, N=N)
+    return CoeffTable(alpha=alpha)
 
 
 # -- tau of the discriminant form ---------------------------------------------
@@ -590,7 +588,7 @@ def load_coeffs(path: str) -> CoeffTable:
         for i in wide.tolist():
             p = int(starts[i])
             alpha[i + 1] = int.from_bytes(data[p : p + int(lens[i])], "little", signed=True)
-    return CoeffTable(alpha=alpha, N=N)
+    return CoeffTable(alpha=alpha)
 
 
 def _load_csv(path: str) -> CoeffTable:
@@ -617,4 +615,4 @@ def _load_csv(path: str) -> CoeffTable:
             raise FormatError(f"{path}: duplicate row for n={n}")
         alpha[n] = v
     alpha[0] = 0
-    return CoeffTable(alpha=alpha, N=N)
+    return CoeffTable(alpha=alpha)

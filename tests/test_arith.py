@@ -287,5 +287,5 @@ class TestFactorize:
 
     def test_small_matches_sieved(self, spf):
         for n in range(1, 500):
-            expect = Factorization(n, spf_factorization(n, spf))
+            expect = Factorization(spf_factorization(n, spf))
             assert factorize_small(n) == expect

@@ -41,8 +41,8 @@ class TestSignChangesOp:
         from halfint.qseries import CoeffTable
 
         base = cmd_signchanges(10_000, "all_supported", table10k)
-        doubled = CoeffTable([2 * v for v in table10k.alpha], table10k.N)
-        negated = CoeffTable([-v for v in table10k.alpha], table10k.N)
+        doubled = CoeffTable([2 * v for v in table10k.alpha])
+        negated = CoeffTable([-v for v in table10k.alpha])
         assert cmd_signchanges(10_000, "all_supported", doubled).S == base.S
         assert cmd_signchanges(10_000, "all_supported", negated).S == base.S
 

@@ -410,7 +410,7 @@ class TestModularity:
         fac = automorphy_factor((1, 0, 4, 1), 0.5j)
         assert abs(abs(fac.nu) - 1.0) < 1e-15
         fac3 = automorphy_factor((3, 2, 4, 3), 0.25 + 0.5j)
-        assert fac3.epsilon_d == 1j ** (13 % 4)
+        assert fac3.nu == kronecker(4, 3) * (1j ** (13 % 4)).conjugate()
 
     def test_bad_matrices_rejected(self, table10k):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from halfint import cli, hecke
 from halfint.arith import enumerate_nflat
 from halfint.errors import InconsistencyError
 from halfint.hecke import (
+    HeckeTable,
     build_hecke_table,
     find_signflip_prime,
     shimura_identity_check,
@@ -93,6 +94,24 @@ class TestLambda:
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+class TestTableRecord:
+    def test_size_is_the_length_of_tau(self, tab):
+        t = HeckeTable(tau=tab.tau[:51])
+        assert t.N == 50
+        assert len(t.lam) == t.N + 1
+        assert np.array_equal(t.lam, tab.lam[:51])
+        # a size that disagrees with tau cannot be passed
+        with pytest.raises(TypeError):
+            HeckeTable(tau=tab.tau[:51], N=60)
+
+    def test_tables_compare_by_identity(self):
+        a, b = build_hecke_table(300), build_hecke_table(300)
+        # fill the lambda arrays, which a field-wise == would compare
+        assert np.array_equal(a.lam, b.lam)
+        assert a != b
+        assert a == a
+
+
 class TestShimuraIdentity:
     def test_base_cases(self, tab, table10k):
         assert shimura_identity_check(1, 1, table10k, tab)
@@ -163,7 +182,7 @@ class TestSignFlip:
 
         alpha = list(big_table.alpha[: 8 * 17 * 17 + 1])
         alpha[8] = 0
-        synth = CoeffTable(alpha, len(alpha) - 1)
+        synth = CoeffTable(alpha)
         with pytest.raises(ValueError):
             signflip_verify(8, 17, synth)
 

@@ -73,7 +73,7 @@ def write(tmp_path, data: bytes) -> str:
 @given(values=values_st)
 def test_roundtrip_matches_reference_bytes(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("rt") / "t.hicf"
-    save_coeffs(CoeffTable([0] + values, len(values)), str(path))
+    save_coeffs(CoeffTable([0] + values), str(path))
     assert path.read_bytes() == encode_reference(values)
     back = load_coeffs(str(path))
     assert back.N == len(values)
@@ -92,7 +92,7 @@ def test_chunked_encoding_matches_reference(tmp_path):
     )]
     values[qseries._CHUNK + 7] = 2**70 + 3
     path = tmp_path / "t.hicf"
-    save_coeffs(CoeffTable([0] + values, len(values)), str(path))
+    save_coeffs(CoeffTable([0] + values), str(path))
     assert path.read_bytes() == encode_reference(values)
     assert load_coeffs(str(path)).alpha.tolist() == [0] + values
 

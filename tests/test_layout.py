@@ -23,9 +23,15 @@ or by `from ... import`.
 A third keeps the runtime dependencies declared: the packages src/halfint
 imports, outside halfint and the standard library, are exactly those that
 pyproject.toml lists under [project].dependencies.
+
+The last test runs code: it installs the bench tracer of
+perfbench/tracing.py, which looks up its names of src/halfint by string, so
+that a name it can no longer find fails here and not only in a traced bench
+run.
 """
 
 import ast
+import importlib.util
 import pathlib
 import re
 import sys
@@ -300,3 +306,28 @@ def test_walk_sees_the_roots():
                 ("hecke", "HeckeTable.lam"), ("qseries", "CoeffTable.sign_array")]:
         assert key in defs
     assert {"first_moment_scan", "delta_halfintegral"} <= _bench_roots()[0]
+
+
+def test_bench_tracer_finds_its_names():
+    from halfint import cli, hecke, mollifier
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = [mod for name, mod in sorted(sys.modules.items()) if name.startswith("halfint")]
+    owners += [hecke.HeckeTable, cli.CoeffTable]
+    before = [(owner, dict(vars(owner))) for owner in owners]
+    tracer = tracing.Tracer("layout")
+    restore = tracing.install(tracer)
+    try:
+        hecke.build_hecke_table(50).lam
+        mollifier.build_params(x=1e6, theta0_override=0.1).J
+        cli.cmd_jutila([100], 0.5, 1)
+    finally:
+        restore()
+    spans = {span[2] for span in tracer.spans}
+    assert {"hecke.build_hecke_table", "hecke.HeckeTable.lam", "mollifier.build_params",
+            "cli.cmd_jutila", "expsums.jutila_l2_defect"} <= spans
+    for owner, attrs in before:
+        assert all(vars(owner).get(attr) is val for attr, val in attrs.items()), owner

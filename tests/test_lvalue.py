@@ -10,7 +10,6 @@ from halfint.arith import enumerate_nflat
 from halfint.errors import InsufficientTableError
 from halfint.hecke import build_hecke_table
 from halfint.lvalue import (
-    bump_window,
     central_lvalue,
     chi_array,
     first_moment_scan,
@@ -18,7 +17,7 @@ from halfint.lvalue import (
     w_kernel_oracle,
     waldspurger_ratio,
 )
-from halfint.cli import w_kernel_worst
+from halfint.cli import cmd_waldspurger, w_kernel_worst
 
 
 class TestWKernel:
@@ -222,9 +221,28 @@ class TestWaldspurger:
 
         alpha = list(big_table.alpha[:101])
         alpha[8] = 0
-        synth = CoeffTable(alpha, 100)
+        synth = CoeffTable(alpha)
         with pytest.raises(InconsistencyError):
             waldspurger_ratio(8, synth, hecke26k)
+
+    def test_one_central_value_per_d_and_tol(self, table10k, monkeypatch):
+        # the CLI's rows, the ratios and the first moment all read the central
+        # values kept on the table; below 3200 entries cmd_waldspurger(400)
+        # would build a table of its own
+        t = build_hecke_table(3200)
+        rows = cmd_waldspurger(400, 1e-8, hecke_table=t)
+        computed = []
+        real = lvalue.central_lvalue
+
+        def counting(d, *args, **kwargs):
+            computed.append(d)
+            return real(d, *args, **kwargs)
+
+        monkeypatch.setattr(lvalue, "central_lvalue", counting)
+        ratios = [waldspurger_ratio(d, table10k, t, 1e-8) for d in enumerate_nflat(400)]
+        first_moment_scan(400, 3, t)
+        assert computed == []
+        assert ratios == [row["ratio"] for row in rows]
 
 
 class TestFirstMoment:
@@ -288,7 +306,7 @@ class TestFirstMoment:
             first_moment_scan(1600, 2, hecke26k)
 
     def test_bump_window_support(self):
-        phi = bump_window(0.5, 1.0)
+        phi = lvalue._bump
         assert phi(0.5) == 0.0
         assert phi(1.0) == 0.0
         assert phi(0.75) > 0.0

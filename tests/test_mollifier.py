@@ -253,8 +253,7 @@ class TestMFactor:
 
     def test_memo_follows_the_table(self, params, tab):
         # lambda(5) negated; 5 is a prime of block 1 and (8|5) = -1
-        other = HeckeTable(tau=[-v if n == 5 else v for n, v in enumerate(tab.tau)],
-                           N=tab.N)
+        other = HeckeTable(tau=[-v if n == 5 else v for n, v in enumerate(tab.tau)])
         before = mo.m_factor(8, 1, 0.5, params, tab, method="enumerate")
         got = mo.m_factor(8, 1, 0.5, params, other, method="enumerate")
         assert got != before

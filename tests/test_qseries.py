@@ -394,17 +394,19 @@ class TestCoeffCache:
         assert cli.main(["signchanges", "--limit", "10", "--coeffs", str(path)]) == 1
 
     def test_table_validation(self):
-        with pytest.raises(ValueError):
-            CoeffTable(alpha=[0, 1, 2], N=1)
+        # N is len(alpha) - 1, so alpha must be one nonempty row
+        for shape in ([[0, 1], [2, 3]], []):
+            with pytest.raises(ValueError):
+                CoeffTable(alpha=shape)
         # every entry is checked, not only the first few
         for bad in (1.5, None, "7"):
             with pytest.raises(ValueError):
-                CoeffTable(alpha=[0] * 20 + [bad], N=20)
+                CoeffTable(alpha=[0] * 20 + [bad])
 
     def test_table_dtype(self):
-        assert CoeffTable([0, 1, -2], 2).alpha.dtype == np.int64
-        wide = CoeffTable([0, 1, -(2**63) - 1], 2)
-        assert wide.alpha.dtype == object
+        assert CoeffTable([0, 1, -2]).alpha.dtype == np.int64
+        wide = CoeffTable([0, 1, -(2**63) - 1])
+        assert wide.alpha.dtype == object and wide.N == 2
         assert wide.a(2) == -(2**63) - 1 and type(wide.a(2)) is int
         assert wide.sign_array().tolist() == [0, 1, -1]
         assert wide.float_array()[2] == float(-(2**63) - 1)
