@@ -344,7 +344,7 @@ def shifted_convolution(
         raise InsufficientTableError(
             f"need coefficients to {n0 + abs(h)}, table holds {coeffs.N}"
         )
-    af = coeffs.float_array()
+    af = coeffs.float_array(n0 + abs(h) + 1)
     lo = max(1, 1 - h)
     n = np.arange(lo, n0 + 1)
     a1 = af[n]
@@ -402,7 +402,7 @@ def _series_eval(coeffs: CoeffTable, z: complex) -> complex:
             f"series needs {ncut} coefficients at Im z = {y:.4f}, table holds {coeffs.N}"
         )
     n = np.arange(1, ncut + 1)
-    af = coeffs.float_array()[1 : ncut + 1]
+    af = coeffs.float_array(ncut + 1)[1:]
     return complex(np.add.reduce(af * np.exp(2j * np.pi * n * z)))
 
 

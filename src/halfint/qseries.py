@@ -186,14 +186,17 @@ class CoeffTable:
         """int8 array s with s[n] = sign(alpha(n)); compact scan view."""
         return np.sign(self.alpha).astype(np.int8)
 
-    def float_array(self) -> np.ndarray:
-        return self.alpha.astype(np.float64)
+    def float_array(self, stop: int | None = None) -> np.ndarray:
+        """alpha[:stop] as float64, each entry rounded on its own."""
+        return self.alpha[:stop].astype(np.float64)
 
     def c_array(self) -> np.ndarray:
         """Normalized coefficients c(n) = alpha(n) n^{-11/4} (c[0] = 0)."""
         n = np.arange(self.N + 1, dtype=np.float64)
         n[0] = 1.0
-        out = self.float_array() / n ** ((WEIGHT_TIMES_TWO - 2) / 4.0)
+        np.power(n, (WEIGHT_TIMES_TWO - 2) / 4.0, out=n)
+        out = self.float_array()
+        out /= n
         out[0] = 0.0
         return out
 
@@ -525,16 +528,77 @@ def _record_offsets(records, pos: int, n: int):
         yield pos
 
 
+# the lane walk: at most _LANES lanes, each over a window of at least
+# _LANE_BYTES record bytes, each syncing from _SYNC_BYTES before its window
+_LANES = 1 << 13
+_LANE_BYTES = 1024
+_SYNC_BYTES = 128
+# the longest record a syncing lane takes a length byte for; a v1 record is
+# longer only for |v| >= 2^87
+_SYNC_MAX_LEN = 11
+
+
+def _lane_offsets(buf: np.ndarray, pos: int, end: int, n: int):
+    """The offsets _record_offsets(buf[:end], pos, n) yields, as an int64
+    array, found by lanes that walk byte windows of [pos, end) in lockstep;
+    None when the walk cannot certify them.
+
+    Lane i syncs from _SYNC_BYTES before its window [lo_i, hi_i) by guessed
+    steps (a byte above _SYNC_MAX_LEN steps 1, any other a whole record)
+    until it reaches lo_i, where it enters; it then steps true record
+    lengths while below hi_i, recording each length byte, and exits where
+    it stops. The certificate: lane 0 enters at pos, every lane exits where
+    the next one entered, the last exits at end and the lanes step n
+    records in all. Then by induction from pos every entry is a true record
+    start, and the recorded lengths are those of the n records the
+    sequential walk reads, ending at end. Every byte read lies below end.
+    """
+    lanes = max(1, min(_LANES, (end - pos) // _LANE_BYTES))
+    bounds = pos + np.arange(lanes + 1, dtype=np.int64) * (end - pos) // lanes
+    lo, hi = bounds[:-1], bounds[1:]
+    p = np.maximum(lo - _SYNC_BYTES, pos)
+    while (behind := p < lo).any():
+        g = buf[p]
+        g *= g <= _SYNC_MAX_LEN
+        g += 1
+        g *= behind
+        p += g
+    entered = p.copy()
+    counts = np.zeros(lanes, dtype=np.int64)
+    steps = []
+    while (live := p < hi).any():
+        d = buf[np.minimum(p, end - 1)]
+        d *= live
+        steps.append(d)
+        p += d
+        p += live
+        counts += live
+    if (entered[0] != pos or p[-1] != end or not np.array_equal(p[:-1], entered[1:])
+            or counts.sum() != n):
+        return None
+    offsets = np.empty(n + 1, dtype=np.int64)
+    offsets[0] = pos
+    if steps:
+        lens = np.stack(steps, axis=1)
+        np.add(lens[np.arange(len(steps)) < counts[:, None]], 1, out=offsets[1:], dtype=np.int64)
+    np.cumsum(offsets, out=offsets)
+    return offsets
+
+
 def load_coeffs(path: str) -> CoeffTable:
     """Read a table written by save_coeffs, HICF or CSV.
 
     HICF: magic, version, checksum and weight 13 are checked, and N against
-    the record bytes before anything is allocated. One pass over the length
-    bytes finds where each record starts; the records of at most 8 bytes are
-    then read as 8-byte words at those offsets and sign-extended from their
-    length, and longer ones are decoded one by one into an object array. A
-    record of length 0, a stream that ends early or trailing bytes raise
-    FormatError.
+    the record bytes before anything is allocated. Record starts are found
+    by the lane walk of _lane_offsets, whose certificate proves them equal
+    to those of the record-by-record walk _record_offsets. When the
+    certificate fails, that sequential walk runs instead, and it alone
+    raises FormatError for a stream that ends early or leaves trailing
+    bytes, so the format and every rejection are the same as without the
+    lanes. The records of at most 8 bytes are then read, _CHUNK at a time,
+    as 8-byte words at those offsets and sign-extended from their length
+    straight into alpha; longer ones are decoded one by one into an object
+    array. A record of length 0 raises FormatError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -561,27 +625,31 @@ def load_coeffs(path: str) -> CoeffTable:
     # every record takes at least two bytes; check before allocating N slots
     if 2 * N > end - pos:
         raise FormatError(f"{path}: header N={N} exceeds what {end - pos} record bytes hold")
-    try:
-        offsets = np.fromiter(_record_offsets(memoryview(data)[:end], pos, N), np.int64, N + 1)
-    except IndexError:
-        raise FormatError(f"{path}: record stream ends early") from None
-    if offsets[-1] > end:
-        raise FormatError(f"{path}: record stream ends early at n={N}")
-    if offsets[-1] < end:
-        raise FormatError(f"{path}: {end - offsets[-1]} trailing bytes after records")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    offsets = _lane_offsets(buf, pos, end, N)
+    if offsets is None:
+        try:
+            offsets = np.fromiter(_record_offsets(memoryview(data)[:end], pos, N), np.int64, N + 1)
+        except IndexError:
+            raise FormatError(f"{path}: record stream ends early") from None
+        if offsets[-1] > end:
+            raise FormatError(f"{path}: record stream ends early at n={N}")
+        if offsets[-1] < end:
+            raise FormatError(f"{path}: {end - offsets[-1]} trailing bytes after records")
     starts = offsets[:-1]  # each was read as a length byte, so lies below end
-    lens = np.frombuffer(data, dtype=np.uint8, count=end)[starts]
+    lens = buf[starts]
     empty = np.flatnonzero(lens == 0)
     if empty.size:
         raise FormatError(f"{path}: record n={empty[0] + 1} has length 0")
     starts += 1  # now where each payload starts
     # the word at offset i is bytes i..i+7, inside data up to i = end
     words = np.ndarray((end + 1,), dtype="<u8", buffer=data, strides=(1,))
-    shift = 64 - 8 * np.minimum(lens, 8)
-    vals = words[starts]
-    vals <<= shift
     alpha = np.zeros(N + 1, dtype=np.int64)
-    np.right_shift(vals.view(np.int64), shift, out=alpha[1:])
+    for i in range(0, N, _CHUNK):
+        shift = 64 - 8 * np.minimum(lens[i : i + _CHUNK], 8)
+        vals = words[starts[i : i + _CHUNK]]
+        vals <<= shift
+        np.right_shift(vals.view(np.int64), shift, out=alpha[1 + i : 1 + i + _CHUNK])
     wide = np.flatnonzero(lens > 8)
     if wide.size:
         alpha = alpha.astype(object)

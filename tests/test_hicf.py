@@ -1,7 +1,9 @@
 """The HICF v1 codec against a per-entry reference encoder and decoder.
 
 The references below follow the format as the README states it and share no
-code with `qseries`.
+code with `qseries`. Properties run on short files, which the loader's lane
+walk covers with one lane, and again after a fixed 2 000-entry block, which
+gives it at least 4 lanes.
 """
 
 import hashlib
@@ -63,6 +65,43 @@ values_st = st.lists(
 )
 
 
+def walk_reference(body: bytes):
+    """The offsets of the N records of a checksummed-away HICF body, walked
+    record by record from byte 20 to the end; None where the walk runs off
+    the records or stops short of their end."""
+    N = int.from_bytes(body[12:20], "little")
+    pos, out = HEADER, [HEADER]
+    for _ in range(N):
+        if pos >= len(body):
+            return None
+        pos += 1 + body[pos]
+        out.append(pos)
+    return out if pos == len(body) else None
+
+
+def lane_offsets(body: bytes):
+    """The loader's lane walk over a checksummed-away HICF body."""
+    N = int.from_bytes(body[12:20], "little")
+    return qseries._lane_offsets(np.frombuffer(body, dtype=np.uint8), HEADER, len(body), N)
+
+
+def lanes(body: bytes) -> int:
+    return min(qseries._LANES, (len(body) - HEADER) // qseries._LANE_BYTES)
+
+
+def spread_values(rng, size: int) -> list:
+    """int64 values of every record length from 2 to 9 bytes."""
+    return [int(v) >> int(s) for v, s in zip(
+        rng.integers(-(2**63), 2**63 - 1, size=size, dtype=np.int64),
+        rng.integers(0, 64, size=size),
+    )]
+
+
+# a fixed prefix that gives the properties' files at least 4 lanes
+BLOCK = spread_values(np.random.default_rng(2000), 2000)
+BLOCK_LANES = lanes(encode_reference(BLOCK)[:-8])
+
+
 def write(tmp_path, data: bytes) -> str:
     path = tmp_path / "t.hicf"
     path.write_bytes(data)
@@ -85,11 +124,7 @@ def test_roundtrip_matches_reference_bytes(tmp_path_factory, values):
 def test_chunked_encoding_matches_reference(tmp_path):
     # several encoder chunks; one value past int64 sends its chunk alone
     # through the per-entry path
-    rng = np.random.default_rng(5)
-    values = [int(v) >> int(s) for v, s in zip(
-        rng.integers(-(2**63), 2**63 - 1, size=3 * qseries._CHUNK // 2, dtype=np.int64),
-        rng.integers(0, 64, size=3 * qseries._CHUNK // 2),
-    )]
+    values = spread_values(np.random.default_rng(5), 3 * qseries._CHUNK // 2)
     values[qseries._CHUNK + 7] = 2**70 + 3
     path = tmp_path / "t.hicf"
     save_coeffs(CoeffTable([0] + values), str(path))
@@ -97,9 +132,7 @@ def test_chunked_encoding_matches_reference(tmp_path):
     assert load_coeffs(str(path)).alpha.tolist() == [0] + values
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(values=values_st, data=st.data())
-def test_flip_or_truncation_is_caught(tmp_path_factory, values, data):
+def check_flip_or_truncation(tmp_path_factory, values, data):
     good = encode_reference(values)
     if data.draw(st.booleans(), label="flip"):
         i = data.draw(st.integers(0, len(good) - 1), label="index")
@@ -113,14 +146,24 @@ def test_flip_or_truncation_is_caught(tmp_path_factory, values, data):
         load_coeffs(path)
 
 
-edits_st = st.lists(
-    st.tuples(st.integers(0, 400), st.integers(0, 255)), min_size=1, max_size=4
-)
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(values=values_st, data=st.data())
+def test_flip_or_truncation_is_caught(tmp_path_factory, values, data):
+    check_flip_or_truncation(tmp_path_factory, values, data)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(values=values_st, edits=edits_st, cut=st.integers(-12, 12), data=st.data())
-def test_resigned_corruption_decodes_as_reference(tmp_path_factory, values, edits, cut, data):
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(values=values_st, data=st.data())
+def test_flip_or_truncation_is_caught_with_lanes(tmp_path_factory, values, data):
+    assert BLOCK_LANES >= 4
+    check_flip_or_truncation(tmp_path_factory, BLOCK + values, data)
+
+
+def edits_st(span: int):
+    return st.lists(st.tuples(st.integers(0, span), st.integers(0, 255)), min_size=1, max_size=4)
+
+
+def check_resigned_corruption(tmp_path_factory, values, edits, cut, data):
     body = bytearray(encode_reference(values)[:-8])
     for i, b in edits:
         if HEADER + i < len(body):
@@ -134,11 +177,28 @@ def test_resigned_corruption_decodes_as_reference(tmp_path_factory, values, edit
     body = bytes(body)
     path = write(tmp_path_factory.mktemp("resigned"), sign(body))
     want = decode_reference(body)
+    walked = lane_offsets(body)
+    if walked is not None:  # a certified lane walk is the sequential walk
+        assert walked.tolist() == walk_reference(body)
     if want is None:
         with pytest.raises(FormatError):
             load_coeffs(path)
     else:
         assert [int(v) for v in load_coeffs(path).alpha] == want
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(values=values_st, edits=edits_st(400), cut=st.integers(-12, 12), data=st.data())
+def test_resigned_corruption_decodes_as_reference(tmp_path_factory, values, edits, cut, data):
+    check_resigned_corruption(tmp_path_factory, values, edits, cut, data)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(values=values_st, edits=edits_st(12_000), cut=st.integers(-12, 12), data=st.data())
+def test_resigned_corruption_with_lanes(tmp_path_factory, values, edits, cut, data):
+    # the edits land anywhere in the block's lanes
+    assert BLOCK_LANES >= 4
+    check_resigned_corruption(tmp_path_factory, BLOCK + values, edits, cut, data)
 
 
 def test_zero_length_record_rejected(tmp_path):
@@ -160,3 +220,38 @@ def test_other_weight_rejected(tmp_path):
     with pytest.raises(FormatError):
         load_coeffs(path)
     assert cli.main(["signchanges", "--limit", "4", "--coeffs", path]) == 1
+
+
+def test_lane_walk_matches_sequential_walk(tmp_path):
+    # 2- to 9-byte records, with 10- to 12-byte ones at +-2^63 and up to
+    # 2^80 sprinkled in
+    rng = np.random.default_rng(19)
+    values = spread_values(rng, 200_000)
+    wide = [2**63, -(2**63), -(2**63) - 1, 2**71, -(2**79), 2**80 - 1, 2**80]
+    for i in rng.choice(len(values), size=100, replace=False):
+        values[int(i)] = wide[int(i) % len(wide)]
+    path = tmp_path / "t.hicf"
+    save_coeffs(CoeffTable([0] + values), str(path))
+    body = path.read_bytes()[:-8]
+    assert lanes(body) >= 4
+    lens = {body[p] for p in walk_reference(body)[:-1]}
+    assert lens == set(range(1, 12))
+    walked = lane_offsets(body)
+    assert walked is not None
+    assert np.array_equal(walked, walk_reference(body))
+    assert load_coeffs(str(path)).alpha.tolist() == [0] + values
+
+
+def test_unsynced_lanes_fall_back_to_sequential_walk(tmp_path):
+    # alpha = 514 is the record 02 02 02, so the stream is all 02 bytes and a
+    # lane that starts off the records' phase steps 3 bytes at a time on it
+    # and never meets them
+    values = [514] * 3000
+    body = encode_reference(values)[:-8]
+    assert set(body[HEADER:]) == {2}
+    assert lanes(body) >= 4
+    assert lane_offsets(body) is None
+    path = write(tmp_path, sign(body))
+    back = load_coeffs(path)
+    assert back.alpha.dtype == np.int64
+    assert back.alpha.tolist() == [0] + values

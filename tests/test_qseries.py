@@ -252,7 +252,14 @@ class TestDeltaHalfIntegral:
         # the one save/load round trip at full size
         path = tmp_path / "t.hicf"
         save_coeffs(big_table, str(path))
-        assert path.read_bytes()[-8:].hex() == pins["hicf_checksum_2100000"]
+        data = path.read_bytes()
+        assert data[-8:].hex() == pins["hicf_checksum_2100000"]
+        # the loader's lane walk certifies the record starts of the full table
+        buf = np.frombuffer(data, dtype=np.uint8)
+        walked = qseries._lane_offsets(buf, 20, len(data) - 8, big_table.N)
+        assert walked is not None
+        sequential = np.fromiter(qseries._record_offsets(data, 20, big_table.N), np.int64)
+        assert np.array_equal(walked, sequential)
         back = load_coeffs(str(path))
         assert back.alpha.dtype == np.int64
         assert np.array_equal(back.alpha, big_table.alpha)
