@@ -14,9 +14,14 @@ Two kinds of object live here:
   n = 2,3 mod 4. alpha is an int64 array, or an object array of Python ints
   once some |alpha(n)| >= 2^63, which first happens at n = 3799816.
 
-All integer arithmetic is exact. The fast builder sums alpha(n) mod 2^64 in
-wrapping int64 and lifts each residue to the one integer inside a float64
-error window; up to its cap N = 7.8e6 the window stays below 2^62.
+All integer arithmetic is exact. The fast builder writes alpha(n) =
+240 n V(n) - 1080 W(n), plus two constant-term corrections, where V and W
+sum sigma3(b) and b sigma3(b) over n = m^2 + 4b. It sums them exactly as
+int64 limbs below 2^42 (every limb sum stays below 2^53), takes alpha(n)
+mod 2^64 from the limb sums in wrapping arithmetic, and lifts each residue
+to the one integer inside a float64 error window built from the same sums.
+That window is about 2^45.5 at N = 2.1e6 and 2^54.0 at the builder's cap
+N = 7.8e6, below the 2^62 the lift allows.
 """
 
 from __future__ import annotations
@@ -233,9 +238,34 @@ _FAST_N_CAP = 4 * SIGMA3_INT64_LIMIT
 # the lift picks the one integer = residue mod 2^64 within the float window;
 # a window at 2^62 would leave less than a quarter-period of margin
 _LIFT_WINDOW_CAP = 2.0**62
-# columns per tile of the builder's slice loop: every m passes over one tile
-# of the accumulators and the sigma3 rows while it is still in cache
+# columns per tile of the builder's slice loop: every m adds into one tile of
+# the accumulator while it is still in cache
 _TILE = 1 << 14
+# the limb splits sigma3(b) = s1 2^32 + s0 and b sigma3(b) = w1 2^42 + w0
+_SIG_BITS = 32
+_BSIG_BITS = 42
+
+
+def _limb_source(Q: int) -> np.ndarray:
+    """(Q+1, 4) int64 rows [s0, s1, w0, w1], b = 0..Q, with sigma3(b) =
+    s1 2^32 + s0 and b sigma3(b) = w1 2^42 + w0 exactly, 0 <= s0 < 2^32 and
+    0 <= w0 < 2^42. Below SIGMA3_INT64_LIMIT < 2^21, sigma3(b) < 2^63 and
+    b < 2^21, so s1 < 2^31 and w1 < 2^42."""
+    sig3 = sigma3_table(Q)
+    src = np.empty((Q + 1, 4), dtype=np.int64)
+    np.bitwise_and(sig3, (1 << _SIG_BITS) - 1, out=src[:, 0])
+    np.right_shift(sig3, _SIG_BITS, out=src[:, 1])
+    del sig3
+    b = np.arange(Q + 1, dtype=np.int64)
+    hi = src[:, 1] * b  # < 2^52
+    # b sigma3(b) = hi 2^32 + b s0 = (hi >> 10) 2^42 + t with t below 2^54
+    split = _BSIG_BITS - _SIG_BITS
+    t = (hi & ((1 << split) - 1)) << _SIG_BITS
+    t += src[:, 0] * b
+    np.bitwise_and(t, (1 << _BSIG_BITS) - 1, out=src[:, 2])
+    np.right_shift(hi, split, out=src[:, 3])
+    src[:, 3] += t >> _BSIG_BITS
+    return src
 
 
 def delta_halfintegral(N: int) -> CoeffTable:
@@ -250,13 +280,22 @@ def delta_halfintegral(N: int) -> CoeffTable:
         alpha = E*B - 60*C*D,
 
     which is manifestly integral. Both products run over representations
-    n = m^2 + 4b. One int64 accumulator per residue class n mod 4 sums
-    sigma3(b) 240 m^2 - b sigma3(b) 120 with wraparound, so it holds alpha
-    mod 2^64; the same sums in float64, as a positive part P and a negative
-    part Nn, locate alpha within a window that fixes the multiple of 2^64.
-    A window of 2^62 or more raises CapacityError. The sums run tile by tile
-    over the columns, and each entry still takes its terms in increasing m,
-    so P and Nn do not depend on the tile width.
+    n = m^2 + 4b; with m^2 = n - 4b each term 240 m^2 sigma3(b) - 120 b
+    sigma3(b) is sigma3(b) (240 n - 1080 b), so
+
+        alpha(n) = 240 n V(n) - 1080 W(n) + [n = m^2] m^2 - [n = 4b] 60 b sigma3(b)
+
+    with V = sum sigma3(b) and W = sum b sigma3(b) over m >= 1, b >= 1.
+    V and W are sums of shifted copies of the limbs of _limb_source, one
+    add per (m, tile) into an int64 accumulator per residue class n mod 4
+    (0 for even m, 1 for odd m), the classes one after the other. Each
+    limb is below 2^42 and an entry takes at most isqrt(N)/2 + 1 <= 1397
+    terms up to the cap, so every limb sum is exact and below 2^53. From
+    those sums, wrapping uint64 arithmetic gives alpha mod 2^64, and float64
+    arithmetic an estimate within a window that fixes the multiple of 2^64;
+    a window of 2^62 or more raises CapacityError. The window is about
+    2^45.5 at N = 2.1e6 and 2^54.0 at the cap N = 7.8e6. The limb sums are
+    exact integers, so alpha does not depend on the tile width.
 
     alpha is int64, or an object array once some |alpha(n)| >= 2^63.
     """
@@ -264,62 +303,64 @@ def delta_halfintegral(N: int) -> CoeffTable:
         raise ValueError("N must be >= 1")
     if N > _FAST_N_CAP:
         raise CapacityError(f"fast builder caps at N={_FAST_N_CAP}")
-    Q = N // 4
-    sig3 = sigma3_table(Q)
-    bsig = np.arange(Q + 1, dtype=np.int64) * sig3  # wraps mod 2^64
-    sig3f = sig3.astype(np.float64)
-    bsigf = np.arange(Q + 1, dtype=np.float64) * sig3f
-
-    acc = np.zeros((2, Q + 1), dtype=np.int64)
-    pos = np.zeros((2, Q + 1))
-    neg = np.zeros((2, Q + 1))
-    m2 = np.arange(1, isqrt(N) + 1, dtype=np.int64) ** 2
-    # E's constant term times B: + m^2 at n = m^2
-    acc[m2 & 3, m2 >> 2] += m2
-    pos[m2 & 3, m2 >> 2] += m2
-    # theta's constant term times C: - 60 b sigma3(b) at n = 4b
-    acc[0] -= 60 * bsig
-    neg[0] += 60 * bsigf
-    bsig *= 120
-    bsigf *= 120
-    itmp = np.empty(_TILE, dtype=np.int64)
-    ftmp = np.empty(_TILE)
-    for lo in range(1, Q + 1, _TILE):
-        hi = min(lo + _TILE, Q + 1)
-        for m in range(1, isqrt(N) + 1):
-            sq = m * m
-            off = sq >> 2  # column off + b holds n = m^2 + 4b, 1 <= b <= (N - m^2)/4
-            if off + 1 >= hi:
-                break
-            c0, c1 = max(lo, off + 1), min(hi, off + 1 + ((N - sq) >> 2))
-            if c0 >= c1:
-                continue
-            row, w = sq & 3, c1 - c0  # row 0 for even m, 1 for odd m
-            b = slice(c0 - off, c1 - off)
-            np.multiply(sig3[b], 240 * sq, out=itmp[:w])
-            np.subtract(itmp[:w], bsig[b], out=itmp[:w])
-            np.add(acc[row, c0:c1], itmp[:w], out=acc[row, c0:c1])
-            np.multiply(sig3f[b], 240 * sq, out=ftmp[:w])
-            np.add(pos[row, c0:c1], ftmp[:w], out=pos[row, c0:c1])
-            np.add(neg[row, c0:c1], bsigf[b], out=neg[row, c0:c1])
-
-    # T terms reach an entry (one per m, two constant-term ones); each term
-    # carries at most 3 roundings and each addition 1, so with eps = 2^-52,
-    # twice the unit roundoff, (T + 4) eps (P + Nn) bounds |alpha - (P - Nn)|
-    T = isqrt(N) + 2
-    widest = (T + 4) * np.finfo(np.float64).eps * float((pos + neg).max())
-    if widest >= _LIFT_WINDOW_CAP:
-        raise CapacityError(f"alpha lift window 2^{np.log2(widest):.1f} reaches 2^62 at N={N}")
-    wraps = np.rint((pos - neg - acc) / 2.0**64).astype(np.int64)
-
-    vals = acc
-    if wraps.any():  # exactly when some |alpha| >= 2^63
-        vals = acc.astype(object)
-        r, c = np.nonzero(wraps)
-        vals[r, c] += wraps[r, c].astype(object) << 64
-    alpha = np.zeros(N + 1, dtype=vals.dtype)
+    src = _limb_source(N // 4)
+    alpha = np.zeros(N + 1, dtype=np.int64)
+    acc = np.empty((_TILE, 4), dtype=np.int64)
+    wide_n, wide_by = [], []
+    M = isqrt(N)
     for row in (0, 1):
-        alpha[row::4] = vals[row, : len(range(row, N + 1, 4))]
+        top = (N - row) // 4  # the last column: n = 4 top + row <= N
+        sq = np.arange(2 - row, M + 1, 2, dtype=np.int64) ** 2
+        sq_col = sq >> 2  # where E's constant term times B adds m^2
+        for lo in range(0, top + 1, _TILE):
+            hi = min(lo + _TILE, top + 1)
+            a = acc[: hi - lo]
+            a.fill(0)
+            for m in range(2 - row, M + 1, 2):
+                off = (m * m) >> 2  # column off + b holds n = m^2 + 4b, 1 <= b <= (N - m^2)/4
+                if off + 1 >= hi:
+                    break
+                c0, c1 = max(lo, off + 1), min(hi, off + 1 + ((N - m * m) >> 2))
+                if c0 < c1:
+                    np.add(a[c0 - lo : c1 - lo], src[c0 - off : c1 - off], out=a[c0 - lo : c1 - lo])
+            n = np.arange(4 * lo + row, 4 * hi + row, 4, dtype=np.int64)
+            # alpha mod 2^64
+            u = a.view(np.uint64)
+            res = 240 * n.view(np.uint64) * ((u[:, 1] << _SIG_BITS) + u[:, 0])
+            res -= 1080 * ((u[:, 3] << _BSIG_BITS) + u[:, 2])
+            # the estimate: every limb sum converts exactly
+            f = a.astype(np.float64)
+            pos = 240.0 * n * (f[:, 1] * 2.0**_SIG_BITS + f[:, 0])
+            neg = 1080.0 * (f[:, 3] * 2.0**_BSIG_BITS + f[:, 2])
+            if row == 0:  # theta's constant term times C: - 60 b sigma3(b) at n = 4b
+                us = src[lo:hi].view(np.uint64)
+                res -= 60 * ((us[:, 3] << _BSIG_BITS) + us[:, 2])
+                neg += 60.0 * (us[:, 3] * 2.0**_BSIG_BITS + us[:, 2])
+            est = pos - neg
+            size = np.add(pos, neg, out=pos)
+            i0, i1 = np.searchsorted(sq_col, (lo, hi))
+            at = sq_col[i0:i1] - lo
+            res[at] += sq[i0:i1].astype(np.uint64)
+            est[at] += sq[i0:i1]
+            size[at] += sq[i0:i1]
+            # each term reaches est through at most 5 roundings, so with
+            # u = 2^-53 |alpha - est| <= 5u/(1 - 5u) times the sum of the
+            # terms' sizes; 8u times its float value size covers that
+            widest = 8 * 2.0**-53 * float(size.max())
+            if widest >= _LIFT_WINDOW_CAP:
+                raise CapacityError(
+                    f"alpha lift window 2^{np.log2(widest):.1f} reaches 2^62 at N={N}")
+            res = res.view(np.int64)
+            alpha[4 * lo + row : 4 * hi + row : 4] = res
+            wraps = np.rint((est - res) / 2.0**64).astype(np.int64)
+            if wraps.any():  # exactly where |alpha| >= 2^63
+                k = np.flatnonzero(wraps)
+                wide_n.append(n[k])
+                wide_by.append(wraps[k])
+    if wide_n:
+        alpha = alpha.astype(object)
+        wide = np.concatenate(wide_n)
+        alpha[wide] += np.concatenate(wide_by).astype(object) << 64
     return CoeffTable(alpha=alpha)
 
 
@@ -610,7 +651,7 @@ def load_coeffs(path: str) -> CoeffTable:
     if len(data) < 28:
         raise ChecksumError(f"{path}: truncated header")
     h = _checksum()
-    h.update(data[:-8])
+    h.update(memoryview(data)[:-8])
     if h.digest() != data[-8:]:
         raise ChecksumError(f"{path}: checksum mismatch")
     version = int.from_bytes(data[4:8], "little")

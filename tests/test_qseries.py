@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfint import cli, qseries
+from halfint.arith import SIGMA3_INT64_LIMIT
 from halfint.errors import CapacityError, ChecksumError, FormatError
 from halfint.qseries import (
     CoeffTable,
@@ -231,6 +232,41 @@ class TestDeltaHalfIntegral:
         ref = delta_halfintegral_reference(2000)
         assert np.array_equal(fast.alpha, ref.alpha)
 
+    def test_high_limbs_match_bruteforce(self):
+        # the builder splits sigma3(b) at 2^32 and b sigma3(b) at 2^42; the
+        # reference test above has b <= 500, where both high limbs are 0.
+        # Here n = 5500..8000 reaches b up to 2000, past the first b with
+        # either high limb nonzero
+        s3 = [sum(d**3 for d in divisors(b)) for b in range(1, 2001)]
+        first_sig = 1 + min(i for i, v in enumerate(s3) if v >= 2**qseries._SIG_BITS)
+        first_bsig = 1 + min(i for i, v in enumerate(s3) if (i + 1) * v >= 2**qseries._BSIG_BITS)
+        assert (first_sig, first_bsig) == (1548, 1392)
+        assert 5500 <= 4 * first_bsig < 4 * first_sig <= 8000
+        t = delta_halfintegral(8000)
+        band = [n for n in range(5500, 8001) if n % 4 in (0, 1)]
+        assert len(band) == 1251
+        for n in band:
+            assert t.a(n) == alpha_bruteforce(n), n
+
+    def test_tile_width_does_not_change_alpha(self, monkeypatch):
+        default = delta_halfintegral(20_000)
+        monkeypatch.setattr(qseries, "_TILE", 64)
+        assert np.array_equal(delta_halfintegral(20_000).alpha, default.alpha)
+
+    def test_limb_sums_stay_exact(self):
+        # every limb is below max(2^32, 2^63 >> 32, 2^42, (b 2^63) >> 42)
+        # with b <= SIGMA3_INT64_LIMIT, and an entry sums one term per m of
+        # one parity; below 2^53 each sum is exact in int64 (no wrap) and
+        # in float64, whatever the two constants become
+        b_max = qseries._FAST_N_CAP // 4
+        assert b_max <= SIGMA3_INT64_LIMIT
+        sig_max = 2**63 - 1
+        limb = max(1 << qseries._SIG_BITS, sig_max >> qseries._SIG_BITS,
+                   1 << qseries._BSIG_BITS, (b_max * sig_max) >> qseries._BSIG_BITS)
+        terms = math.isqrt(qseries._FAST_N_CAP) // 2 + 1
+        assert terms == 1397
+        assert terms * limb < 2**53
+
     def test_matches_bruteforce_past_int64(self):
         # sigma3(b) passes 2^60 at b = 987840, i.e. from n = 3951361 on, and
         # alpha(3799816) passes 2^63, so its int64 residue must be lifted
@@ -243,7 +279,7 @@ class TestDeltaHalfIntegral:
         assert t.alpha.dtype == object
 
     def test_lift_window_guard(self, monkeypatch):
-        # the window at N = 1e4 is about 2^12; a cap below it must refuse
+        # the window at N = 1e4 is about 2^10.8; a cap below it must refuse
         monkeypatch.setattr(qseries, "_LIFT_WINDOW_CAP", 2.0**8)
         with pytest.raises(CapacityError):
             delta_halfintegral(10_000)
