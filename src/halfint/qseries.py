@@ -345,7 +345,7 @@ def delta_halfintegral(N: int) -> CoeffTable:
             size[at] += sq[i0:i1]
             # each term reaches est through at most 5 roundings, so with
             # u = 2^-53 |alpha - est| <= 5u/(1 - 5u) times the sum of the
-            # terms' sizes; 8u times its float value size covers that
+            # terms' sizes; 8u times size, their float sum, covers that
             widest = 8 * 2.0**-53 * float(size.max())
             if widest >= _LIFT_WINDOW_CAP:
                 raise CapacityError(
