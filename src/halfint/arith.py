@@ -1,8 +1,9 @@
 """Number-theoretic kernel: the prime and odd square-free sieves, the
 sigma_3 table, factorization with phi and mu, the Kronecker symbol and its
-vectorized rows (a|n), fundamental discriminants, and the index set of
-discriminants 8m with m odd and square-free. Every other module takes these
-primitives from here.
+vectorized rows (a|n), fundamental discriminants, and the index sets of
+discriminants the sign scans read: the support lattice n = 0, 1 mod 4 and the
+set 8m with m odd and square-free. Every other module takes these primitives
+from here.
 
 All tables are built once and then treated as immutable; every query here is
 pure, so concurrent readers are safe.
@@ -146,13 +147,26 @@ def odd_squarefree_flags(limit: int) -> np.ndarray:
     return f
 
 
+def index_set_flags(name: str, X: int) -> np.ndarray:
+    """Boolean mask f over 0..X of the named index set of discriminants.
+
+    "all_supported": the support lattice n = 0, 1 mod 4 with n >= 1.
+    "nflat": the discriminants 8m with m odd and square-free.
+    """
+    f = np.zeros(X + 1, dtype=bool)
+    if name == "all_supported":
+        f[1::4] = True
+        f[4::4] = True
+    elif name == "nflat":
+        f[8::8] = odd_squarefree_flags(X // 8)[1:]
+    else:
+        raise ValueError(f"unknown index set {name!r}")
+    return f
+
+
 def enumerate_nflat(X: int) -> list[int]:
     """All discriminants 8m <= X with m > 0 odd and square-free, ascending."""
-    if X < 8:
-        return []
-    mmax = X // 8
-    flags = odd_squarefree_flags(mmax)
-    return [8 * int(m) for m in np.nonzero(flags)[0]]
+    return np.flatnonzero(index_set_flags("nflat", X)).tolist()
 
 
 def factorize_small(n: int) -> Factorization:

@@ -30,6 +30,7 @@ from .arith import (
     enumerate_nflat,
     euler_phi,
     factorize_small,
+    index_set_flags,
     is_fundamental_discriminant,
     kronecker,
     odd_squarefree_flags,
@@ -70,35 +71,26 @@ class SignChangeReport:
 
 
 def cmd_signchanges(X: int, index_set: str, coeffs: CoeffTable) -> SignChangeReport:
-    """Count adjacent sign changes of alpha over the chosen index set.
-
-    index_set "all_supported": the support lattice n = 0,1 mod 4 (zero
-    entries inside the lattice are skipped in the count of changes but kept
-    in N_set). index_set "nflat": discriminants 8m with m odd square-free.
+    """Count adjacent sign changes of alpha over the index set named
+    "all_supported" or "nflat"; arith.index_set_flags defines both. Zero
+    entries inside the set are skipped in the count of changes but kept in
+    N_set.
     """
     if X < 1:
         raise ValueError(f"limit must be positive, got {X}")
     if X > coeffs.N:
         raise InsufficientTableError(f"need coefficients to {X}, table holds {coeffs.N}")
-    s = coeffs.sign_array()
-    n = np.arange(X + 1)
-    if index_set == "all_supported":
-        idx = n[(n >= 1) & ((n % 4 == 0) | (n % 4 == 1))]
-    elif index_set == "nflat":
-        flags = odd_squarefree_flags(X // 8)
-        idx = 8 * np.nonzero(flags)[0]
-    else:
-        raise ValueError(f"unknown index set {index_set!r}")
-    signs = s[idx]
+    signs = coeffs.sign_array()[: X + 1][index_set_flags(index_set, X)]
+    N_set = signs.size
     nz = signs[signs != 0]
     changes = int(np.count_nonzero(nz[1:] != nz[:-1]))
     return SignChangeReport(
         X=X,
         index_set=index_set,
         S=changes,
-        N_set=int(idx.size),
-        ratio=changes / idx.size if idx.size else 0.0,
-        zeros_skipped=int(signs.size - nz.size),
+        N_set=N_set,
+        ratio=changes / N_set if N_set else 0.0,
+        zeros_skipped=N_set - nz.size,
     )
 
 
@@ -116,7 +108,8 @@ def cmd_moments(
     if 8 * xmax > coeffs.N:
         raise InsufficientTableError(f"need coefficients to {8 * xmax}")
     c = coeffs.c_array()
-    flags = odd_squarefree_flags(xmax)  # 2n square-free <=> n odd square-free
+    # 2n square-free <=> n odd square-free <=> 8n in nflat
+    flags = index_set_flags("nflat", 8 * xmax)[::8]
     n = np.arange(xmax + 1)
     csq = np.where(flags, c[8 * n] ** 2, 0.0)
     rows = []
@@ -252,16 +245,13 @@ def expansion_identity_holds(tab: HeckeTable) -> bool:
     )
 
 
-def _below(metric, limit) -> tuple:
-    return metric, metric < limit
-
-
 def _suite_sieves():
     """The arithmetic primitives the commands use, against brute force for
     n < 2000: sigma_3, the odd square-free flags and the mu carried by
     squarefree_divisors from each n's divisor list, phi from gcd counts;
     chi_d against the per-n symbol for the positive fundamental d < 200.
-    The metric is the worst |sum mu(r)| over squarefree_divisors(n), n >= 2."""
+    The metric is the worst |sum mu(r)| over squarefree_divisors(n), n >= 2,
+    or inf when a brute-force comparison fails."""
     lim = 2000
     sig = sigma3_table(lim)
     odd_sf = odd_squarefree_flags(lim)
@@ -284,17 +274,17 @@ def _suite_sieves():
         ok = (ok and sig[n] == sum(d**3 for d in divs)
               and odd_sf[n] == (n % 2 == 1 and n in mu) and dict(pairs) == mu
               and euler_phi(n) == np.count_nonzero(np.gcd(a, n) == 1))
-    return float(worst), bool(ok) and worst == 0
+    return float(worst) if ok else math.inf
 
 
 def _suite_delta():
+    """1 unless the fast alpha builder equals the reference and has no
+    support violations, and the tau series equals the naive product."""
     fast = delta_halfintegral(2000)
     ref = qseries.delta_halfintegral_reference(2000)
-    same = np.array_equal(fast.alpha, ref.alpha)
-    support_ok = fast.support_violations().size == 0
-    tau = qseries.delta_integral(2000)
-    naive = _tau_naive(2000)
-    return float(not (same and support_ok and tau == naive)), same and support_ok and tau == naive
+    return float(not (np.array_equal(fast.alpha, ref.alpha)
+                      and fast.support_violations().size == 0
+                      and qseries.delta_integral(2000) == _tau_naive(2000)))
 
 
 def _tau_naive(N: int) -> list:
@@ -338,10 +328,8 @@ def _suite_mollifier():
         enum = [mollifier.m_factor(int(m), j, 0.5, params, tab, method="enumerate") for m in ms]
         gap = np.abs(np.array(enum) - iden) / np.maximum(1.0, np.abs(iden))
         worst = max(worst, float(gap.max()))
-    if not (expansion_identity_holds(tab)
-            and taylor_bound_holds((4, 8, 16, mollifier.ELL_MAX), 41)):
-        return 1.0, False
-    return _below(worst, 1e-12)
+    ok = expansion_identity_holds(tab) and taylor_bound_holds((4, 8, 16, mollifier.ELL_MAX), 41)
+    return worst if ok else 1.0
 
 
 def tiny_mollifier_configs() -> list:
@@ -364,32 +352,28 @@ def tiny_mollifier_configs() -> list:
     return [one_block, single_prime, two_block]
 
 
-def _suite_jutila_certify():
-    f = expsums.jutila_l2_defect(600, 0.5, 1)
-    e = expsums.jutila_l2_defect(600, 0.5, 1, exact=True)
-    return abs(f - e), abs(f - e) < 1e-9
-
-
+# (name, metric, bound): a suite passes when its metric is below its bound
 _SUITES = [
-    ("sieves", _suite_sieves),
-    ("gauss_oracle", lambda: _below(gauss_oracle_worst(1000, 60), 1e-10)),
-    ("w_kernel_oracle", lambda: _below(w_kernel_worst(), 1e-10)),
-    ("poisson_identity", lambda: _below(poisson_worst(46), 1e-8)),
-    ("delta_tables", _suite_delta),
-    ("shimura_identity", lambda: _below(
-        shimura_failures(10_000, delta_halfintegral(10_000), build_hecke_table(110)), 1)),
-    ("modularity_panel", lambda: _below(modularity_worst(delta_halfintegral(10_000)), 1e-8)),
-    ("mollifier_identities", _suite_mollifier),
-    ("jutila_certify", _suite_jutila_certify),
+    ("sieves", _suite_sieves, 1),
+    ("gauss_oracle", lambda: gauss_oracle_worst(1000, 60), 1e-10),
+    ("w_kernel_oracle", w_kernel_worst, 1e-10),
+    ("poisson_identity", lambda: poisson_worst(46), 1e-8),
+    ("delta_tables", _suite_delta, 1),
+    ("shimura_identity", lambda: shimura_failures(
+        10_000, delta_halfintegral(10_000), build_hecke_table(110)), 1),
+    ("modularity_panel", lambda: modularity_worst(delta_halfintegral(10_000)), 1e-8),
+    ("mollifier_identities", _suite_mollifier, 1e-12),
+    ("jutila_certify", lambda: abs(expsums.jutila_l2_defect(600, 0.5, 1)
+                                   - expsums.jutila_l2_defect(600, 0.5, 1, exact=True)), 1e-9),
 ]
 
 
 def cmd_selftest() -> list:
     rows = []
-    for name, fn in _SUITES:
-        metric, ok = fn()
-        rows.append({"suite": name, "status": "pass" if ok else "FAIL",
-                     "metric": float(metric)})
+    for name, suite, bound in _SUITES:
+        metric = float(suite())
+        rows.append({"suite": name, "status": "pass" if metric < bound else "FAIL",
+                     "metric": metric})
     return rows
 
 
@@ -458,9 +442,10 @@ _MOLLIFY_KEYS = ("x", "l", "kappa", "eta2", "c0", "theta0")
 
 
 def _parse_mollify(text: str) -> dict:
-    """build_params keyword arguments from the given keys; theta0 is
-    required, x defaults to 2e6, the other keys to the build_params defaults."""
-    kv = {"x": 2.0e6}
+    """build_params keyword arguments from the given keys, each given at
+    most once; theta0 is required, x defaults to 2e6, the other keys to the
+    build_params defaults."""
+    kv = {}
     for tok in text.split(","):
         if not tok.strip():
             continue
@@ -470,10 +455,12 @@ def _parse_mollify(text: str) -> dict:
         k = k.strip()
         if k not in _MOLLIFY_KEYS:
             raise ValueError(f"key {k!r} is not one of {', '.join(_MOLLIFY_KEYS)}")
-        kv["theta0_override" if k == "theta0" else k] = _float(v, f"key {k} value")
+        if (dest := "theta0_override" if k == "theta0" else k) in kv:
+            raise ValueError(f"key {k!r} is set twice")
+        kv[dest] = _float(v, f"key {k} value")
     if "theta0_override" not in kv:
         raise ValueError(f"value {text!r} does not set the required key theta0")
-    return kv
+    return {"x": 2.0e6, **kv}
 
 
 _REQUIRED = object()  # the default of an option that must be set
@@ -548,9 +535,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(cmd: str, flags: dict) -> dict:
     """Each option of the program and of `cmd` from its flag, else its key
-    in the --config file (`key = value` lines, # comments), else its default,
-    through the option's parser and choice check. A ValueError names the
-    flag or key at fault."""
+    in the --config file (`key = value` lines, # comments, each key on one
+    line at most), else its default, through the option's parser and choice
+    check. A ValueError names the flag or key at fault."""
     table = {**_GLOBAL, **_COMMANDS[cmd][1]}
     given = {}
     if flags["config"] is not None:
@@ -564,6 +551,8 @@ def _resolve(cmd: str, flags: dict) -> dict:
                 key, text = (part.strip() for part in line.split("=", 1))
                 if (dest := key.replace("-", "_")) not in table:
                     raise ValueError(f"unknown config key {key!r}")
+                if dest in given:
+                    raise ValueError(f"{flags['config']}:{lineno}: config key {key!r} is set twice")
                 given[dest] = (f"config key {key!r}", text)
     values = {}
     for key, opt in table.items():

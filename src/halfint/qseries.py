@@ -208,10 +208,8 @@ class CoeffTable:
     def support_violations(self) -> np.ndarray:
         """Indices n = 2,3 mod 4 with alpha(n) != 0 (must be empty for the
         plus-space form)."""
-        s = self.sign_array()
-        n = np.arange(self.N + 1)
-        mask = ((n % 4 == 2) | (n % 4 == 3)) & (s != 0)
-        return n[mask]
+        n = np.flatnonzero(self.alpha)
+        return n[n % 4 >= 2]
 
 
 def _exact_integers(values) -> np.ndarray:
@@ -704,11 +702,15 @@ def _load_csv(path: str) -> CoeffTable:
     rows = []
     try:
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].strip().lower() == "n":
                     continue
+                if len(row) != 2:
+                    raise FormatError(
+                        f"{path}: line {reader.line_num} has {len(row)} fields, not n,alpha")
                 rows.append((int(row[0]), int(row[1])))
-    except (ValueError, IndexError, UnicodeDecodeError, csv.Error) as exc:
+    except (ValueError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: not a coefficient CSV ({exc})") from exc
     if not rows:
         raise FormatError(f"{path}: no coefficient rows")

@@ -11,6 +11,7 @@ from halfint.arith import (
     enumerate_nflat,
     euler_phi,
     factorize_small,
+    index_set_flags,
     is_fundamental_discriminant,
     kronecker,
     kronecker_row,
@@ -250,6 +251,34 @@ class TestNflat:
         members = set(enumerate_nflat(3200))
         for m in range(1, 401):
             assert ((8 * m) in members) == bool(flags[m])
+
+
+def _in_index_set(name, n):
+    """Per-n membership: the lattice by n mod 4, nflat from factorize_small."""
+    if name == "all_supported":
+        return n >= 1 and n % 4 in (0, 1)
+    m = n // 8
+    return (n > 0 and n % 8 == 0 and m % 2 == 1
+            and all(e == 1 for _, e in factorize_small(m).prime_powers))
+
+
+class TestIndexSetFlags:
+    @pytest.mark.parametrize("name", ["all_supported", "nflat"])
+    def test_matches_per_n_definition(self, name):
+        for X in [*range(41), 10_000]:
+            flags = index_set_flags(name, X)
+            assert flags.dtype == bool and flags.shape == (X + 1,)
+            assert flags.tolist() == [_in_index_set(name, n) for n in range(X + 1)], X
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown index set 'foo'"):
+            index_set_flags("foo", 100)
+
+    def test_enumerate_nflat_reads_the_mask(self):
+        for X in (0, 7, 8, 3200, 10_000):
+            nflat = enumerate_nflat(X)
+            assert nflat == np.flatnonzero(index_set_flags("nflat", X)).tolist()
+            assert all(type(d) is int for d in nflat)
 
 
 def spf_factorization(n, spf):

@@ -169,13 +169,19 @@ class TestCliEndToEnd:
             (["moments", "--blocks", "64", "--coeffs", "COEFFS",
               "--mollify", "x=1e300,theta0=2,eta2=2"], 3,
              "largest block edge x^theta_J = e^1382 needs an infeasible sieve"),
+            (["moments", "--blocks", "64", "--coeffs", "COEFFS",
+              "--mollify", "x=1e6,theta0=0.5,kappa=0.5,kappa=1.5"], 2,
+             "--mollify key 'kappa' is set twice"),
+            (["moments", "--blocks", "64", "--coeffs", "COEFFS",
+              "--mollify", "theta0=0.08,theta0=0.5"], 2, "--mollify key 'theta0' is set twice"),
         ],
         ids=["tol-nan", "tol-zero", "tol-negative", "tol-unreachable", "block-zero",
              "block-fraction", "mollify-unknown-key", "xgrid-zero", "xgrid-inf",
              "limit-negative", "block-not-integer", "limit-not-integer",
              "tol-not-a-number", "dmax-below-8", "qgrid-empty", "blocks-empty",
              "qgrid-negative", "tol-subnormal", "dmax-past-float", "qgrid-past-float",
-             "xgrid-past-float", "delta-past-int64", "mollify-edge-past-float"],
+             "xgrid-past-float", "delta-past-int64", "mollify-edge-past-float",
+             "mollify-kappa-twice", "mollify-theta0-twice"],
     )
     def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code, named):
         argv = [small_coeffs if a == "COEFFS" else a for a in argv]
@@ -265,7 +271,7 @@ class TestCliEndToEnd:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_out_path_is_checked_before_the_command_runs(self, tmp_path, monkeypatch, capsys,
                                                          target, fault, argv, key, source):
-        monkeypatch.setattr(cli, "_SUITES", [("ran", lambda: pytest.fail("a suite ran"))])
+        monkeypatch.setattr(cli, "_SUITES", [("ran", lambda: pytest.fail("a suite ran"), 1)])
         monkeypatch.setattr(cli, "delta_halfintegral", lambda N: pytest.fail("a table was built"))
         path = str(tmp_path / target)
         if source == "flag":
@@ -408,6 +414,22 @@ class TestConfigFile:
         argv = [small_coeffs if a == "COEFFS" else a for a in argv]
         assert cli.main(["--config", str(cfg), *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, text, line, key", [
+        (["signchanges", "--coeffs", "COEFFS"], "limit = 100\nlimit = 200", 2, "limit"),
+        (["signchanges", "--limit", "100", "--coeffs", "COEFFS"],
+         "# a comment\nlimit = 100\n\nlimit = 100", 4, "limit"),
+        (["coeffs", "--limit", "100"], "coeffs_out = a.hicf\ncoeffs-out = b.hicf", 2,
+         "coeffs-out"),
+    ], ids=["limit", "limit-same-value-under-flag", "coeffs-out-two-spellings"])
+    def test_key_set_twice_names_file_line_and_key(self, tmp_path, monkeypatch, small_coeffs,
+                                                   capsys, argv, text, line, key):
+        monkeypatch.setattr(cli, "_dispatch", lambda cmd, opts: pytest.fail("the command ran"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        argv = [small_coeffs if a == "COEFFS" else a for a in argv]
+        assert cli.main(["--config", str(cfg), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}:{line}: config key {key!r} is set twice\n")
 
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["--config", str(tmp_path), "jutila", "--qgrid", "300"]) == 2

@@ -1,13 +1,13 @@
 """Every top-level definition in src/halfint, and every method and property
-of its top-level classes, has a product, acceptance or bench caller.
+of its top-level classes, has a product or acceptance caller.
 
 The walk is by name over the module ASTs, so it over-approximates: a
 reference to `foo` from anywhere reachable keeps every top-level `foo` in
 every module. It starts from `cli.main`, from every name that
-tests/test_acceptance.py references, and from every name that perfbench/*.py
-takes from halfint (module attributes, `from halfint...` imports, and the
-dotted function names its tracer patches by string). It then follows the
-references inside each definition it reaches.
+tests/test_acceptance.py references, and from the names ALLOWED_TEST_ONLY
+lists. It then follows the references inside each definition it reaches.
+perfbench/ is not a root: a name that only the bench reaches is dead to the
+product.
 
 Two kinds of reference are told apart. A top-level definition is kept only
 by a name that is read (not one that is bound: a local, a parameter or a
@@ -40,9 +40,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "halfint"
 MODULES = {path.stem for path in SRC.glob("*.py")}
 
-# Top-level names that only unit tests reach but that stay on purpose, each
-# with its reason. Keep this empty unless a name cannot have another caller.
-ALLOWED_TEST_ONLY: dict = {}
+# Top-level names that only unit tests and the bench reach but that stay on
+# purpose, each with its reason. Keep this short: a name belongs here only
+# while it cannot have a product caller.
+ALLOWED_TEST_ONLY: dict = {
+    "first_moment_scan": "the twisted first moment of central values; only the twists "
+    "bench workload and the first-moment pins reach it until a subcommand reports it",
+}
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
 
@@ -166,28 +170,6 @@ def _definitions() -> dict:
     return defs
 
 
-def _bench_roots() -> tuple:
-    """(top, member) references perfbench/*.py makes into halfint: for top,
-    attributes of halfint modules, `from halfint...` imports and the parts
-    of identifier-like strings; for member, also every other attribute."""
-    top, member = set(), set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        aliases = _module_aliases(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("halfint"):
-                top.update(a.name for a in node.names)
-            elif isinstance(node, ast.Attribute):
-                member.add(node.attr)
-                if _is_module(node.value, aliases):
-                    top.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if _IDENT.match(node.value):
-                    top.update(node.value.split("."))
-                    member.update(node.value.split("."))
-    return top, member
-
-
 def unreachable() -> list:
     defs = _definitions()
     aliases = {path.stem: _module_aliases(ast.parse(path.read_text(encoding="utf-8")))
@@ -199,9 +181,8 @@ def unreachable() -> list:
     path = ROOT / "tests" / "test_acceptance.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     top, member = _references(tree, _module_aliases(tree))
-    bench_top, bench_member = _bench_roots()
-    todo = [("top", name) for name in {"main"} | top | bench_top | set(ALLOWED_TEST_ONLY)]
-    todo += [("member", name) for name in member | bench_member]
+    todo = [("top", name) for name in {"main"} | top | set(ALLOWED_TEST_ONLY)]
+    todo += [("member", name) for name in member]
     seen = set()
     while todo:
         ref = todo.pop()
@@ -279,7 +260,7 @@ def test_imports_match_declared_dependencies():
 
 def test_every_definition_has_a_caller():
     dead = unreachable()
-    assert not dead, "no product, acceptance or bench caller: " + ", ".join(dead)
+    assert not dead, "no product or acceptance caller: " + ", ".join(dead)
 
 
 def test_bound_names_and_foreign_attributes_are_not_references():
@@ -305,7 +286,6 @@ def test_walk_sees_the_roots():
                 ("lvalue", "first_moment_scan"), ("mollifier", "nu_fold"),
                 ("hecke", "HeckeTable.lam"), ("qseries", "CoeffTable.sign_array")]:
         assert key in defs
-    assert {"first_moment_scan", "delta_halfintegral"} <= _bench_roots()[0]
 
 
 def test_bench_tracer_finds_its_names():

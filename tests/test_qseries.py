@@ -417,6 +417,14 @@ class TestCoeffCache:
             with pytest.raises(FormatError):
                 load_coeffs(str(path))
 
+    def test_csv_row_without_two_fields_rejected(self, tmp_path):
+        # a row 1,1,7 must not load as alpha(1) = 1
+        for bad in ("1,1,7", "1"):
+            path = tmp_path / "fields.csv"
+            path.write_text(f"n,alpha\n{bad}\n2,0\n")
+            with pytest.raises(FormatError, match=f"line 2 has {bad.count(',') + 1} fields"):
+                load_coeffs(str(path))
+
     def test_csv_oversized_field_rejected(self, tmp_path):
         path = tmp_path / "long.csv"
         path.write_text("1," + "9" * 200_000 + "\n")  # over the csv module's field limit
