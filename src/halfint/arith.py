@@ -148,7 +148,7 @@ def odd_squarefree_flags(limit: int) -> np.ndarray:
 
 
 def index_set_flags(name: str, X: int) -> np.ndarray:
-    """Boolean mask f over 0..X of the named index set of discriminants.
+    """Boolean mask f over 0..X (X >= 0) of the named index set.
 
     "all_supported": the support lattice n = 0, 1 mod 4 with n >= 1.
     "nflat": the discriminants 8m with m odd and square-free.
