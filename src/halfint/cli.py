@@ -107,11 +107,11 @@ def cmd_moments(
     xmax = max(X_list)
     if 8 * xmax > coeffs.N:
         raise InsufficientTableError(f"need coefficients to {8 * xmax}")
-    c = coeffs.c_array()
+    c = coeffs.c_array(8 * xmax + 1, 8)  # c(8n), n = 0..xmax
     # 2n square-free <=> n odd square-free <=> 8n in nflat
     flags = index_set_flags("nflat", 8 * xmax)[::8]
     n = np.arange(xmax + 1)
-    csq = np.where(flags, c[8 * n] ** 2, 0.0)
+    csq = np.where(flags, c**2, 0.0)
     rows = []
     if mollifier_params is not None:
         msq = mollifier.mollifier_value(
@@ -511,13 +511,31 @@ _COMMANDS = {
 }
 
 
+@dataclass(frozen=True)
+class _Twice:
+    """What a flag holds once it is given a second time."""
+
+    flag: str
+
+
+class _Once(argparse.Action):
+    """Stores a flag's text, and _Twice once the flag is given again, which
+    _resolve refuses; argparse alone would keep the last text."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            values = _Twice(self.option_strings[0])
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="halfint",
         description="Half-integral weight form coefficients, twisted central "
         "values, mollifiers, and sign-change statistics.",
     )
-    ap.add_argument("--config", help="key = value file setting any long option; flags win")
+    ap.add_argument("--config", action=_Once,
+                    help="key = value file setting any long option; flags win")
     sub = ap.add_subparsers(dest="command", required=True)
     parsers = [(ap, _GLOBAL)] + [
         (sub.add_parser(cmd, help=about), table) for cmd, (about, table) in _COMMANDS.items()]
@@ -527,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
             note = ("required" if opt.default is _REQUIRED
                     else opt.default and f"default {opt.default}")
             parser.add_argument(
-                opt.flag or "--" + key, dest=key,
+                opt.flag or "--" + key, dest=key, action=_Once,
                 metavar="{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None,
                 help="; ".join(filter(None, (opt.help, note))))
     return ap
@@ -537,7 +555,11 @@ def _resolve(cmd: str, flags: dict) -> dict:
     """Each option of the program and of `cmd` from its flag, else its key
     in the --config file (`key = value` lines, # comments, each key on one
     line at most), else its default, through the option's parser and choice
-    check. A ValueError names the flag or key at fault."""
+    check. A ValueError names the flag or key at fault, or the flag given
+    twice."""
+    for text in flags.values():
+        if isinstance(text, _Twice):
+            raise ValueError(f"{text.flag} is given twice")
     table = {**_GLOBAL, **_COMMANDS[cmd][1]}
     given = {}
     if flags["config"] is not None:

@@ -167,10 +167,12 @@ class CoeffTable:
 
     alpha is an array indexed 0..N with alpha[0] = 0, so N = len(alpha) - 1:
     int64, or an object array of Python ints once some |alpha(n)| >= 2^63
-    (from n = 3799816 on). A sequence passed in is converted the same way;
-    an entry that is not an integer raises ValueError. Tables compare by
-    identity; np.array_equal compares their alpha. The normalized
-    coefficients are c(n) = alpha(n) / n^{11/4}.
+    (from n = 3799816 on). An object array passed in is kept as it is: its
+    entries must be Python ints, as the builder's and the loader's are. Any
+    other sequence is converted the same way, and an entry that is not an
+    integer raises ValueError. Tables compare by identity; np.array_equal
+    compares their alpha. The normalized coefficients are c(n) = alpha(n) /
+    n^{11/4}.
     """
 
     alpha: np.ndarray
@@ -191,16 +193,18 @@ class CoeffTable:
         """int8 array s with s[n] = sign(alpha(n)); compact scan view."""
         return np.sign(self.alpha).astype(np.int8)
 
-    def float_array(self, stop: int | None = None) -> np.ndarray:
-        """alpha[:stop] as float64, each entry rounded on its own."""
-        return self.alpha[:stop].astype(np.float64)
+    def float_array(self, stop: int | None = None, step: int = 1) -> np.ndarray:
+        """alpha[:stop:step] as float64, each entry rounded on its own."""
+        return self.alpha[:stop:step].astype(np.float64)
 
-    def c_array(self) -> np.ndarray:
-        """Normalized coefficients c(n) = alpha(n) n^{-11/4} (c[0] = 0)."""
-        n = np.arange(self.N + 1, dtype=np.float64)
+    def c_array(self, stop: int | None = None, step: int = 1) -> np.ndarray:
+        """Normalized coefficients c(n) = alpha(n) n^{-11/4} (c(0) = 0) at
+        n = 0..N, sliced [:stop:step] like float_array."""
+        out = self.float_array(stop, step)
+        n = np.arange(out.size, dtype=np.float64)
+        n *= step
         n[0] = 1.0
         np.power(n, (WEIGHT_TIMES_TWO - 2) / 4.0, out=n)
-        out = self.float_array()
         out /= n
         out[0] = 0.0
         return out
@@ -214,7 +218,11 @@ class CoeffTable:
 
 def _exact_integers(values) -> np.ndarray:
     """values as an int64 array, or as an object array of Python ints when
-    some value lies outside int64. ValueError if an entry is not an integer."""
+    some value lies outside int64. ValueError if an entry is not an integer.
+    An object array is returned as it is, unchecked: the builder's and the
+    loader's hold Python ints by construction."""
+    if isinstance(values, np.ndarray) and values.dtype == object:
+        return values
     arr = np.asarray(values)
     if arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64):
         return arr.astype(np.int64, copy=False)
@@ -390,79 +398,163 @@ def delta_halfintegral_reference(N: int) -> CoeffTable:
 # bytes per entry (the exact ints of tau dominate), so the budget costs about
 # 0.9 GB; building it took 50 s on a 2-vCPU x86_64 host
 _TAU_BUDGET = 4_000_000
+# the FFT primes stay below this, so Garner's products of residues stay below
+# 2^32 and |a|_2^2 of residues centred mod p below 2^63 for < 2^33 entries
+_FFT_PRIME_CAP = 1 << 16
+# tau entries rebuilt from the CRT digits at a time, so that only one block
+# of Python ints is alive beside the int64 digits
+_LIFT_BLOCK = 4096
 
 
-def delta_integral(N: int) -> list:
-    """tau(n) for 1 <= n <= N from q prod (1-q^n)^24, exact; index 0 unused.
-
-    prod(1-q^n)^3 is the sparse series sum (-1)^m (2m+1) q^{m(m+1)/2}; its
-    8th power, by three squarings truncated at q^{N-1}, is the 24th. The
-    squarings run modulo each of a few primes p, one prime at a time, as
-    float64 rfft convolutions of residues centred in (-p/2, p/2].
-
-    * Primes: the largest below 2^16 (so Garner's products stay below 2^32)
-      with N (p/2)^2 f < 1/4. N (p/2)^2 bounds |a|_2^2 for N residues, and
-      f = (1+e)^3k (1+e sqrt 5)^(3k+1) (1+b)^3k - 1 is Percival's bound
-      (Math. Comp. 72 (2003), Thm 5.1) on |a*a - fft(a*a)|_inf / |a|_2^2 for
-      a length-2^k float64 FFT, with unit roundoff e = 2^-53 and twiddle
-      error b, taken as 2e; k = log2(size) + 1 also covers the rfft split.
-      Every rounded entry is then the exact integer convolution; each square
-      is also checked to lie within 1/4 of integers, else InconsistencyError.
-    * CRT modulus: Deligne's bound |tau(n)| <= d(n) n^{11/2} with
-      d(n) <= 2 sqrt(n) gives 2|tau(n)| <= 4 N^6, so primes are taken until
-      their product M exceeds 4 N^6. Garner's mixed-radix digits, balanced
-      in (-p/2, p/2], then spell out the unique tau(n) in (-M/2, M/2].
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N > _TAU_BUDGET:
-        raise CapacityError(f"a tau table of {N} entries is past the budget of {_TAU_BUDGET}")
-    size = 1 << (2 * N - 2).bit_length()  # > 2(N-1), so the square does not wrap
+def _percival_rel(size: int) -> float:
+    """Percival's bound f (Math. Comp. 72 (2003), Thm 5.1) for a length-size
+    float64 FFT product: |a*b - fft(a*b)|_inf <= |a|_2 |b|_2 f, with
+    f = (1+e)^3k (1+e sqrt 5)^(3k+1) (1+b)^3k - 1, unit roundoff e = 2^-53
+    and twiddle error b, taken as 2e; k = log2(size) + 1 also covers the
+    rfft split."""
     k, e = size.bit_length(), 2.0**-53
     grow = 3 * k * (math.log1p(e) + math.log1p(2 * e)) + (3 * k + 1) * math.log1p(e * 5**0.5)
-    rel = math.expm1(grow)
-    pmax = isqrt(math.floor(1 / (N * rel)))  # N (p/2)^2 rel <= 1/4
+    return math.expm1(grow)
+
+
+def _fft_mul_mod(a: np.ndarray, b: np.ndarray, p: int, n: int) -> np.ndarray:
+    """(a b mod q^n) mod p, centred in (-p/2, p/2), for int64 residues a, b
+    centred mod an odd p < 2^16 (so a @ a stays below 2^63 for fewer than
+    2^33 entries); b = a squares with one forward FFT.
+
+    The product runs as a float64 rfft convolution of a length above its
+    degree, so it does not wrap. Each entry is exact once rounded when
+    |a|_2 |b|_2 f < 1/4 (f from _percival_rel), checked on these operands;
+    the rounded entries must also lie within 1/4 of the float ones. Either
+    check failing raises InconsistencyError.
+    """
+    size = 1 << (a.size + b.size - 2).bit_length()
+    err = math.sqrt(float(a @ a) * float(b @ b)) * _percival_rel(size)
+    if err >= 0.25:
+        raise InconsistencyError(f"FFT error bound {err:.3g} reaches 1/4 at p={p}")
+    f = np.fft.rfft(a, size)
+    f *= f if b is a else np.fft.rfft(b, size)
+    prod = np.fft.irfft(f, size)[:n]
+    exact = np.rint(prod)
+    prod -= exact
+    off = float(np.abs(prod, out=prod).max())
+    if off >= 0.25:
+        raise InconsistencyError(f"FFT product mod {p} is {off:.3g} off the integers")
+    h = p // 2
+    return (exact.astype(np.int64) + h) % p - h
+
+
+def _tau_primes(N: int) -> list:
+    """The CRT primes of delta_integral(N), largest first: the largest below
+    min(2^16, p_max) until their product exceeds 4 N^6, where p_max is the
+    largest p with N (p/2)^2 f <= 1/4 for the FFT length of a square of N
+    entries. N (p/2)^2 bounds |a|_2^2 for N residues centred mod p."""
+    rel = _percival_rel(1 << (2 * N - 2).bit_length())
+    pmax = isqrt(math.floor(1 / (N * rel)))
     primes = []
-    for p in reversed(primes_up_to(min(pmax, 1 << 16))):
+    for p in reversed(primes_up_to(min(pmax, _FFT_PRIME_CAP))):
         if math.prod(primes) > 4 * N**6:
             break
         primes.append(p)
     if math.prod(primes) <= 4 * N**6:
         raise CapacityError(f"no prime set below {pmax} spans tau to N={N}")
-    err = N * (primes[0] / 2) ** 2 * rel
-    if err >= 0.25:
-        raise InconsistencyError(f"FFT error bound {err:.3g} reaches 1/4 at p={primes[0]}")
+    return primes
 
+
+def _lift_groups(primes: list) -> list:
+    """primes cut, in order, into runs whose products stay below 2^64."""
+    groups = [[]]
+    for p in primes:
+        if math.prod(groups[-1]) * p >= 1 << 64:
+            groups.append([])
+        groups[-1].append(p)
+    return groups
+
+
+def _eta3_squared(N: int) -> np.ndarray:
+    """prod (1-q^n)^6 mod q^N, exact in int64, from the M terms
+    (-1)^m (2m+1) q^{m(m+1)/2} below q^N of prod (1-q^n)^3.
+
+    Row m adds the products with every m' >= m (twice for m' > m) at the
+    distinct exponents below N, so no M x M temporary is built. An entry
+    sums at most M products, each at most (2M+1)^2, so |entry| <=
+    M (2M+1)^2, below 2^37 at _TAU_BUDGET."""
     m = np.arange(isqrt(2 * N) + 1)
     m = m[m * (m + 1) // 2 < N]
-    cube = np.zeros(N, dtype=np.int64)
-    cube[m * (m + 1) // 2] = (1 - 2 * (m & 1)) * (2 * m + 1)
+    exps = m * (m + 1) // 2
+    coef = (1 - 2 * (m & 1)) * (2 * m + 1)
+    sq = np.zeros(N, dtype=np.int64)
+    for i in range(m.size):
+        j = int(np.searchsorted(exps, N - exps[i]))  # exps[i] + exps[:j] < N
+        if j <= i:
+            break
+        row = 2 * coef[i] * coef[i:j]
+        row[0] //= 2
+        sq[exps[i] + exps[i:j]] += row
+    return sq
+
+
+def delta_integral(N: int) -> list:
+    """tau(n) for 1 <= n <= N from q prod (1-q^n)^24, exact; index 0 unused.
+
+    prod(1-q^n)^3 is the sparse series sum (-1)^m (2m+1) q^{m(m+1)/2}. Its
+    square, the 6th power, is formed exactly in int64 (_eta3_squared; every
+    entry is at most M (2M+1)^2 < 2^37 for its M terms). Two squarings of
+    that, truncated at q^{N-1}, give the 24th power; they run modulo each
+    of a few primes p, one prime at a time, as float64 rfft convolutions of
+    residues centred in (-p/2, p/2) (_fft_mul_mod).
+
+    * Primes (_tau_primes): the largest below 2^16 with N (p/2)^2 f <= 1/4,
+      f Percival's bound (Math. Comp. 72 (2003), Thm 5.1) for the FFT
+      length. _fft_mul_mod checks |a|_2 |b|_2 f < 1/4 on each pair of
+      operands, so every rounded entry is the exact integer convolution,
+      and checks that each product lies within 1/4 of integers; either
+      failing raises InconsistencyError.
+    * CRT modulus: Deligne's bound |tau(n)| <= d(n) n^{11/2} with
+      d(n) <= 2 sqrt(n) gives 2|tau(n)| <= 4 N^6, so primes are taken until
+      their product exceeds 4 N^6. Garner's mixed-radix digits, balanced
+      in (-p/2, p/2), then spell out the unique tau(n) in (-Q/2, Q/2],
+      Q the product of the primes.
+    * Lift: the digits of each run of primes whose product P is below 2^64
+      (_lift_groups) combine by Horner in int64. Balanced digits of odd
+      primes keep every partial value, acc p + v included, within
+      (P - 1)/2 < 2^63. Python ints join the runs, _LIFT_BLOCK entries at
+      a time.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if N > _TAU_BUDGET:
+        raise CapacityError(f"a tau table of {N} entries is past the budget of {_TAU_BUDGET}")
+    primes = _tau_primes(N)
+    sq = _eta3_squared(N)
     digits = []
     for i, p in enumerate(primes):
         h = p // 2  # residues (x + h) % p - h are centred in (-p/2, p/2)
-        a = (cube + h) % p - h
-        for _ in range(3):
-            f = np.fft.rfft(a, size)
-            f *= f
-            sq = np.fft.irfft(f, size)[:N]
-            exact = np.rint(sq)
-            sq -= exact
-            off = float(np.abs(sq, out=sq).max())
-            if off >= 0.25:
-                raise InconsistencyError(f"FFT square mod {p} is {off:.3g} off the integers")
-            a = (exact.astype(np.int64) + h) % p - h
+        a = (sq + h) % p - h
+        for _ in range(2):
+            a = _fft_mul_mod(a, a, p, N)
         # Garner: digit i = (tau - sum_{j<i} v_j p_0..p_{j-1}) / (p_0..p_{i-1}) mod p
         t = np.zeros(N, dtype=np.int64)
         for j in range(i - 1, -1, -1):
             t = (t * primes[j] + digits[j]) % p
         digits.append(((a - t) * pow(math.prod(primes[:i]), -1, p) + h) % p - h)
-    # Horner over the digits in Python ints, in blocks, so that only one
-    # block of intermediate ints is alive at a time
+    del sq
+    # tau = G_0 + P_0 (G_1 + P_1 (G_2 + ...)) over the runs g of primes,
+    # each G_g an int64 Horner over its own digits
+    parts, mods, rest = [], [], iter(digits)
+    for group in _lift_groups(primes):
+        vs = [next(rest) for _ in group]
+        acc = vs[-1]
+        for v, p in zip(vs[-2::-1], group[-2::-1]):
+            acc = acc * p + v
+        parts.append(acc)
+        mods.append(math.prod(group))
+    del digits, rest, vs
     tau = [0]
-    for s in range(0, N, 4096):
-        block = digits[-1][s : s + 4096].tolist()
-        for v, p in zip(digits[-2::-1], primes[-2::-1]):
-            block = [hi * p + lo for hi, lo in zip(block, v[s : s + 4096].tolist())]
+    for s in range(0, N, _LIFT_BLOCK):
+        block = parts[-1][s : s + _LIFT_BLOCK].tolist()
+        for v, P in zip(parts[-2::-1], mods[-2::-1]):
+            block = [hi * P + lo for hi, lo in zip(block, v[s : s + _LIFT_BLOCK].tolist())]
         tau += block
     return tau
 

@@ -174,6 +174,12 @@ class TestCliEndToEnd:
              "--mollify key 'kappa' is set twice"),
             (["moments", "--blocks", "64", "--coeffs", "COEFFS",
               "--mollify", "theta0=0.08,theta0=0.5"], 2, "--mollify key 'theta0' is set twice"),
+            (["signchanges", "--limit", "100", "--limit", "200", "--coeffs", "COEFFS"], 2,
+             "--limit is given twice"),
+            (["--format", "csv", "--format", "jsonl", "jutila", "--qgrid", "300"], 2,
+             "--format is given twice"),
+            (["coeffs", "--limit", "10", "--out", "no-such-dir/a.hicf",
+              "--out", "no-such-dir/b.hicf"], 2, "--out is given twice"),
         ],
         ids=["tol-nan", "tol-zero", "tol-negative", "tol-unreachable", "block-zero",
              "block-fraction", "mollify-unknown-key", "xgrid-zero", "xgrid-inf",
@@ -181,7 +187,8 @@ class TestCliEndToEnd:
              "tol-not-a-number", "dmax-below-8", "qgrid-empty", "blocks-empty",
              "qgrid-negative", "tol-subnormal", "dmax-past-float", "qgrid-past-float",
              "xgrid-past-float", "delta-past-int64", "mollify-edge-past-float",
-             "mollify-kappa-twice", "mollify-theta0-twice"],
+             "mollify-kappa-twice", "mollify-theta0-twice", "limit-twice", "format-twice",
+             "coeffs-out-twice"],
     )
     def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code, named):
         argv = [small_coeffs if a == "COEFFS" else a for a in argv]

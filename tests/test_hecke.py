@@ -161,9 +161,8 @@ class TestSignFlip:
         assert p == 17 == pins["signflip_prime"]
         assert tab.tau[17] < -2 * 17**5
 
-    def test_witness_is_smallest_even_with_big_bound(self):
-        big = build_hecke_table(100_000)
-        assert find_signflip_prime(big, 100_000) == 17
+    def test_witness_is_smallest_even_with_big_bound(self, tab100k):
+        assert find_signflip_prime(tab100k, 100_000) == 17
 
     def test_flip_for_all_eligible_d(self, big_table):
         p = 17

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from halfint import cli, qseries
 from halfint.arith import SIGMA3_INT64_LIMIT
-from halfint.errors import CapacityError, ChecksumError, FormatError
+from halfint.errors import CapacityError, ChecksumError, FormatError, InconsistencyError
 from halfint.qseries import (
     CoeffTable,
     PowerSeries,
@@ -215,6 +215,11 @@ class TestConstructors:
         assert eisenstein_g(0).coeffs == [-Fraction(-1, 30) / 4 / 2]
 
 
+@pytest.fixture(scope="module")
+def table_past_int64():
+    return delta_halfintegral(3_952_000)
+
+
 class TestDeltaHalfIntegral:
     def test_divisor_oracle(self):
         for n in range(1, 500):
@@ -267,16 +272,30 @@ class TestDeltaHalfIntegral:
         assert terms == 1397
         assert terms * limb < 2**53
 
-    def test_matches_bruteforce_past_int64(self):
+    def test_matches_bruteforce_past_int64(self, table_past_int64):
         # sigma3(b) passes 2^60 at b = 987840, i.e. from n = 3951361 on, and
         # alpha(3799816) passes 2^63, so its int64 residue must be lifted
-        N = 3_952_000
-        t = delta_halfintegral(N)
+        t = table_past_int64
         for n in (1_000_001, 2_100_000, 3_000_001, 3_099_996,
-                  3_799_816, 3_951_361, 3_951_364, 3_951_369, N):
+                  3_799_816, 3_951_361, 3_951_364, 3_951_369, t.N):
             assert t.a(n) == alpha_bruteforce(n), n
         assert abs(t.a(3_799_816)) >= 2**63
         assert t.alpha.dtype == object
+
+    def test_wide_table_is_kept_as_built(self, table_past_int64, tmp_path, monkeypatch):
+        # the table's HICF checksum, recorded while CoeffTable still
+        # converted every entry of the builder's array again
+        path = tmp_path / "t.hicf"
+        save_coeffs(table_past_int64, str(path))
+        assert path.read_bytes()[-8:].hex() == "2b5db0c97e5b809b"
+
+        # an object array is taken as it is: no entry is converted again
+        def refuse(v):
+            raise AssertionError("an entry was converted")
+
+        monkeypatch.setattr(qseries.operator, "index", refuse)
+        again = CoeffTable(alpha=table_past_int64.alpha)
+        assert again.alpha is table_past_int64.alpha and again.N == 3_952_000
 
     def test_lift_window_guard(self, monkeypatch):
         # the window at N = 1e4 is about 2^10.8; a cap below it must refuse
@@ -340,6 +359,48 @@ class TestTau:
         from halfint.cli import _tau_naive
 
         assert delta_integral(2000) == _tau_naive(2000)
+
+    def test_sparse_square_matches_dense_product(self):
+        for N in [*range(1, 40), 1000, 2999, 3000]:
+            m = np.arange(N)
+            m = m[m * (m + 1) // 2 < N]
+            cube = np.zeros(N, dtype=np.int64)
+            cube[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
+            assert np.array_equal(qseries._eta3_squared(N), np.convolve(cube, cube)[:N]), N
+
+    def test_int64_bounds_hold_to_the_budget(self):
+        # from the prime selection alone: each run of primes the lift joins
+        # in int64 multiplies to below 2^64, every prime is odd (balanced
+        # digits) and below 2^16, and the exact square's entries, at most
+        # M (2M+1)^2 for M terms, stay below 2^37
+        budget = qseries._TAU_BUDGET
+        grid = sorted({*range(1, 50), *np.geomspace(50, budget, 120).astype(int).tolist(),
+                       26_000, 100_000, budget})
+        for N in grid:
+            primes = qseries._tau_primes(N)
+            groups = qseries._lift_groups(primes)
+            assert [p for g in groups for p in g] == primes
+            assert all(math.prod(g) < 2**64 for g in groups), N
+            assert all(p % 2 == 1 and p < 2**16 for p in primes), N
+            assert math.prod(primes) > 4 * N**6
+            M = sum(1 for m in range(math.isqrt(2 * N) + 1) if m * (m + 1) // 2 < N)
+            assert M * (2 * M + 1) ** 2 < 2**37 < 2**63, N
+        # at N = 26000, six primes join as runs of four and two
+        assert [len(g) for g in qseries._lift_groups(qseries._tau_primes(26_000))] == [4, 2]
+
+    def test_fft_product_mod_p(self):
+        rng = np.random.default_rng(7)
+        p, h = 65521, 65521 // 2
+        a = rng.integers(-h, h + 1, 300)
+        b = rng.integers(-h, h + 1, 200)
+        exact = [sum(int(a[i]) * int(b[k - i]) for i in range(max(0, k - 199), min(k, 299) + 1))
+                 for k in range(250)]
+        want = (np.array([v % p for v in exact]) + h) % p - h
+        assert np.array_equal(qseries._fft_mul_mod(a, b, p, 250), want)
+        # Percival's bound is checked on the operands before any FFT
+        big = np.full(20_000, h, dtype=np.int64)
+        with pytest.raises(InconsistencyError, match="error bound"):
+            qseries._fft_mul_mod(big, big, p, 20_000)
 
 
 class TestCoeffCache:
@@ -453,6 +514,13 @@ class TestCoeffCache:
         for bad in (1.5, None, "7"):
             with pytest.raises(ValueError):
                 CoeffTable(alpha=[0] * 20 + [bad])
+
+    def test_strided_c_array_is_the_full_one(self, big_table):
+        # cmd_moments reads c(8n) alone, n <= 262144 at the README's blocks
+        c8 = big_table.c_array(8 * 262_144 + 1, 8)
+        assert c8.size == 262_145
+        full = big_table.c_array()[: 8 * 262_144 + 1 : 8]
+        assert np.array_equal(c8.view(np.int64), full.view(np.int64))
 
     def test_table_dtype(self):
         assert CoeffTable([0, 1, -2]).alpha.dtype == np.int64
