@@ -17,15 +17,10 @@ from .hecke import (
 from .lvalue import central_lvalue, first_moment_scan, w_kernel, waldspurger_ratio
 from .qseries import (
     CoeffTable,
-    PowerSeries,
     delta_halfintegral,
     delta_integral,
-    eisenstein_g,
     load_coeffs,
-    ps_dilate,
-    ps_mul,
     save_coeffs,
-    theta_series,
 )
 
 __version__ = "0.1.0"

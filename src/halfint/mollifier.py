@@ -34,6 +34,7 @@ ell_0 t_0 > 2m (m + 1)^(-4/3) >= 64 * 33^(-4/3) = 0.6046 > 1/2 at every x.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -108,6 +109,10 @@ def build_params(
         raise ValueError(f"mollifier length x must satisfy 1 < x < inf, got {x}")
     if not 0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    expo = math.log(math.log(x)) / (2.0 * kappa)  # the log of the prefactor
+    if not math.log(sys.float_info.min) <= expo <= math.log(sys.float_info.max):
+        raise ValueError(f"kappa must keep the prefactor (log x)^(1/(2 kappa)) = e^{expo:.4g} "
+                         f"within the float range, got {kappa}")
     if not math.isfinite(c0):
         raise ValueError(f"lowest block edge c0 must be finite, got {c0}")
     lk = l * kappa
@@ -305,8 +310,8 @@ def m_factor(
     """Block factor M_j(m; 1/kappa).
 
     method="enumerate": the defining truncated sum over I_j-smooth n with
-    Omega(n) <= ell_j of kappa^{-Omega} a(n) lambda(n) nu(n) (m|n)/sqrt(n),
-    for an int m.
+    Omega(n) <= ell_j of kappa^{-Omega(n)} a(n) (-1)^{Omega(n)} nu(n)
+    (m|n)/sqrt(n), for an int m; a(n) = prod a(p) already carries lambda.
     method="identity": the collapsed form E_{ell_j}(-P_{I_j}(m)/kappa), for
     an int m or an int array.
     """
@@ -389,12 +394,13 @@ def dirichlet_expansion_check(
 ) -> bool:
     """Compare M(m; 1/kappa)^{l kappa} with its expanded Dirichlet series
 
-        (log x)^{l/2} sum_n h(n) a(n) lambda(n) kappa^{-Omega(n)} (m|n)/sqrt(n),
+        (log x)^{l/2} sum_n h(n) kappa^{-Omega(n)} a(n) (-1)^{Omega(n)} (m|n)/sqrt(n),
 
     the sum running over products of block parts n_j with Omega(n_j) <=
-    lk ell_j, and h(n) the product over blocks of nu_truncated(lk, n_j, ell_j).
-    True when the two agree to a relative _EXPANSION_TOL. Only enumerable configurations are accepted (at most 3 primes per block,
-    J <= 2)."""
+    lk ell_j, a(n) the completely multiplicative a(p) = lambda(p) w(p), and
+    h(n) the product over blocks of nu_truncated(lk, n_j, ell_j). True when
+    the two agree to a relative _EXPANSION_TOL. Only enumerable
+    configurations are accepted (at most 3 primes per block, J <= 2)."""
     lk = l * kappa
     if abs(lk - round(lk)) > 1e-9:
         raise ValueError("l*kappa must be integral")

@@ -1,18 +1,15 @@
-"""Exact power-series engine and the coefficient tables it produces.
+"""Coefficient tables of the weight-13/2 form, tau of its lift, and the
+coefficient files.
 
-Two kinds of object live here:
-
-* `PowerSeries`: dense exact-rational q-expansions with a truncation order,
-  used for the defining constructions (theta, the weight-4 Eisenstein series,
-  and the reference build of the weight-13/2 form). Slow but transparent.
-
-* `CoeffTable`: the integer coefficients alpha(n) = c(n) n^{(k-1/2)/2} of
-  the one form this program has, the weight-13/2 plus-space form on
-  Gamma_0(4) whose Shimura lift is the discriminant form of weight 2k = 12
-  (WEIGHT_TIMES_TWO and K below). They are built by a fast exact
-  convolution and saved to HICF coefficient files; alpha(n) vanishes for
-  n = 2,3 mod 4. alpha is an int64 array, or an object array of Python ints
-  once some |alpha(n)| >= 2^63, which first happens at n = 3799816.
+`CoeffTable` holds the integer coefficients alpha(n) = c(n) n^{(k-1/2)/2}
+of the one form this program has, the weight-13/2 plus-space form on
+Gamma_0(4) whose Shimura lift is the discriminant form of weight 2k = 12
+(WEIGHT_TIMES_TWO and K below). They are built by a fast exact convolution
+and saved to HICF coefficient files; alpha(n) vanishes for n = 2,3 mod 4.
+alpha is an int64 array, or an object array of Python ints once some
+|alpha(n)| >= 2^63, which first happens at n = 3799816. A reference builder
+evaluates the defining composition directly in exact rationals and
+certifies the fast one.
 
 All integer arithmetic is exact. The fast builder writes alpha(n) =
 240 n V(n) - 1080 W(n), plus two constant-term corrections, where V and W
@@ -49,112 +46,13 @@ K = 6
 __all__ = [
     "WEIGHT_TIMES_TWO",
     "K",
-    "PowerSeries",
     "CoeffTable",
-    "ps_mul",
-    "ps_derivative_over_2pii",
-    "ps_dilate",
-    "theta_series",
-    "eisenstein_g",
     "delta_halfintegral",
     "delta_halfintegral_reference",
     "delta_integral",
     "save_coeffs",
     "load_coeffs",
 ]
-
-
-# ----------------------------------------------------------------------------
-# exact power series
-
-
-@dataclass
-class PowerSeries:
-    """q-expansion sum a_n q^n for 0 <= n <= truncation, exact rationals."""
-
-    coeffs: list
-
-    def __post_init__(self):
-        self.coeffs = [Fraction(c) for c in self.coeffs]
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation, other.truncation)
-        return PowerSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation, other.truncation)
-        return PowerSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
-    def scale(self, c) -> "PowerSeries":
-        c = Fraction(c)
-        return PowerSeries([c * a for a in self.coeffs])
-
-
-def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product, truncated to the shorter operand. Exact.
-
-    Zero coefficients are skipped, so products with sparse operands (theta,
-    dilated series) cost #nonzero(a) * #nonzero(b) instead of N^2.
-    """
-    n = min(a.truncation, b.truncation)
-    out = [Fraction(0)] * (n + 1)
-    bnz = [(j, bj) for j, bj in enumerate(b.coeffs[: n + 1]) if bj]
-    for i, ai in enumerate(a.coeffs[: n + 1]):
-        if not ai:
-            continue
-        for j, bj in bnz:
-            if i + j > n:
-                break
-            out[i + j] += ai * bj
-    return PowerSeries(out)
-
-
-def ps_derivative_over_2pii(a: PowerSeries) -> PowerSeries:
-    """q d/dq, i.e. the z-derivative divided by 2*pi*i: a_n -> n a_n."""
-    return PowerSeries([n * c for n, c in enumerate(a.coeffs)])
-
-
-def ps_dilate(a: PowerSeries, m: int) -> PowerSeries:
-    """Argument scaling z -> m z, i.e. q -> q^m. Truncation preserved."""
-    if m < 1:
-        raise ValueError("dilation factor must be >= 1")
-    n = a.truncation
-    out = [Fraction(0)] * (n + 1)
-    for i, c in enumerate(a.coeffs):
-        if i * m > n:
-            break
-        out[i * m] = c
-    return PowerSeries(out)
-
-
-def theta_series(N: int) -> PowerSeries:
-    """1 + 2 sum_{m>=1} q^{m^2}, truncated at N."""
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
-    out = [Fraction(0)] * (N + 1)
-    out[0] = Fraction(1)
-    for m in range(1, isqrt(N) + 1):
-        out[m * m] = Fraction(2)
-    return PowerSeries(out)
-
-
-def eisenstein_g(N: int) -> PowerSeries:
-    """G4 truncated at N: the constant term zeta(-3)/2 = 1/240, then
-    sigma_3(n) q^n."""
-    out = [Fraction(0)] * (N + 1)
-    out[0] = Fraction(1, 240)
-    sig = [0] * (N + 1)
-    for d in range(1, N + 1):
-        cube = d**3
-        for m in range(d, N + 1, d):
-            sig[m] += cube
-    for n in range(1, N + 1):
-        out[n] = Fraction(sig[n])
-    return PowerSeries(out)
 
 
 # ----------------------------------------------------------------------------
@@ -371,20 +269,35 @@ def delta_halfintegral(N: int) -> CoeffTable:
 
 
 def delta_halfintegral_reference(N: int) -> CoeffTable:
-    """Same coefficients via the defining rational power-series composition.
+    """Same coefficients from the defining composition, in exact rationals.
 
-    Slow (exact rationals); used to certify the fast builder. Integrality of
-    the result is asserted: every denominator introduced by the 1/240
-    constant term must cancel.
+    G4 = 1/240 + sum sigma3(b) q^b and theta = 1 + 2 sum_{m>=1} q^{m^2}. The
+    q^n term of G4(4z) theta(z), n = k + 4b, is g4[b] th[k]; q d/dq, the
+    z-derivative over 2 pi i, multiplies it by k on theta and by b on G4(4z)
+    (G4' is taken in its own argument), so
+
+        alpha(n) = 60 sum_{k + 4b = n} g4[b] th[k] (2k - b).
+
+    sigma3 comes from a divisor loop of its own, so that this reference
+    shares nothing with the fast builder it certifies. Integrality of the
+    result is asserted: every denominator the 1/240 constant term brings
+    must cancel.
     """
-    g4 = eisenstein_g(N)
-    th = theta_series(N)
-    term1 = ps_mul(ps_dilate(g4, 4), ps_derivative_over_2pii(th))
-    term2 = ps_mul(ps_dilate(ps_derivative_over_2pii(g4), 4), th)
-    delta = (term1.scale(2) - term2).scale(60)
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    Q = N // 4
+    g4 = [Fraction(1, 240)] + [0] * Q
+    for d in range(1, Q + 1):
+        cube = d**3
+        for b in range(d, Q + 1, d):
+            g4[b] += cube
+    theta = [(0, 1)] + [(m * m, 2) for m in range(1, isqrt(N) + 1)]
+    delta = [Fraction(0)] * (N + 1)
+    for k, th in theta:
+        for b in range((N - k) // 4 + 1):
+            delta[k + 4 * b] += g4[b] * (60 * th * (2 * k - b))
     alpha = [0] * (N + 1)
-    for n in range(N + 1):
-        c = delta.coeffs[n]
+    for n, c in enumerate(delta):
         if c.denominator != 1:
             raise ArithmeticError(f"non-integral coefficient at n={n}: {c}")
         alpha[n] = int(c)

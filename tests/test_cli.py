@@ -241,10 +241,16 @@ class TestCliEndToEnd:
         ("theta0=0.08,c0=nan", "lowest block edge c0 must be finite, got nan"),
         ("theta0=0.08,c0=inf", "lowest block edge c0 must be finite, got inf"),
         ("theta0=0.08,kappa=-4,l=-0.5", "kappa must be positive and finite, got -4.0"),
+        ("x=2e6,theta0=0.08,l=1e300,kappa=1e-300",
+         "kappa must keep the prefactor (log x)^(1/(2 kappa)) = e^1.337e+300 within the float "
+         "range, got 1e-300"),
+        ("x=1.0001,theta0=0.08,l=800,kappa=0.005",
+         "kappa must keep the prefactor (log x)^(1/(2 kappa)) = e^-921 within the float "
+         "range, got 0.005"),
     ], ids=["x-one", "x-half", "x-zero", "no-equals", "c0-not-a-number", "theta0-zero",
             "theta0-negative", "eta1-unknown-key", "C-unknown-key", "theta0-missing", "l-inf",
             "theta0-1e-6", "theta0-1e-300", "theta0-subnormal", "c0-nan", "c0-inf",
-            "kappa-negative"])
+            "kappa-negative", "prefactor-overflows", "prefactor-underflows"])
     def test_mollify_usage_error_names_its_input(self, small_coeffs, mollify, named):
         argv = ["moments", "--blocks", "64", "--coeffs", small_coeffs, "--mollify", mollify]
         r = run_cli(argv, timeout=60)

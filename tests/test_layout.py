@@ -24,6 +24,10 @@ A third keeps the runtime dependencies declared: the packages src/halfint
 imports, outside halfint and the standard library, are exactly those that
 pyproject.toml lists under [project].dependencies.
 
+A fourth keeps the rational reference builder an independent oracle:
+nothing that qseries.delta_halfintegral_reference reaches, by the first
+walk's rules, is the fast builder or one of its parts.
+
 The last test runs code: it installs the bench tracer of
 perfbench/tracing.py, which looks up its names of src/halfint by string, so
 that a name it can no longer find fails here and not only in a traced bench
@@ -170,19 +174,17 @@ def _definitions() -> dict:
     return defs
 
 
-def unreachable() -> list:
-    defs = _definitions()
+def _reach(defs: dict, top: set, member: set) -> set:
+    """The (module, name) keys of `defs` that the references `top` and
+    `member` reach, following the references inside each definition
+    reached."""
     aliases = {path.stem: _module_aliases(ast.parse(path.read_text(encoding="utf-8")))
                for path in SRC.glob("*.py")}
     by_name: dict = {}
     for mod, name in defs:
         kind = "member" if "." in name else "top"
         by_name.setdefault((kind, name.rsplit(".", 1)[-1]), []).append((mod, name))
-    path = ROOT / "tests" / "test_acceptance.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    top, member = _references(tree, _module_aliases(tree))
-    todo = [("top", name) for name in {"main"} | top | set(ALLOWED_TEST_ONLY)]
-    todo += [("member", name) for name in member]
+    todo = [("top", name) for name in top] + [("member", name) for name in member]
     seen = set()
     while todo:
         ref = todo.pop()
@@ -192,6 +194,15 @@ def unreachable() -> list:
                 top, member = _references(defs[key], aliases[key[0]])
                 todo += [("top", name) for name in top]
                 todo += [("member", name) for name in member]
+    return seen
+
+
+def unreachable() -> list:
+    defs = _definitions()
+    path = ROOT / "tests" / "test_acceptance.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top, member = _references(tree, _module_aliases(tree))
+    seen = _reach(defs, {"main"} | top | set(ALLOWED_TEST_ONLY), member)
     return sorted(f"{mod}.{name}" for mod, name in defs if (mod, name) not in seen)
 
 
@@ -286,6 +297,19 @@ def test_walk_sees_the_roots():
                 ("lvalue", "first_moment_scan"), ("mollifier", "nu_fold"),
                 ("hecke", "HeckeTable.lam"), ("qseries", "CoeffTable.sign_array")]:
         assert key in defs
+
+
+def test_reference_builder_stays_independent_of_the_fast_builder():
+    # the rational reference certifies delta_halfintegral, so nothing it
+    # reaches may be the fast builder, its limbs, tiles or sigma3 table
+    defs = _definitions()
+    fast = {("qseries", name) for name in
+            ("delta_halfintegral", "_limb_source", "_TILE", "_SIG_BITS", "_BSIG_BITS")}
+    fast.add(("arith", "sigma3_table"))
+    assert fast <= set(defs)
+    reached = _reach(defs, {"delta_halfintegral_reference"}, set())
+    assert {("qseries", "delta_halfintegral_reference"), ("qseries", "CoeffTable")} <= reached
+    assert not reached & fast, sorted(reached & fast)
 
 
 def test_bench_tracer_finds_its_names():

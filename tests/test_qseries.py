@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,30 +10,12 @@ from halfint.arith import SIGMA3_INT64_LIMIT
 from halfint.errors import CapacityError, ChecksumError, FormatError, InconsistencyError
 from halfint.qseries import (
     CoeffTable,
-    PowerSeries,
     delta_halfintegral,
     delta_halfintegral_reference,
     delta_integral,
-    eisenstein_g,
     load_coeffs,
-    ps_derivative_over_2pii,
-    ps_dilate,
-    ps_mul,
     save_coeffs,
-    theta_series,
 )
-
-small_series = st.lists(
-    st.integers(min_value=-9, max_value=9), min_size=1, max_size=24
-).map(PowerSeries)
-
-
-def naive_mul(a, b):
-    n = min(a.truncation, b.truncation)
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        out[k] = sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
-    return PowerSeries(out)
 
 
 def divisors(n):
@@ -119,102 +100,6 @@ def test_csv_with_gap_duplicate_or_nonpositive_index_is_rejected(tmp_path_factor
         load_coeffs(str(path))
 
 
-def lattice_r2(n):
-    count = 0
-    m = math.isqrt(n) + 1
-    for a in range(-m, m + 1):
-        for b in range(-m, m + 1):
-            if a * a + b * b == n:
-                count += 1
-    return count
-
-
-class TestPowerSeriesOps:
-    def test_mul_simple(self):
-        a = PowerSeries([1, 1, 0])
-        b = PowerSeries([1, -1, 0])
-        assert ps_mul(a, b).coeffs == [1, 0, -1]
-
-    def test_theta_squared_counts_lattice_points(self):
-        th = theta_series(8)
-        sq = ps_mul(th, th)
-        assert [int(c) for c in sq.coeffs] == [lattice_r2(n) for n in range(9)]
-
-    def test_pentagonal_squared_vs_naive(self):
-        # sparse Euler product factor against the dense quadratic oracle
-        coeffs = [Fraction(0)] * 101
-        m = 0
-        while m * (3 * m - 1) // 2 <= 100:
-            for mm in (m, -m):
-                idx = mm * (3 * mm - 1) // 2
-                if 0 <= idx <= 100:
-                    coeffs[idx] = Fraction((-1) ** mm)
-            m += 1
-        pent = PowerSeries(coeffs)
-        assert ps_mul(pent, pent) == naive_mul(pent, pent)
-
-    @settings(max_examples=60, derandomize=True)
-    @given(a=small_series, b=small_series)
-    def test_mul_matches_naive(self, a, b):
-        assert ps_mul(a, b) == naive_mul(a, b)
-
-    def test_truncation_is_min(self):
-        a = PowerSeries([1] * 10)
-        b = PowerSeries([1] * 4)
-        assert ps_mul(a, b).truncation == 3
-
-    def test_derivative(self):
-        th = theta_series(9)
-        d = ps_derivative_over_2pii(th)
-        expect = [0] * 10
-        for m in (1, 2, 3):
-            expect[m * m] = 2 * m * m
-        assert [int(c) for c in d.coeffs] == expect
-
-    def test_derivative_of_constant(self):
-        c = PowerSeries([5, 0, 0])
-        assert ps_derivative_over_2pii(c).coeffs == [0, 0, 0]
-
-    @settings(max_examples=40, derandomize=True)
-    @given(a=small_series, b=small_series)
-    def test_derivative_linear(self, a, b):
-        n = min(a.truncation, b.truncation)
-        lhs = ps_derivative_over_2pii(a + b)
-        rhs = ps_derivative_over_2pii(a) + ps_derivative_over_2pii(b)
-        assert lhs.coeffs[: n + 1] == rhs.coeffs[: n + 1]
-
-    def test_dilate(self):
-        a = PowerSeries([1, 1, 0, 0, 0])
-        assert ps_dilate(a, 4).coeffs == [1, 0, 0, 0, 1]
-
-    def test_dilate_constant_term_of_g4(self):
-        g4 = eisenstein_g(8)
-        assert ps_dilate(g4, 4).coeffs[0] == Fraction(1, 240)
-
-    @settings(max_examples=40, derandomize=True)
-    @given(a=small_series)
-    def test_dilate_composes(self, a):
-        assert ps_dilate(ps_dilate(a, 2), 3) == ps_dilate(a, 6)
-
-
-class TestConstructors:
-    def test_theta_values(self):
-        th = theta_series(10)
-        assert int(th.coeffs[0]) == 1
-        assert int(th.coeffs[4]) == 2
-        assert int(th.coeffs[3]) == 0
-
-    def test_g4_values(self):
-        g4 = eisenstein_g(6)
-        assert g4.coeffs[0] == Fraction(1, 240)
-        assert int(g4.coeffs[1]) == 1
-        assert int(g4.coeffs[6]) == 252
-
-    def test_g4_constant_term_is_half_zeta_minus_three(self):
-        # zeta(-3) = -B_4/4 with B_4 = -1/30
-        assert eisenstein_g(0).coeffs == [-Fraction(-1, 30) / 4 / 2]
-
-
 @pytest.fixture(scope="module")
 def table_past_int64():
     return delta_halfintegral(3_952_000)
@@ -233,9 +118,17 @@ class TestDeltaHalfIntegral:
         assert t.a(2) == 0 and t.a(3) == 0
 
     def test_fast_equals_reference_to_2000(self):
-        fast = delta_halfintegral(2000)
-        ref = delta_halfintegral_reference(2000)
-        assert np.array_equal(fast.alpha, ref.alpha)
+        # whole tables: at every small N the builder's rows and its one tile
+        # are partial
+        for N in [*range(1, 65), 2000]:
+            fast = delta_halfintegral(N)
+            ref = delta_halfintegral_reference(N)
+            assert np.array_equal(fast.alpha, ref.alpha), N
+
+    @pytest.mark.parametrize("build", [delta_halfintegral, delta_halfintegral_reference])
+    def test_builders_refuse_n_below_one(self, build):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            build(0)
 
     def test_high_limbs_match_bruteforce(self):
         # the builder splits sigma3(b) at 2^32 and b sigma3(b) at 2^42; the
