@@ -80,7 +80,7 @@ def cmd_signchanges(X: int, index_set: str, coeffs: CoeffTable) -> SignChangeRep
         raise ValueError(f"limit must be positive, got {X}")
     if X > coeffs.N:
         raise InsufficientTableError(f"need coefficients to {X}, table holds {coeffs.N}")
-    signs = coeffs.sign_array()[: X + 1][index_set_flags(index_set, X)]
+    signs = coeffs.sign_array(X + 1)[index_set_flags(index_set, X)]
     N_set = signs.size
     nz = signs[signs != 0]
     changes = int(np.count_nonzero(nz[1:] != nz[:-1]))

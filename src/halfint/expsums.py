@@ -100,13 +100,19 @@ def gauss_sum_closed(l: int, n: int) -> float:
 # -- Jutila's circle-method measure ---------------------------------------------
 
 
-# arc endpoints one defect sweep may hold. The float sweep keeps about 12
-# bytes per endpoint (a sorted centre for each pair, one 8-byte term each),
-# so the budget costs about 600 MB; the one-argsort sweep it replaced held
-# about 25 (endpoints, their argsort and the gathered copy), about 1.25 GB
+# arc endpoints one defect sweep may hold. The float sweep keeps about 4
+# bytes per endpoint (a sorted centre for each pair; the terms are summed as
+# the sweep runs), so the budget costs about 200 MB; the one-argsort sweep it
+# replaced held about 25 (endpoints, their argsort and the gathered copy),
+# about 1.25 GB
 _ENDPOINT_BUDGET = 50_000_000
 # arc starts the float sweep merges at a time
 _SWEEP_BLOCK = 1 << 16
+# terms the float sweep holds before it reduces them: the largest subtree of
+# numpy's pairwise sum that it reduces in one call
+_SUM_LEAF = 1 << 16
+# numpy's pairwise float64 sum adds runs of at most this many terms unsplit
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -168,11 +174,12 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
 
     The integrand is piecewise constant, so the integral is a finite sweep
     over arc endpoints. Float mode sorts the centres d/q once and sweeps the
-    float endpoints d/q +- delta in blocks (_float_sweep), writing the term
-    val^2 * seglen of each segment at its index in sorted order; one
-    np.add.reduce over that array gives the same pairwise sum (Higham,
-    "Accuracy and Stability of Numerical Algorithms", ch. 4) as one sort of
-    all endpoints would. The order of tied endpoints is free: a segment of
+    float endpoints d/q +- delta in blocks (_float_sweep). The term val^2 *
+    seglen of each segment comes out in sorted order, and the terms are
+    summed as they come, leaf by leaf of numpy's pairwise tree (Higham,
+    "Accuracy and Stability of Numerical Algorithms", ch. 4), into the float
+    that one np.add.reduce over all of them gives, the sum of one sort of all
+    endpoints. The order of tied endpoints is free: a segment of
     nonzero length starts at the last event of its tie group, so its
     coverage, index and length do not depend on that order, and the segments
     inside a tie group have length 0 and add +0.0 wherever they fall.
@@ -218,26 +225,29 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
         centres[at : at + row.size] = row
         at += row.size
     centres.sort()
-    return _float_sweep(centres, delta, weight)
+    return _streamed_sum(_float_sweep(centres, delta, weight), 2 * L + 1)
 
 
-def _float_sweep(centres: np.ndarray, delta: float, weight: float) -> float:
-    """The float defect over the sorted centres c: starts fl(c - delta)
-    (+1), ends fl(c + delta) (-1) and the two step-0 events 0.0 and 1.0.
+def _float_sweep(centres: np.ndarray, delta: float, weight: float):
+    """Yield, block by block, the float defect's terms val^2 * seglen of the
+    segments between the events over the sorted centres c: starts
+    fl(c - delta) (+1), ends fl(c + delta) (-1) and the two step-0 events
+    0.0 and 1.0.
 
     Rounding is monotone, so the starts and the ends are each sorted. Block
     k takes _SWEEP_BLOCK starts, the ends below the next block's first start
     and whichever of 0.0, 1.0 lies there too, so every event of a later
     block is at or above every event of this one. A stable argsort merges
     the block; the coverage is carried in, and the next block's first start
-    closes the block's last segment. Each segment writes val^2 * seglen at
-    its index in one term array, and np.add.reduce sums it once.
+    closes the block's last segment. The blocks yield the 2L + 1 terms in
+    sorted order, and _streamed_sum adds them up as they come: the caller
+    holds one block of terms and one leaf of numpy's pairwise tree at a
+    time, never all 2L + 1.
     """
     L = centres.size
-    terms = np.empty(2 * L + 1)
     unit = np.array([0.0, 1.0])
     cov = 0.0
-    at = e_lo = u_lo = 0
+    e_lo = u_lo = 0
     for lo in range(0, L, _SWEEP_BLOCK):
         hi = min(lo + _SWEEP_BLOCK, L)
         if hi < L:
@@ -255,16 +265,15 @@ def _float_sweep(centres: np.ndarray, delta: float, weight: float) -> float:
         pos = np.concatenate(
             (centres[lo:hi] - delta, centres[e_lo:e_hi] + delta, unit[u_lo:u_hi])
         )
-        step = np.zeros(pos.size)
-        step[: hi - lo] = 1.0
-        step[hi - lo : hi - lo + e_hi - e_lo] = -1.0
+        step = np.zeros(pos.size, dtype=np.int8)
+        step[: hi - lo] = 1
+        step[hi - lo : hi - lo + e_hi - e_lo] = -1
         order = np.argsort(pos, kind="stable")
         pos = pos[order]
         if hi < L:
             pos = np.append(pos, nxt)
-        n = pos.size - 1
-        val = terms[at : at + n]
-        np.cumsum(step[order][:n], out=val)
+        val = np.cumsum(step[order][: pos.size - 1], dtype=np.float64)
+        del step, order
         val += cov
         cov = val[-1]
         inside = pos[:-1] >= 0.0
@@ -273,9 +282,59 @@ def _float_sweep(centres: np.ndarray, delta: float, weight: float) -> float:
         np.subtract(inside, val, out=val)
         val *= val
         val *= np.diff(pos)
-        at += n
         e_lo, u_lo = e_hi, u_hi
-    return float(np.add.reduce(terms))
+        yield val
+
+
+def _streamed_sum(pieces, n: int) -> float:
+    """np.add.reduce over the n terms that pieces yields in order, as
+    contiguous float64 arrays of any sizes, holding at most one leaf of them.
+
+    numpy sums a contiguous float64 array pairwise (Higham, "Accuracy and
+    Stability of Numerical Algorithms", ch. 4): a run of at most
+    _PAIRWISE_BLOCK terms unsplit, a longer one as the sum of its first
+    n//2 - (n//2) % 8 terms and the rest. A subtree that np.add.reduce sums
+    alone has the value it has inside the whole sum, so the tree is walked
+    down to runs of at most _SUM_LEAF terms (or _PAIRWISE_BLOCK, below which
+    numpy does not split), each reduced as soon as its last term arrives,
+    straight from the piece when one piece holds it all, else from one leaf
+    buffer, and the run sums are added up the same tree.
+    np.add.reduce starts from +0.0, so no run sum is -0.0, and a zero total
+    has the sign of the one-call reduce's. ValueError if pieces does not
+    hold exactly n terms.
+    """
+    pieces = iter(pieces)
+    leaf = max(_SUM_LEAF, _PAIRWISE_BLOCK)
+    buf = np.empty(min(n, leaf))
+    rest = buf[:0]  # the unread tail of the current piece
+
+    def take(k: int) -> np.ndarray:
+        nonlocal rest
+        fill = 0
+        while rest.size < k - fill:
+            buf[fill : fill + rest.size] = rest
+            fill += rest.size
+            rest = next(pieces, None)
+            if rest is None:
+                raise ValueError(f"the pieces hold fewer than {n} terms")
+        if fill:
+            buf[fill:k] = rest[: k - fill]
+            run = buf[:k]
+        else:
+            run = rest[:k]
+        rest = rest[k - fill :]
+        return run
+
+    def tree(m: int):
+        if m <= leaf:
+            return np.add.reduce(take(m))
+        h = m // 2 - m // 2 % 8
+        return tree(h) + tree(m - h)
+
+    total = tree(n)
+    if rest.size or any(p.size for p in pieces):
+        raise ValueError(f"the pieces hold more than {n} terms")
+    return float(total)
 
 
 # -- Poisson summation over odd moduli -------------------------------------------

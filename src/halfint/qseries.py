@@ -87,9 +87,14 @@ class CoeffTable:
             raise ValueError(f"n={n} outside table range 1..{self.N}")
         return int(self.alpha[n])
 
-    def sign_array(self) -> np.ndarray:
-        """int8 array s with s[n] = sign(alpha(n)); compact scan view."""
-        return np.sign(self.alpha).astype(np.int8)
+    def sign_array(self, stop: int | None = None) -> np.ndarray:
+        """int8 array s with s[n] = sign(alpha(n)) over alpha[:stop]; compact
+        scan view. Built from two boolean masks, so no int64 (or object)
+        temporary of the table's length, also on the object table."""
+        alpha = self.alpha[:stop]
+        s = np.greater(alpha, 0).view(np.int8)
+        s -= np.less(alpha, 0)
+        return s
 
     def float_array(self, stop: int | None = None, step: int = 1) -> np.ndarray:
         """alpha[:stop:step] as float64, each entry rounded on its own."""

@@ -143,6 +143,48 @@ def _fraction_sweep(Q, eta, D):
     return float(total)
 
 
+class TestStreamedSum:
+    # the float sweep's defect is bit-identical to one np.add.reduce over all
+    # its terms only while numpy splits its pairwise float64 sum the way
+    # _pairwise_tree says; a failure here means numpy's rule changed, and the
+    # sweep is still a pairwise sum with the same error bound
+
+    @staticmethod
+    def _check(n, rng, most):
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+        cuts = np.cumsum(rng.integers(1, most + 1, n))
+        pieces = (p for p in np.split(a, cuts[cuts < n]))
+        assert expsums._streamed_sum(pieces, n) == np.add.reduce(a), n
+
+    def test_lengths_up_to_300(self):
+        rng = np.random.default_rng(1)
+        for leaf in (8, 129, expsums._SUM_LEAF):
+            with mock.patch.object(expsums, "_SUM_LEAF", leaf):
+                for n in range(1, 301):
+                    TestStreamedSum._check(n, rng, 40)
+
+    def test_leaf_multiples(self):
+        rng = np.random.default_rng(2)
+        leaf = expsums._SUM_LEAF
+        for k in (1, 2, 3, 4):
+            for n in (k * leaf - 1, k * leaf, k * leaf + 1):
+                TestStreamedSum._check(n, rng, 3 * leaf)
+
+    def test_past_two_to_the_twenty(self):
+        rng = np.random.default_rng(3)
+        n = (1 << 20) + 3
+        TestStreamedSum._check(n, rng, 3 * expsums._SUM_LEAF)
+        with mock.patch.object(expsums, "_SUM_LEAF", 8):
+            TestStreamedSum._check(n, rng, 1000)
+
+    def test_refuses_a_wrong_term_count(self):
+        a = np.ones(10)
+        with pytest.raises(ValueError, match="fewer"):
+            expsums._streamed_sum([a], 11)
+        with pytest.raises(ValueError, match="more"):
+            expsums._streamed_sum([a, a[:1]], 10)
+
+
 class TestJutila:
     def test_empty_modulus_set(self):
         # r must run over primes = 1 mod 4 in [6, 12]: there are none
@@ -233,14 +275,17 @@ class TestJutila:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(r=st.sampled_from([5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]),
            D=st.integers(1, 6), k=st.sampled_from([1, 2]),
-           eta=st.one_of(st.just(1.0), st.floats(0.3, 1.0)), block=st.integers(1, 4))
-    def test_small_blocks_give_the_argsort_defect(self, r, D, k, eta, block):
-        # blocks of a few starts put tied endpoints, and 0.0, on block edges
+           eta=st.one_of(st.just(1.0), st.floats(0.3, 1.0)), block=st.integers(1, 4),
+           leaf=st.sampled_from([8, 9, 128, 129]))
+    def test_small_blocks_give_the_argsort_defect(self, r, D, k, eta, block, leaf):
+        # blocks of a few starts put tied endpoints, and 0.0, on block edges,
+        # and small leaves put leaf edges among them
         Q = 4 * D * r // k
         D = max(1, min(D, math.floor(Q ** (eta / 2))))
         if build_jutila_system(Q, eta, D).L == 0:
             return
-        with mock.patch.object(expsums, "_SWEEP_BLOCK", block):
+        with mock.patch.object(expsums, "_SWEEP_BLOCK", block), \
+                mock.patch.object(expsums, "_SUM_LEAF", leaf):
             assert jutila_l2_defect(Q, eta, D) == _argsort_sweep(Q, eta, D)
 
     def test_block_edges_on_ties_and_on_zero(self):
@@ -259,16 +304,16 @@ class TestJutila:
 
     def test_float_sweep_memory(self):
         # in a fresh interpreter (ru_maxrss in KiB, as Linux reports it): the
-        # sorted centres and the term array take about 12 bytes per endpoint
-        # at Q = 16000 (5.5e6 endpoints), where one argsort over all
-        # endpoints took about 25
+        # sorted centres take about 4 bytes per endpoint at Q = 16000 (5.5e6
+        # endpoints), and the terms are summed as the sweep runs; a term
+        # array took about 8 more, and one argsort over all endpoints about 25
         code = ("import resource; from halfint.expsums import jutila_l2_defect as j\n"
                 "j(20, 0.5, 1); r = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
                 "j(16000, 0.5, 1)\n"
                 "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - r) / 1024)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=120)
-        assert float(out.stdout) <= 90
+        assert float(out.stdout) <= 40
 
     def test_integer_sweep_equals_the_fraction_sweep(self):
         for Q, eta, D in ((20, 0.5, 1), (200, 0.5, 1), (600, 0.5, 1), (100, 1.0, 10)):

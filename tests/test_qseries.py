@@ -415,6 +415,17 @@ class TestCoeffCache:
         full = big_table.c_array()[: 8 * 262_144 + 1 : 8]
         assert np.array_equal(c8.view(np.int64), full.view(np.int64))
 
+    def test_sign_array_is_np_sign(self, big_table, table_past_int64):
+        # two boolean masks instead of np.sign's int64 (or object) copy; the
+        # wide table's entries past 2^63 are Python ints
+        for t, stops in ((big_table, (None, 1, 2, 1000, 2_000_001, big_table.N + 5)),
+                         (table_past_int64, (None, 3_799_817))):
+            for stop in stops:
+                s = t.sign_array(stop)
+                assert s.dtype == np.int8, stop
+                assert np.array_equal(s, np.sign(t.alpha[:stop]).astype(np.int8)), stop
+        assert table_past_int64.sign_array()[3_799_816] == np.sign(table_past_int64.a(3_799_816))
+
     def test_table_dtype(self):
         assert CoeffTable([0, 1, -2]).alpha.dtype == np.int64
         wide = CoeffTable([0, 1, -(2**63) - 1])
