@@ -178,7 +178,7 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
     seglen of each segment comes out in sorted order, and the terms are
     summed as they come, leaf by leaf of numpy's pairwise tree (Higham,
     "Accuracy and Stability of Numerical Algorithms", ch. 4), into the float
-    that one np.add.reduce over all of them gives, the sum of one sort of all
+    that one np.add.reduce over all of them gives, as after one sort of all
     endpoints. The order of tied endpoints is free: a segment of
     nonzero length starts at the last event of its tie group, so its
     coverage, index and length do not depend on that order, and the segments

@@ -145,8 +145,8 @@ def _fraction_sweep(Q, eta, D):
 
 class TestStreamedSum:
     # the float sweep's defect is bit-identical to one np.add.reduce over all
-    # its terms only while numpy splits its pairwise float64 sum the way
-    # _pairwise_tree says; a failure here means numpy's rule changed, and the
+    # its terms only while numpy splits its pairwise float64 sum where
+    # _streamed_sum does; a failure here means numpy's rule changed, and the
     # sweep is still a pairwise sum with the same error bound
 
     @staticmethod
@@ -161,21 +161,21 @@ class TestStreamedSum:
         for leaf in (8, 129, expsums._SUM_LEAF):
             with mock.patch.object(expsums, "_SUM_LEAF", leaf):
                 for n in range(1, 301):
-                    TestStreamedSum._check(n, rng, 40)
+                    self._check(n, rng, 40)
 
     def test_leaf_multiples(self):
         rng = np.random.default_rng(2)
         leaf = expsums._SUM_LEAF
         for k in (1, 2, 3, 4):
             for n in (k * leaf - 1, k * leaf, k * leaf + 1):
-                TestStreamedSum._check(n, rng, 3 * leaf)
+                self._check(n, rng, 3 * leaf)
 
     def test_past_two_to_the_twenty(self):
         rng = np.random.default_rng(3)
         n = (1 << 20) + 3
-        TestStreamedSum._check(n, rng, 3 * expsums._SUM_LEAF)
+        self._check(n, rng, 3 * expsums._SUM_LEAF)
         with mock.patch.object(expsums, "_SUM_LEAF", 8):
-            TestStreamedSum._check(n, rng, 1000)
+            self._check(n, rng, 1000)
 
     def test_refuses_a_wrong_term_count(self):
         a = np.ones(10)

@@ -424,7 +424,6 @@ class TestCoeffCache:
                 s = t.sign_array(stop)
                 assert s.dtype == np.int8, stop
                 assert np.array_equal(s, np.sign(t.alpha[:stop]).astype(np.int8)), stop
-        assert table_past_int64.sign_array()[3_799_816] == np.sign(table_past_int64.a(3_799_816))
 
     def test_table_dtype(self):
         assert CoeffTable([0, 1, -2]).alpha.dtype == np.int64
