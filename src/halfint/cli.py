@@ -15,6 +15,7 @@ runs within one numpy build.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -388,7 +389,8 @@ def _emit(rows: list, fmt: str, out) -> None:
             out.write(json.dumps(r, sort_keys=True) + "\n")
         return
     cols = list(rows[0].keys())
-    out.write(",".join(cols) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(cols)
     for r in rows:
         cells = []
         for c in cols:
@@ -397,7 +399,7 @@ def _emit(rows: list, fmt: str, out) -> None:
                 cells.append(f"{v:.6f}" if c == "ratio" else repr(v))
             else:
                 cells.append(str(v))
-        out.write(",".join(cells) + "\n")
+        writer.writerow(cells)
 
 
 def _number(kind, noun: str):
@@ -511,41 +513,24 @@ _COMMANDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Twice:
-    """What a flag holds once it is given a second time."""
-
-    flag: str
-
-
-class _Once(argparse.Action):
-    """Stores a flag's text, and _Twice once the flag is given again, which
-    _resolve refuses; argparse alone would keep the last text."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
-            values = _Twice(self.option_strings[0])
-        setattr(namespace, self.dest, values)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="halfint",
         description="Half-integral weight form coefficients, twisted central "
         "values, mollifiers, and sign-change statistics.",
     )
-    ap.add_argument("--config", action=_Once,
+    ap.add_argument("--config", action="append",
                     help="key = value file setting any long option; flags win")
     sub = ap.add_subparsers(dest="command", required=True)
     parsers = [(ap, _GLOBAL)] + [
         (sub.add_parser(cmd, help=about), table) for cmd, (about, table) in _COMMANDS.items()]
-    # argparse keeps the text; _resolve parses it, whatever its source
+    # argparse lists the texts; _resolve refuses two and parses one, whatever its source
     for parser, table in parsers:
         for key, opt in table.items():
             note = ("required" if opt.default is _REQUIRED
                     else opt.default and f"default {opt.default}")
             parser.add_argument(
-                opt.flag or "--" + key, dest=key, action=_Once,
+                opt.flag or "--" + key, dest=key, action="append",
                 metavar="{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None,
                 help="; ".join(filter(None, (opt.help, note))))
     return ap
@@ -557,32 +542,34 @@ def _resolve(cmd: str, flags: dict) -> dict:
     line at most), else its default, through the option's parser and choice
     check. A ValueError names the flag or key at fault, or the flag given
     twice."""
-    for text in flags.values():
-        if isinstance(text, _Twice):
-            raise ValueError(f"{text.flag} is given twice")
     table = {**_GLOBAL, **_COMMANDS[cmd][1]}
+    flag = {"config": "--config", **{key: opt.flag or "--" + key for key, opt in table.items()}}
+    texts = {}
+    for key, name in flag.items():
+        texts[key], *again = flags[key] or [None]
+        if again:
+            raise ValueError(f"{name} is given twice")
     given = {}
-    if flags["config"] is not None:
-        with open(flags["config"], encoding="utf-8") as fh:
+    if (config := texts["config"]) is not None:
+        with open(config, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ValueError(f"{flags['config']}:{lineno}: expected key = value")
+                    raise ValueError(f"{config}:{lineno}: expected key = value")
                 key, text = (part.strip() for part in line.split("=", 1))
                 if (dest := key.replace("-", "_")) not in table:
                     raise ValueError(f"unknown config key {key!r}")
                 if dest in given:
-                    raise ValueError(f"{flags['config']}:{lineno}: config key {key!r} is set twice")
+                    raise ValueError(f"{config}:{lineno}: config key {key!r} is set twice")
                 given[dest] = (f"config key {key!r}", text)
     values = {}
     for key, opt in table.items():
-        flag = opt.flag or "--" + key
-        name, text = ((flag, flags[key]) if flags[key] is not None
-                      else given.get(key, (flag, opt.default)))
+        name, text = ((flag[key], texts[key]) if texts[key] is not None
+                      else given.get(key, (flag[key], opt.default)))
         if text is _REQUIRED:
-            raise ValueError(f"{flag} is required (config key {key})")
+            raise ValueError(f"{flag[key]} is required (config key {key})")
         try:
             values[key] = None if text is None else opt.parse(text)
             if opt.choices and values[key] not in opt.choices:

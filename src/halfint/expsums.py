@@ -236,9 +236,9 @@ def _float_sweep(centres: np.ndarray, delta: float, weight: float):
 
     Rounding is monotone, so the starts and the ends are each sorted. Block
     k takes _SWEEP_BLOCK starts, the ends below the next block's first start
-    and whichever of 0.0, 1.0 lies there too, so every event of a later
-    block is at or above every event of this one. A stable argsort merges
-    the block; the coverage is carried in, and the next block's first start
+    nxt = fl(c_hi - delta) and whichever of 0.0, 1.0 lies there too, so
+    every event of a later block is at or above every event of this one. A
+    stable argsort merges the block; the coverage is carried in, and nxt
     closes the block's last segment. The blocks yield the 2L + 1 terms in
     sorted order, and _streamed_sum adds them up as they come: the caller
     holds one block of terms and one leaf of numpy's pairwise tree at a
@@ -250,24 +250,17 @@ def _float_sweep(centres: np.ndarray, delta: float, weight: float):
     e_lo = u_lo = 0
     for lo in range(0, L, _SWEEP_BLOCK):
         hi = min(lo + _SWEEP_BLOCK, L)
-        if hi < L:
-            nxt = centres[hi] - delta
-            # fl(c + delta) < nxt holds on a prefix; searchsorted finds it to a
-            # rounding, and the walks settle it
-            e_hi = int(np.searchsorted(centres, nxt - delta))
-            while e_hi < L and centres[e_hi] + delta < nxt:
-                e_hi += 1
-            while e_hi > e_lo and centres[e_hi - 1] + delta >= nxt:
-                e_hi -= 1
-            u_hi = int(np.searchsorted(unit, nxt))
-        else:
-            e_hi, u_hi = L, 2
-        pos = np.concatenate(
-            (centres[lo:hi] - delta, centres[e_lo:e_hi] + delta, unit[u_lo:u_hi])
-        )
+        nxt = centres[hi] - delta if hi < L else math.inf
+        # rounding is monotone, so an end fl(c + delta) below nxt = fl(c_hi - delta)
+        # has c < c_hi: one searchsorted over this block's ends cuts them exactly
+        ends = centres[e_lo:hi] + delta
+        n_end = int(np.searchsorted(ends, nxt))
+        n_unit = int(np.searchsorted(unit[u_lo:], nxt))
+        pos = np.concatenate((centres[lo:hi] - delta, ends[:n_end], unit[u_lo : u_lo + n_unit]))
+        del ends
         step = np.zeros(pos.size, dtype=np.int8)
         step[: hi - lo] = 1
-        step[hi - lo : hi - lo + e_hi - e_lo] = -1
+        step[hi - lo : hi - lo + n_end] = -1
         order = np.argsort(pos, kind="stable")
         pos = pos[order]
         if hi < L:
@@ -282,7 +275,8 @@ def _float_sweep(centres: np.ndarray, delta: float, weight: float):
         np.subtract(inside, val, out=val)
         val *= val
         val *= np.diff(pos)
-        e_lo, u_lo = e_hi, u_hi
+        e_lo += n_end
+        u_lo += n_unit
         yield val
 
 

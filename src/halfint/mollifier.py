@@ -140,6 +140,9 @@ def build_params(
     if top > math.log(5.0e7):
         raise CapacityError(f"largest block edge x^theta_J = e^{top:.4g} needs an infeasible sieve")
     bounds = [c0] + [x**t for t in theta]
+    if not c0 < bounds[1]:
+        raise ValueError(f"lowest block edge c0 must lie below x^theta0 = {bounds[1]:.4g}, "
+                         f"got {c0}")
     intervals = [(bounds[j], bounds[j + 1]) for j in range(J + 1)]
     allp = primes_up_to(math.floor(bounds[-1]))
     primes = [[p for p in allp if lo < p <= hi] for lo, hi in intervals]

@@ -65,12 +65,11 @@ class CoeffTable:
 
     alpha is an array indexed 0..N with alpha[0] = 0, so N = len(alpha) - 1:
     int64, or an object array of Python ints once some |alpha(n)| >= 2^63
-    (from n = 3799816 on). An object array passed in is kept as it is: its
-    entries must be Python ints, as the builder's and the loader's are. Any
-    other sequence is converted the same way, and an entry that is not an
-    integer raises ValueError. Tables compare by identity; np.array_equal
-    compares their alpha. The normalized coefficients are c(n) = alpha(n) /
-    n^{11/4}.
+    (from n = 3799816 on). An object array of Python ints, such as the
+    builder's and the loader's, is kept as it is. Any other sequence is
+    converted the same way, and an entry that is not an integer raises
+    ValueError. Tables compare by identity; np.array_equal compares their
+    alpha. The normalized coefficients are c(n) = alpha(n) / n^{11/4}.
     """
 
     alpha: np.ndarray
@@ -122,9 +121,10 @@ class CoeffTable:
 def _exact_integers(values) -> np.ndarray:
     """values as an int64 array, or as an object array of Python ints when
     some value lies outside int64. ValueError if an entry is not an integer.
-    An object array is returned as it is, unchecked: the builder's and the
-    loader's hold Python ints by construction."""
-    if isinstance(values, np.ndarray) and values.dtype == object:
+    An object array of Python ints, such as the builder's and the loader's,
+    is returned as it is."""
+    if (isinstance(values, np.ndarray) and values.dtype == object
+            and all(map(int.__instancecheck__, values.flat))):
         return values
     arr = np.asarray(values)
     if arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64):

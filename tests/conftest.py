@@ -1,8 +1,10 @@
 import json
+import os
 import pathlib
 
 import pytest
 
+import halfint
 from halfint.hecke import build_hecke_table
 from halfint.qseries import delta_halfintegral
 
@@ -18,6 +20,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def subprocess_import_path():
+    """Child Pythons import the halfint this session imports, also when only
+    pytest's `pythonpath` setting (pyproject.toml) puts it on the path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(pathlib.Path(halfint.__file__).parents[1]),
+                  prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

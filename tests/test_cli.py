@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import json
 import pathlib
 import resource
@@ -180,6 +182,8 @@ class TestCliEndToEnd:
              "--format is given twice"),
             (["coeffs", "--limit", "10", "--out", "no-such-dir/a.hicf",
               "--out", "no-such-dir/b.hicf"], 2, "--out is given twice"),
+            (["--config", "no-such-a.cfg", "--config", "no-such-b.cfg", "jutila",
+              "--qgrid", "300"], 2, "error: --config is given twice"),
         ],
         ids=["tol-nan", "tol-zero", "tol-negative", "tol-unreachable", "block-zero",
              "block-fraction", "mollify-unknown-key", "xgrid-zero", "xgrid-inf",
@@ -188,7 +192,7 @@ class TestCliEndToEnd:
              "qgrid-negative", "tol-subnormal", "dmax-past-float", "qgrid-past-float",
              "xgrid-past-float", "delta-past-int64", "mollify-edge-past-float",
              "mollify-kappa-twice", "mollify-theta0-twice", "limit-twice", "format-twice",
-             "coeffs-out-twice"],
+             "coeffs-out-twice", "config-twice"],
     )
     def test_bad_numeric_arguments(self, small_coeffs, capsys, argv, code, named):
         argv = [small_coeffs if a == "COEFFS" else a for a in argv]
@@ -240,6 +244,8 @@ class TestCliEndToEnd:
         ("theta0=5e-324", f"{_ELL_CAP}, got 5e-324"),
         ("theta0=0.08,c0=nan", "lowest block edge c0 must be finite, got nan"),
         ("theta0=0.08,c0=inf", "lowest block edge c0 must be finite, got inf"),
+        ("theta0=0.08,c0=1e9", "lowest block edge c0 must lie below x^theta0 = 3.192, "
+         "got 1000000000.0"),
         ("theta0=0.08,kappa=-4,l=-0.5", "kappa must be positive and finite, got -4.0"),
         ("x=2e6,theta0=0.08,l=1e300,kappa=1e-300",
          "kappa must keep the prefactor (log x)^(1/(2 kappa)) = e^1.337e+300 within the float "
@@ -250,7 +256,7 @@ class TestCliEndToEnd:
     ], ids=["x-one", "x-half", "x-zero", "no-equals", "c0-not-a-number", "theta0-zero",
             "theta0-negative", "eta1-unknown-key", "C-unknown-key", "theta0-missing", "l-inf",
             "theta0-1e-6", "theta0-1e-300", "theta0-subnormal", "c0-nan", "c0-inf",
-            "kappa-negative", "prefactor-overflows", "prefactor-underflows"])
+            "c0-above-first-edge", "kappa-negative", "prefactor-overflows", "prefactor-underflows"])
     def test_mollify_usage_error_names_its_input(self, small_coeffs, mollify, named):
         argv = ["moments", "--blocks", "64", "--coeffs", small_coeffs, "--mollify", mollify]
         r = run_cli(argv, timeout=60)
@@ -320,6 +326,12 @@ class TestCliEndToEnd:
         rc = cli.main(["--out", str(out), "moments", "--blocks", "4096", "--coeffs", small_coeffs])
         assert rc == 3
         assert not out.exists()
+
+    def test_csv_report_quotes_a_cell_with_a_comma(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["coeffs", "--limit", "100", "--out", "a,b.hicf"]) == 0
+        out = capsys.readouterr().out
+        assert list(csv.reader(io.StringIO(out))) == [["written", "N"], ["a,b.hicf", "100"]]
 
     def test_failed_report_write_keeps_the_old_report(self, tmp_path, monkeypatch):
         out = tmp_path / "report.csv"

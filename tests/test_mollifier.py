@@ -48,9 +48,10 @@ class TestBuildParams:
 
     def test_ell_is_capped_at_the_taylor_check(self):
         # theta0 = 0.0098 gives ell_0 = 64, the largest ell the selftest
-        # Taylor check runs; 0.0094 gives 66
+        # Taylor check runs; 0.0094 gives 66. x^0.0098 = 1.153, so c0 = 1
+        # keeps block 0 nonempty
         for theta0, ell0 in ((0.0098, 64), (0.01, 62), (0.08, 12)):
-            p = mo.build_params(x=2097152, eta2=0.2, c0=2.0, theta0_override=theta0)
+            p = mo.build_params(x=2097152, eta2=0.2, c0=1.0, theta0_override=theta0)
             assert p.ell[0] == ell0 <= mo.ELL_MAX
         assert all(cfg.ell[0] <= mo.ELL_MAX for cfg in tiny_mollifier_configs())
         assert mo.ELL_MAX == 64

@@ -408,6 +408,16 @@ class TestCoeffCache:
             with pytest.raises(ValueError):
                 CoeffTable(alpha=[0] * 20 + [bad])
 
+    def test_object_array_of_non_integers_is_refused(self):
+        # an object array is kept as it is only when every entry is a Python
+        # int; any other entry goes through the same check as a list's
+        for bad in (1.5, None, "x"):
+            with pytest.raises(ValueError, match="exact integers"):
+                CoeffTable(alpha=np.array([0, 1, bad], dtype=object))
+        # integer entries that are not Python ints are converted
+        t = CoeffTable(alpha=np.array([0, np.int64(5), 2**63], dtype=object))
+        assert t.alpha.dtype == object and [type(v) for v in t.alpha] == [int] * 3
+
     def test_strided_c_array_is_the_full_one(self, big_table):
         # cmd_moments reads c(8n) alone, n <= 262144 at the README's blocks
         c8 = big_table.c_array(8 * 262_144 + 1, 8)
