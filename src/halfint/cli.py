@@ -338,19 +338,9 @@ def tiny_mollifier_configs() -> list:
     one block of three primes (l k = 1), one single-prime block (l k = 2),
     and a two-block split whose leading block holds no prime."""
     logx = math.log(1.0e6)
-    one_block = mollifier.build_params(
-        x=1.0e6, l=2.0, kappa=0.5, eta2=0.12, c0=2.0,
-        theta0_override=math.log(8.0) / logx,
-    )
-    single_prime = mollifier.build_params(
-        x=1.0e6, l=4.0, kappa=0.5, eta2=0.08, c0=2.0,
-        theta0_override=math.log(3.5) / logx,
-    )
-    two_block = mollifier.build_params(
-        x=1.0e6, l=2.0, kappa=0.5, eta2=0.1, c0=2.0,
-        theta0_override=math.log(2.4) / logx,
-    )
-    return [one_block, single_prime, two_block]
+    return [mollifier.build_params(x=1.0e6, l=l, kappa=0.5, eta2=eta2, c0=2.0,
+                                   theta0_override=math.log(edge) / logx)
+            for l, eta2, edge in ((2.0, 0.12, 8.0), (4.0, 0.08, 3.5), (2.0, 0.1, 2.4))]
 
 
 # (name, metric, bound): a suite passes when its metric is below its bound
@@ -440,7 +430,7 @@ def _out_path(text: str) -> str:
     return text
 
 
-_MOLLIFY_KEYS = ("x", "l", "kappa", "eta2", "c0", "theta0")
+_MOLLIFY_KEYS = ("x", "kappa", "eta2", "c0", "theta0")
 
 
 def _parse_mollify(text: str) -> dict:
@@ -490,7 +480,7 @@ _COEFFS = _Opt(str, _REQUIRED, help="coefficient table file")
 _INTS = "comma-separated integers"
 _COMMANDS = {
     "coeffs": ("build and save the coefficient table", {
-        "weight": _Opt(_int, "13", (13,)), "limit": _Opt(_int, _REQUIRED),
+        "limit": _Opt(_int, _REQUIRED),
         "coeffs_out": _Opt(_out_path, _REQUIRED, help="table file to write", flag="--out")}),
     "signchanges": ("sign-change statistics", {
         "limit": _Opt(_int, _REQUIRED), "set": _Opt(str, "all", ("all", "nflat")),
@@ -531,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     else opt.default and f"default {opt.default}")
             parser.add_argument(
                 opt.flag or "--" + key, dest=key, action="append",
-                metavar="{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None,
+                metavar="{" + ",".join(opt.choices) + "}" if opt.choices else None,
                 help="; ".join(filter(None, (opt.help, note))))
     return ap
 
@@ -574,7 +564,7 @@ def _resolve(cmd: str, flags: dict) -> dict:
             values[key] = None if text is None else opt.parse(text)
             if opt.choices and values[key] not in opt.choices:
                 raise ValueError(
-                    f"value {text!r} is not one of {', '.join(map(str, opt.choices))}")
+                    f"value {text!r} is not one of {', '.join(opt.choices)}")
         except ValueError as exc:
             raise ValueError(f"{name} {exc}") from None
     return values

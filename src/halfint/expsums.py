@@ -376,9 +376,9 @@ def shifted_convolution(
     h: int, v: int, Delta: int, X: float, coeffs: CoeffTable
 ) -> complex:
     """X^{-(k-1/2)} sum_n alpha(n) alpha(n+h) e(n v / Delta)
-    e^{-2 pi (2n+h)/X}, truncated at n0 = X log(1e12)/(4 pi), beyond which
-    the smoothing kills every term against the polynomial coefficient growth
-    (tail below 1e-12 relative to the X^{k-1/2} normalization).
+    e^{-2 pi (2n+h)/X}, truncated at n0 = X log(1e12)/(4 pi). No bound on
+    the tail past n0 is computed yet; on the README grid (h = 1, v = 1,
+    Delta = 3, X = 4096 to 131072) it measured 6e-7 to 1.8e-6 of |value|.
     """
     if h == 0:
         raise ValueError("shift must be nonzero")

@@ -98,13 +98,19 @@ _LK_MAX = 4
 
 def build_params(
     x: float,
-    l: float = 2.0,
+    l: float | None = None,
     kappa: float = 0.5,
     eta2: float = 0.2,
     c0: float = 2.0,
     *,
     theta0_override: float,
 ) -> MollifierParams:
+    """Prime blocks (c0, x^theta0], then up by exponent factors e to the
+    first theta_J >= eta2, for a mollifier of length x and exponent kappa.
+    l, when given, is only checked: l*kappa must be an integer in [1, 4]; it
+    sets no field. theta0_override keeps its name because perfbench/ passes
+    it. Raises ValueError naming an x, kappa, eta2, c0 or theta0 out of
+    range, and CapacityError when the top edge x^theta_J is past 5e7."""
     if not 1 < x < math.inf:
         raise ValueError(f"mollifier length x must satisfy 1 < x < inf, got {x}")
     if not 0 < kappa < math.inf:
@@ -115,12 +121,15 @@ def build_params(
                          f"within the float range, got {kappa}")
     if not math.isfinite(c0):
         raise ValueError(f"lowest block edge c0 must be finite, got {c0}")
-    lk = l * kappa
-    if not math.isfinite(lk) or abs(lk - round(lk)) > 1e-9 or not 1 <= round(lk) <= _LK_MAX:
-        raise ValueError(f"l*kappa must be an integer in [1, {_LK_MAX}], got {lk}")
+    if l is not None:
+        lk = l * kappa
+        if not math.isfinite(lk) or abs(lk - round(lk)) > 1e-9 or not 1 <= round(lk) <= _LK_MAX:
+            raise ValueError(f"l*kappa must be an integer in [1, {_LK_MAX}], got {lk}")
     theta0 = float(theta0_override)
     if not 0 < theta0 < math.inf:
         raise ValueError(f"leading exponent theta0 must be positive and finite, got {theta0}")
+    if not 0 < eta2 < math.inf:
+        raise ValueError(f"eta2 must be positive and finite, got {eta2}")
     theta = [theta0]
     while theta[-1] < eta2:
         theta.append(theta[-1] * math.e)

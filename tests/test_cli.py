@@ -2,7 +2,9 @@ import csv
 import inspect
 import io
 import json
+import math
 import pathlib
+import re
 import resource
 import shlex
 import subprocess
@@ -12,8 +14,9 @@ import pytest
 
 from halfint import cli, mollifier
 from halfint.arith import enumerate_nflat
-from halfint.cli import cmd_signchanges
-from halfint.qseries import delta_halfintegral, save_coeffs
+from halfint.cli import cmd_moments, cmd_signchanges
+from halfint.hecke import build_hecke_table
+from halfint.qseries import delta_halfintegral, load_coeffs, save_coeffs
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -222,8 +225,9 @@ class TestCliEndToEnd:
         assert r.stderr == "error: a tau table of 80000000 entries is past the budget of 4000000\n"
 
     def test_mollify_keys_are_the_build_params_keywords(self):
+        # but l: build_params only checks it, and keeps it because perfbench/ passes it
         keys = {"theta0_override" if k == "theta0" else k for k in cli._MOLLIFY_KEYS}
-        assert keys == set(inspect.signature(mollifier.build_params).parameters)
+        assert keys == set(inspect.signature(mollifier.build_params).parameters) - {"l"}
 
     # in a subprocess with a timeout, so that a build_params that never returns fails its row
     @pytest.mark.parametrize("mollify, named", [
@@ -234,11 +238,10 @@ class TestCliEndToEnd:
         ("x=2e6,c0=abc", "--mollify key c0 value 'abc' is not a number"),
         ("theta0=0", "leading exponent theta0 must be positive and finite, got 0.0"),
         ("theta0=-0.1", "leading exponent theta0 must be positive and finite, got -0.1"),
-        ("eta1=1,theta0=0.08",
-         "--mollify key 'eta1' is not one of x, l, kappa, eta2, c0, theta0"),
-        ("C=4,theta0=0.08", "--mollify key 'C' is not one of x, l, kappa, eta2, c0, theta0"),
+        ("eta1=1,theta0=0.08", "--mollify key 'eta1' is not one of x, kappa, eta2, c0, theta0"),
+        ("C=4,theta0=0.08", "--mollify key 'C' is not one of x, kappa, eta2, c0, theta0"),
         ("x=2e6", "--mollify value 'x=2e6' does not set the required key theta0"),
-        ("l=inf,theta0=0.1", "l*kappa must be an integer in [1, 4], got inf"),
+        ("l=2,theta0=0.08", "--mollify key 'l' is not one of x, kappa, eta2, c0, theta0"),
         ("theta0=1e-6", f"{_ELL_CAP}, got 1e-06"),
         ("theta0=1e-300", f"{_ELL_CAP}, got 1e-300"),
         ("theta0=5e-324", f"{_ELL_CAP}, got 5e-324"),
@@ -246,31 +249,32 @@ class TestCliEndToEnd:
         ("theta0=0.08,c0=inf", "lowest block edge c0 must be finite, got inf"),
         ("theta0=0.08,c0=1e9", "lowest block edge c0 must lie below x^theta0 = 3.192, "
          "got 1000000000.0"),
-        ("theta0=0.08,kappa=-4,l=-0.5", "kappa must be positive and finite, got -4.0"),
-        ("x=2e6,theta0=0.08,l=1e300,kappa=1e-300",
+        ("theta0=0.08,kappa=-4", "kappa must be positive and finite, got -4.0"),
+        ("x=2e6,theta0=0.08,kappa=1e-300",
          "kappa must keep the prefactor (log x)^(1/(2 kappa)) = e^1.337e+300 within the float "
          "range, got 1e-300"),
-        ("x=1.0001,theta0=0.08,l=800,kappa=0.005",
+        ("x=1.0001,theta0=0.08,kappa=0.005",
          "kappa must keep the prefactor (log x)^(1/(2 kappa)) = e^-921 within the float "
          "range, got 0.005"),
+        ("theta0=0.08,eta2=inf", "eta2 must be positive and finite, got inf"),
+        ("theta0=0.08,eta2=nan", "eta2 must be positive and finite, got nan"),
+        ("theta0=0.08,eta2=0", "eta2 must be positive and finite, got 0.0"),
     ], ids=["x-one", "x-half", "x-zero", "no-equals", "c0-not-a-number", "theta0-zero",
-            "theta0-negative", "eta1-unknown-key", "C-unknown-key", "theta0-missing", "l-inf",
-            "theta0-1e-6", "theta0-1e-300", "theta0-subnormal", "c0-nan", "c0-inf",
-            "c0-above-first-edge", "kappa-negative", "prefactor-overflows", "prefactor-underflows"])
+            "theta0-negative", "eta1-unknown-key", "C-unknown-key", "theta0-missing",
+            "l-unknown-key", "theta0-1e-6", "theta0-1e-300", "theta0-subnormal", "c0-nan",
+            "c0-inf", "c0-above-first-edge", "kappa-negative", "prefactor-overflows",
+            "prefactor-underflows", "eta2-inf", "eta2-nan", "eta2-zero"])
     def test_mollify_usage_error_names_its_input(self, small_coeffs, mollify, named):
         argv = ["moments", "--blocks", "64", "--coeffs", small_coeffs, "--mollify", mollify]
         r = run_cli(argv, timeout=60)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {named}\n")
 
-    # each key with two valid values whose moments reports differ, but l: it
-    # only enters the check that l*kappa is an integer in [1, 4], and stays
-    # a build_params keyword because perfbench/ passes it
+    # each key with two valid values whose moments reports differ
     MOLLIFY_VALUES = {"x": ("2097152", "3e6"), "kappa": ("0.5", "1"), "eta2": ("0.2", "0.3"),
                       "c0": ("2", "3"), "theta0": ("0.08", "0.1")}
-    OUTPUT_INERT = {"l"}
 
     def test_every_mollify_key_changes_the_report(self, small_coeffs, capsys):
-        assert set(self.MOLLIFY_VALUES) == set(cli._MOLLIFY_KEYS) - self.OUTPUT_INERT
+        assert set(self.MOLLIFY_VALUES) == set(cli._MOLLIFY_KEYS)
         base = {"x": "2097152", "theta0": "0.08", "eta2": "0.2", "c0": "2"}
 
         def report(key, value):
@@ -282,6 +286,19 @@ class TestCliEndToEnd:
 
         for key, (a, b) in self.MOLLIFY_VALUES.items():
             assert report(key, a) != report(key, b), key
+
+    def test_kappa_alone_sets_the_moment_order(self, small_coeffs, capsys):
+        # kappa = 1/4 passes without an l; the report is the one that l = 4 allows
+        argv = ["moments", "--blocks", "1024", "--coeffs", small_coeffs,
+                "--mollify", "x=2097152,theta0=0.08,eta2=0.2,c0=2,kappa=0.25"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        params = mollifier.build_params(x=2097152.0, l=4.0, kappa=0.25, eta2=0.2, c0=2.0,
+                                        theta0_override=0.08)
+        htab = build_hecke_table(max(200, math.ceil(params.intervals[-1][1]) + 1))
+        want = io.StringIO()
+        cli._emit(cmd_moments([1024], load_coeffs(small_coeffs), params, htab), "csv", want)
+        assert (out, err) == (want.getvalue(), "")
 
     @pytest.mark.parametrize("target, fault", [
         ("missing/r.csv", "is in a directory that does not exist"), ("", "is a directory")])
@@ -354,12 +371,11 @@ def _nflat_member(d):
     return all(m % (p * p) for p in range(2, int(m**0.5) + 1))
 
 
-# Each long option with two values to give it (equal where only one is
-# valid), and each command's required options to give as flags beside it.
+# Each long option with two values to give it, and each command's required
+# options to give as flags beside it.
 EVERY_OPTION = [
     ("jutila", "--format", "format", "csv", "jsonl"),
     ("jutila", "--out", "out", "a.csv", "b.csv"),
-    ("coeffs", "--weight", "weight", "13", "13"),
     ("coeffs", "--limit", "limit", "100", "200"),
     ("coeffs", "--out", "coeffs_out", "a.hicf", "b.hicf"),
     ("coeffs", "--out", "coeffs-out", "a.hicf", "b.hicf"),
@@ -475,6 +491,21 @@ class TestConfigFile:
         assert r.returncode == 2 and "weight" in r.stderr
         assert not table.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_coeffs_has_no_weight_option(self, tmp_path, source):
+        # 13, the weight the builder writes, is refused too: the option is gone
+        table = tmp_path / "t.hicf"
+        argv = ["coeffs", "--limit", "100", "--out", str(table)]
+        if source == "flag":
+            argv += ["--weight", "13"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("weight = 13\n")
+            argv = ["--config", str(cfg), *argv]
+        r = run_cli(argv)
+        assert (r.returncode, r.stdout) == (2, "") and "weight" in r.stderr
+        assert not table.exists()
+
     @pytest.mark.parametrize("cmd, flag, key, a, b", EVERY_OPTION,
                              ids=[f"{row[0]}-{row[2]}" for row in EVERY_OPTION])
     def test_every_option_from_config_and_flag_wins(self, tmp_path, monkeypatch,
@@ -494,7 +525,7 @@ class TestConfigFile:
 
         assert resolved(True, None) == resolved(False, a)
         assert resolved(True, b) == resolved(False, b)
-        assert a == b or resolved(False, a) != resolved(False, b)
+        assert resolved(False, a) != resolved(False, b)
 
     def test_every_option_has_a_row(self):
         rows = {(cmd, key.replace("-", "_")) for cmd, _, key, _, _ in EVERY_OPTION}
@@ -527,6 +558,18 @@ def _readme_commands():
 
 
 class TestReadmeCommands:
+    def test_required_options_name_each_flag(self):
+        # each bullet, `- `cmd`: ...` or `- `selftest` takes no options.`, names
+        # exactly the flags of that subcommand
+        section = README.read_text().split("Required options and defaults", 1)[1]
+        bullets = {}
+        for item in ("\n" + section.split("\n\n", 2)[1]).split("\n- ")[1:]:
+            cmd = re.match(r"`(\w+)`", item).group(1)
+            bullets[cmd] = set(re.findall(r"--[a-z][a-z0-9-]*", item))
+        tables = {cmd: {opt.flag or "--" + key for key, opt in opts.items()}
+                  for cmd, (_, opts) in cli._COMMANDS.items()}
+        assert bullets == tables
+
     def test_coeffs_readers_fit_the_documented_table(self, tmp_path, monkeypatch, capsys):
         # The documented `coeffs` line and every documented --coeffs reader,
         # run as written in one directory; the sign-change rows must give

@@ -28,6 +28,10 @@ A fourth keeps the rational reference builder an independent oracle:
 nothing that qseries.delta_halfintegral_reference reaches, by the first
 walk's rules, is the fast builder or one of its parts.
 
+A fifth keeps every option used: each key of cli._GLOBAL and of each
+subcommand's table in cli._COMMANDS is read as a string subscript in
+cli.main or cli._dispatch, so no option parses and then goes unread.
+
 The last test runs code: it installs the bench tracer of
 perfbench/tracing.py, which looks up its names of src/halfint by string, so
 that a name it can no longer find fails here and not only in a traced bench
@@ -310,6 +314,33 @@ def test_reference_builder_stays_independent_of_the_fast_builder():
     reached = _reach(defs, {"delta_halfintegral_reference"}, set())
     assert {("qseries", "delta_halfintegral_reference"), ("qseries", "CoeffTable")} <= reached
     assert not reached & fast, sorted(reached & fast)
+
+
+def _option_keys(tree: ast.AST) -> set:
+    """The keys of the _GLOBAL table and of each subcommand table in
+    _COMMANDS, the values of which are (help, table) pairs."""
+    tables = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    dicts = [tables["_GLOBAL"]] + [pair.elts[1] for pair in tables["_COMMANDS"].values]
+    return {key.value for table in dicts for key in table.keys}
+
+
+def _subscripts_read(tree: ast.AST, functions: set) -> set:
+    """The string constants used as subscripts inside the named top-level
+    functions."""
+    return {node.slice.value
+            for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in functions
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+
+
+def test_every_option_is_read():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    keys = _option_keys(tree)
+    assert {"format", "out", "limit", "coeffs_out", "mollify"} <= keys
+    unread = keys - _subscripts_read(tree, {"main", "_dispatch"})
+    assert not unread, "options that main and _dispatch never read: " + ", ".join(sorted(unread))
 
 
 def test_bench_tracer_finds_its_names():
