@@ -92,8 +92,6 @@ _E_REL = 2.0**-43
 # the largest truncation length ell_j a mollifier may use: the largest ell
 # that the selftest Taylor check certifies
 ELL_MAX = 64
-# the largest moment l*kappa a mollifier is built for
-_LK_MAX = 4
 
 
 def build_params(
@@ -122,9 +120,7 @@ def build_params(
     if not math.isfinite(c0):
         raise ValueError(f"lowest block edge c0 must be finite, got {c0}")
     if l is not None:
-        lk = l * kappa
-        if not math.isfinite(lk) or abs(lk - round(lk)) > 1e-9 or not 1 <= round(lk) <= _LK_MAX:
-            raise ValueError(f"l*kappa must be an integer in [1, {_LK_MAX}], got {lk}")
+        _moment_order(l, kappa)
     theta0 = float(theta0_override)
     if not 0 < theta0 < math.inf:
         raise ValueError(f"leading exponent theta0 must be positive and finite, got {theta0}")
@@ -163,6 +159,14 @@ def build_params(
         intervals=intervals,
         primes=primes,
     )
+
+
+def _moment_order(l: float, kappa: float) -> int:
+    """The moment l*kappa, an integer in [1, 4]: mollifiers go up to the fourth moment."""
+    lk = l * kappa
+    if not math.isfinite(lk) or abs(lk - round(lk)) > 1e-9 or not 1 <= round(lk) <= 4:
+        raise ValueError(f"l*kappa must be an integer in [1, 4], got {lk}")
+    return round(lk)
 
 
 def weight_w(t: float, params: MollifierParams) -> float:
@@ -411,12 +415,9 @@ def dirichlet_expansion_check(
     the sum running over products of block parts n_j with Omega(n_j) <=
     lk ell_j, a(n) the completely multiplicative a(p) = lambda(p) w(p), and
     h(n) the product over blocks of nu_truncated(lk, n_j, ell_j). True when
-    the two agree to a relative _EXPANSION_TOL. Only enumerable
-    configurations are accepted (at most 3 primes per block, J <= 2)."""
-    lk = l * kappa
-    if abs(lk - round(lk)) > 1e-9:
-        raise ValueError("l*kappa must be integral")
-    lk = round(lk)
+    the two agree to a relative _EXPANSION_TOL. Only enumerable configurations
+    (at most 3 primes per block, J <= 2) and l*kappa in [1, 4] are accepted."""
+    lk = _moment_order(l, kappa)
     if params.J > 2 or any(len(ps) > 3 for ps in params.primes):
         raise ValueError("expansion check needs a tiny configuration")
     lhs = mollifier_value(m, kappa, params, t).value ** lk

@@ -28,6 +28,7 @@ import hashlib
 import math
 import operator
 import os
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -482,6 +483,8 @@ def delta_integral(N: int) -> list:
 
 _MAGIC = b"HICF"
 _VERSION = 1
+# magic, version, doubled weight, N; the records start right after it
+_HEADER = struct.Struct("<4sIIQ")
 # entries encoded at a time, which keeps the encoder's temporaries small
 _CHUNK = 1 << 16
 
@@ -558,10 +561,7 @@ def save_coeffs(t: CoeffTable, path: str) -> None:
             h.update(b)
             fh.write(b)
 
-        emit(_MAGIC)
-        emit(_VERSION.to_bytes(4, "little"))
-        emit(WEIGHT_TIMES_TWO.to_bytes(4, "little"))
-        emit(t.N.to_bytes(8, "little"))
+        emit(_HEADER.pack(_MAGIC, _VERSION, WEIGHT_TIMES_TWO, t.N))
         for n in range(1, t.N + 1, _CHUNK):
             emit(_records(t.alpha[n : n + _CHUNK]))
         fh.write(h.digest())
@@ -651,25 +651,23 @@ def load_coeffs(path: str) -> CoeffTable:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _MAGIC:
+    if (magic := data[: len(_MAGIC)]) != _MAGIC:
         text = data[:4096].decode("utf-8", errors="ignore")
         if "," in text:
             return _load_csv(path)
-        raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    if len(data) < 28:
+        raise FormatError(f"{path}: bad magic {magic!r}")
+    if len(data) < _HEADER.size + 8:
         raise ChecksumError(f"{path}: truncated header")
     h = _checksum()
     h.update(memoryview(data)[:-8])
     if h.digest() != data[-8:]:
         raise ChecksumError(f"{path}: checksum mismatch")
-    version = int.from_bytes(data[4:8], "little")
+    _, version, wt2, N = _HEADER.unpack_from(data)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
-    wt2 = int.from_bytes(data[8:12], "little")
     if wt2 != WEIGHT_TIMES_TWO:
         raise FormatError(f"{path}: weight {wt2}/2 is not the supported weight 13/2")
-    N = int.from_bytes(data[12:20], "little")
-    pos = 20
+    pos = _HEADER.size
     end = len(data) - 8
     # every record takes at least two bytes; check before allocating N slots
     if 2 * N > end - pos:

@@ -15,6 +15,7 @@ from halfint import mollifier as mo
 from halfint.arith import enumerate_nflat
 from halfint.cli import (
     cmd_signchanges,
+    cmd_waldspurger,
     expansion_identity_holds,
     gauss_oracle_worst,
     modularity_panel,
@@ -23,10 +24,11 @@ from halfint.cli import (
     shimura_failures,
     taylor_bound_holds,
     w_kernel_worst,
+    waldspurger_verdict,
 )
+from halfint.errors import InconsistencyError
 from halfint.expsums import jutila_l2_defect, shifted_convolution
 from halfint.hecke import find_signflip_prime, signflip_verify
-from halfint.lvalue import central_lvalue, waldspurger_ratio
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -74,26 +76,18 @@ def test_criterion_02_exact_shimura_identity(big_table, hecke26k):
     )
 
 
-def test_criterion_03_ratio_constancy(big_table, hecke26k):
+def test_criterion_03_ratio_constancy(hecke26k):
+    # the ratios and the verdict of `halfint waldspurger --dmax 2000`; a
+    # coefficient and central value of which only one vanishes is a FAIL
     t0 = time.time()
-    tol = 1e-8
-    ratios = []
-    consistent = True
-    for d in enumerate_nflat(2000):
-        res = central_lvalue(d, hecke26k, tol)
-        if (big_table.a(d) == 0) != (abs(res.value) < 1e-7):
-            consistent = False
-        r = waldspurger_ratio(d, big_table, hecke26k, tol)
-        if r is not None:
-            ratios.append(r)
-    arr = np.array(ratios)
-    rel_std = float(arr.std() / arr.mean())
-    ok = rel_std < 1e-3 and consistent and arr.size > 0
+    try:
+        count, rel_std, ok = waldspurger_verdict(cmd_waldspurger(2000, 1e-8, hecke_table=hecke26k))
+    except InconsistencyError as exc:
+        _report("3 ratio constancy", False, f"vanishing inconsistent: {exc}")
     _report(
         "3 ratio constancy",
         ok,
-        f"{arr.size} ratios, rel std {rel_std:.2e}, vanishing consistent: "
-        f"{consistent}, {time.time() - t0:.1f}s",
+        f"{count} ratios, rel std {rel_std:.2e}, {time.time() - t0:.1f}s",
     )
 
 

@@ -168,6 +168,14 @@ class TestCliEndToEnd:
             (["jutila", "--qgrid", "1" + "0" * 400], 2, "Q must be at most 1.798e+308"),
             (["shifted", "--h", "1", "--xgrid", "1" + "0" * 400, "--coeffs", "COEFFS"], 3,
              "need coefficients past X = 1" + "0" * 400 + ", table holds 20000"),
+            (["signchanges", "--limit", "50000", "--coeffs", "COEFFS"], 3,
+             "error: need coefficients to 50000, table holds 20000\n"),
+            # X = 10000 lies inside the table, but the sum runs to n0 + |h| = 21989 + 1
+            (["shifted", "--h", "1", "--xgrid", "10000", "--coeffs", "COEFFS"], 3,
+             "error: need coefficients to 21990, table holds 20000\n"),
+            (["signchanges", "--coeffs", "COEFFS"], 2,
+             "error: --limit is required (config key limit)\n"),
+            (["coeffs", "--limit", "100"], 2, "error: --out is required (config key coeffs_out)\n"),
             (["shifted", "--h", "1", "--delta", "100000000000000000000", "--v", "1",
               "--xgrid", "512", "--coeffs", "COEFFS"], 3,
              "v (n mod Delta) reaches 99999999999999999999, past int64"),
@@ -193,7 +201,8 @@ class TestCliEndToEnd:
              "limit-negative", "block-not-integer", "limit-not-integer",
              "tol-not-a-number", "dmax-below-8", "qgrid-empty", "blocks-empty",
              "qgrid-negative", "tol-subnormal", "dmax-past-float", "qgrid-past-float",
-             "xgrid-past-float", "delta-past-int64", "mollify-edge-past-float",
+             "xgrid-past-float", "limit-past-table", "xgrid-sum-past-table", "limit-required",
+             "coeffs-out-required", "delta-past-int64", "mollify-edge-past-float",
              "mollify-kappa-twice", "mollify-theta0-twice", "limit-twice", "format-twice",
              "coeffs-out-twice", "config-twice"],
     )
@@ -259,11 +268,13 @@ class TestCliEndToEnd:
         ("theta0=0.08,eta2=inf", "eta2 must be positive and finite, got inf"),
         ("theta0=0.08,eta2=nan", "eta2 must be positive and finite, got nan"),
         ("theta0=0.08,eta2=0", "eta2 must be positive and finite, got 0.0"),
+        ("theta0=0.5,eta2=0.1", "theta_J = 0.5 outside [eta2, e*eta2] = [0.1, 0.2718]"),
     ], ids=["x-one", "x-half", "x-zero", "no-equals", "c0-not-a-number", "theta0-zero",
             "theta0-negative", "eta1-unknown-key", "C-unknown-key", "theta0-missing",
             "l-unknown-key", "theta0-1e-6", "theta0-1e-300", "theta0-subnormal", "c0-nan",
             "c0-inf", "c0-above-first-edge", "kappa-negative", "prefactor-overflows",
-            "prefactor-underflows", "eta2-inf", "eta2-nan", "eta2-zero"])
+            "prefactor-underflows", "eta2-inf", "eta2-nan", "eta2-zero",
+            "eta2-below-theta0-over-e"])
     def test_mollify_usage_error_names_its_input(self, small_coeffs, mollify, named):
         argv = ["moments", "--blocks", "64", "--coeffs", small_coeffs, "--mollify", mollify]
         r = run_cli(argv, timeout=60)
@@ -447,8 +458,10 @@ class TestConfigFile:
         (["moments", "--coeffs", "COEFFS"], "blocks = ,",
          "config key 'blocks' value ',' lists no integers"),
         (["jutila"], "qgrid = -5", "Q must be at least 1, got -5"),
+        (["coeffs", "--limit", "100"], "format = csv", "--out is required (config key coeffs_out)"),
     ], ids=["set-bogus", "format-xml", "command", "config", "qgrid-not-integer",
-            "dmax-below-8", "qgrid-empty", "blocks-empty", "qgrid-negative"])
+            "dmax-below-8", "qgrid-empty", "blocks-empty", "qgrid-negative",
+            "coeffs-out-not-in-config"])
     def test_bad_value_names_its_key(self, tmp_path, small_coeffs, capsys, argv, text, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text + "\n")

@@ -23,6 +23,7 @@ from halfint.expsums import (
     shifted_convolution,
 )
 from halfint.cli import modularity_panel, modularity_worst, poisson_worst
+from halfint.qseries import delta_halfintegral
 
 
 class TestGaussSums:
@@ -466,3 +467,9 @@ class TestModularity:
     def test_low_point_guarded(self, table10k):
         with pytest.raises(ConvergenceError):
             modularity_check((1, 0, 4, 1), 0.001 + 0.001j, table10k)
+
+    def test_short_table_guarded(self):
+        # the series at Im z = 1/8 needs 20 / (1/8) = 160 terms
+        with pytest.raises(ConvergenceError, match="needs 160 coefficients at Im z = 0.1250, "
+                                                   "table holds 100"):
+            modularity_check((1, 0, 0, 1), 0.3 + 0.125j, delta_halfintegral(100))

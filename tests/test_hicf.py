@@ -222,6 +222,15 @@ def test_other_weight_rejected(tmp_path):
     assert cli.main(["signchanges", "--limit", "4", "--coeffs", path]) == 1
 
 
+def test_other_version_rejected(tmp_path, capsys):
+    # a well-formed, correctly signed file that declares format version 2
+    body = bytearray(encode_reference([1, 0, 0, -56])[:-8])
+    body[4:8] = (2).to_bytes(4, "little")
+    path = write(tmp_path, sign(bytes(body)))
+    assert cli.main(["signchanges", "--limit", "4", "--coeffs", path]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: unsupported format version 2\n")
+
+
 def test_lane_walk_matches_sequential_walk(tmp_path):
     # 2- to 9-byte records, with 10- to 12-byte ones at +-2^63 and up to
     # 2^80 sprinkled in

@@ -381,6 +381,12 @@ class TestExpansionCheck:
         with pytest.raises(ValueError):
             mo.dirichlet_expansion_check(8, 0.5, 2.0, params, tab)
 
+    @pytest.mark.parametrize("l", [0.0, 10.0])
+    def test_moment_order_outside_build_range_rejected(self, tab, l):
+        # the moments build_params accepts: l*kappa = 0 and 5 are refused at once
+        with pytest.raises(ValueError, match=r"l\*kappa must be an integer in \[1, 4\], got"):
+            mo.dirichlet_expansion_check(8, 0.5, l, tiny_mollifier_configs()[0], tab)
+
 
 class TestMollifiedMoments:
     def test_array_equals_the_scalar(self, hecke26k):
