@@ -300,12 +300,15 @@ def _suite_delta():
 
 
 def _tau_naive(N: int) -> list:
-    """q prod (1 - q^n)^24 to q^N; each slice update reads pre-update values."""
+    """q prod (1 - q^n)^24 to q^N; each factor is expanded by the binomial
+    theorem, its terms C(24, j) (-q^n)^j read from a copy of the series
+    before it."""
     coeffs = np.zeros(N, dtype=object)
     coeffs[0] = 1
-    for _ in range(24):
-        for n in range(1, N):
-            coeffs[n:] -= coeffs[:-n]
+    for n in range(1, N):
+        prev = coeffs[: N - n].copy()
+        for j in range(1, min(24, (N - 1) // n) + 1):
+            coeffs[n * j :] += (-1) ** j * math.comb(24, j) * prev[: N - n * j]
     return [0] + coeffs.tolist()
 
 

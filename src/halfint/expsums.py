@@ -100,14 +100,14 @@ def gauss_sum_closed(l: int, n: int) -> float:
 # -- Jutila's circle-method measure ---------------------------------------------
 
 
-# arc endpoints one defect sweep may hold. The float sweep keeps about 4
-# bytes per endpoint (a sorted centre for each pair; the terms are summed as
-# the sweep runs), so the budget costs about 200 MB; the one-argsort sweep it
-# replaced held about 25 (endpoints, their argsort and the gathered copy),
-# about 1.25 GB
+# arc endpoints one defect sweep may cover. The float sweep holds one slice
+# of centres and one block of terms at a time, so its memory does not grow
+# with the count; the budget bounds its time, about 30 ns of CPU per
+# endpoint (4.5e7 endpoints at Q = 48000 took 1.3 s on a 2-vCPU Xeon), so
+# about 1.5 s at the budget
 _ENDPOINT_BUDGET = 50_000_000
-# arc starts the float sweep merges at a time
-_SWEEP_BLOCK = 1 << 16
+# centres in one slice of the float sweep, on average
+_SWEEP_BLOCK = 1 << 14
 # terms the float sweep holds before it reduces them: the largest subtree of
 # numpy's pairwise sum that it reduces in one call
 _SUM_LEAF = 1 << 16
@@ -159,12 +159,49 @@ def build_jutila_system(Q: float, eta: float, Delta: int) -> JutilaSystem:
     return JutilaSystem(Qset=tuple(4 * Delta * r for r in rs), L=L)
 
 
-def _farey_centres(q: int) -> np.ndarray:
-    """d/q for 1 <= d <= q with gcd(d, q) = 1, ascending."""
-    keep = np.ones(q + 1, dtype=bool)
-    for p, _ in factorize_small(q).prime_powers:
-        keep[::p] = False
-    return np.nonzero(keep)[0] / q
+def _odd_runs(first: np.ndarray, n: np.ndarray) -> tuple:
+    """The runs first[i], first[i] + 2, ... of n[i] terms each, laid end to
+    end, and the offset at which each run starts."""
+    off = np.cumsum(n) - n
+    return 2 * np.arange(int(n.sum())) + np.repeat(first - 2 * off, n), off
+
+
+def _centre_slices(Qset: tuple, Delta: int, L: int):
+    """Yield the L centres d/q (q in Qset, 1 <= d <= q, gcd(d, q) = 1) in
+    ascending order, as K = ceil(L / _SWEEP_BLOCK) sorted slices, of which
+    some may be empty.
+
+    Slice k holds the d/q in (k/K, (k+1)/K], that is floor(k q/K) < d <=
+    floor((k+1) q/K), an integer test. Division is correctly rounded, hence
+    monotone, so the slices laid end to end are the sorted floats of all the
+    centres. Every q is 4 Delta r with r prime: 2 divides each q, so only
+    odd d are laid out, and the odd multiples of q's other primes (r and the
+    odd primes of Delta) are struck out at their positions. No array holds
+    more than one slice's odd d.
+    """
+    q = np.array(Qset, dtype=np.int64)
+    odd = [p for p, _ in factorize_small(Delta).prime_powers if p > 2]
+    # one row per modulus and odd prime of it; r may repeat a prime of Delta
+    row = np.tile(np.arange(q.size), len(odd) + 1)
+    prime = np.concatenate([q // (4 * Delta)] + [np.full(q.size, p) for p in odd])
+    K = -(-L // _SWEEP_BLOCK)  # K q <= L q stays far below 2^63 within the budget
+    hi = np.zeros_like(q)
+    for k in range(K):
+        lo, hi = hi, (k + 1) * q // K
+        first = (lo + 1) | 1
+        n = (hi - first) // 2 + 1
+        d, off = _odd_runs(first, n)
+        keep = np.ones(d.size, dtype=bool)
+        # the odd m with first <= p m <= hi, at offset (p m - first) / 2
+        m0 = -(-first[row] // prime) | 1
+        m1 = (hi[row] // prime - 1) | 1
+        count = np.maximum(m1 - m0, -2) // 2 + 1
+        m, _ = _odd_runs(m0, count)
+        at = np.repeat(row, count)
+        keep[off[at] + (np.repeat(prime, count) * m - first[at]) // 2] = False
+        centres = d[keep] / np.repeat(q, n)[keep]
+        centres.sort()
+        yield centres
 
 
 def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> float:
@@ -173,13 +210,14 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
     q in the modulus set.
 
     The integrand is piecewise constant, so the integral is a finite sweep
-    over arc endpoints. Float mode sorts the centres d/q once and sweeps the
-    float endpoints d/q +- delta in blocks (_float_sweep). The term val^2 *
-    seglen of each segment comes out in sorted order, and the terms are
-    summed as they come, leaf by leaf of numpy's pairwise tree (Higham,
-    "Accuracy and Stability of Numerical Algorithms", ch. 4), into the float
-    that one np.add.reduce over all of them gives, as after one sort of all
-    endpoints. The order of tied endpoints is free: a segment of
+    over arc endpoints. Float mode lays out the centres d/q in ascending
+    exact slices (_centre_slices) and sweeps the float endpoints d/q +-
+    delta one slice at a time (_float_sweep), so no array it holds grows
+    with the number of arcs. The term val^2 * seglen of each segment comes
+    out in sorted order, and the terms are summed as they come, leaf by
+    leaf of numpy's pairwise tree (Higham, "Accuracy and Stability of
+    Numerical Algorithms", ch. 4), into the float that one np.add.reduce
+    over all of them gives, as after one sort of all endpoints. The order of tied endpoints is free: a segment of
     nonzero length starts at the last event of its tie group, so its
     coverage, index and length do not depend on that order, and the segments
     inside a tie group have length 0 and add +0.0 wherever they fall.
@@ -217,53 +255,49 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
             val = (wd if x >= 0 and y <= D else 0) - wn * cov
             total += val * val * (y - x)
         return float(Fraction(total, wd * wd * D))
-    L = sys_.L
-    centres = np.empty(L)
-    at = 0
-    for q in sys_.Qset:
-        row = _farey_centres(q)
-        centres[at : at + row.size] = row
-        at += row.size
-    centres.sort()
-    return _streamed_sum(_float_sweep(centres, delta, weight), 2 * L + 1)
+    slices = _centre_slices(sys_.Qset, Delta, sys_.L)
+    return _streamed_sum(_float_sweep(slices, delta, weight), 2 * sys_.L + 1)
 
 
-def _float_sweep(centres: np.ndarray, delta: float, weight: float):
+def _float_sweep(slices, delta: float, weight: float):
     """Yield, block by block, the float defect's terms val^2 * seglen of the
-    segments between the events over the sorted centres c: starts
-    fl(c - delta) (+1), ends fl(c + delta) (-1) and the two step-0 events
-    0.0 and 1.0.
+    segments between the events over the centres c that the sorted slices
+    hold, laid end to end: starts fl(c - delta) (+1), ends fl(c + delta)
+    (-1) and the two step-0 events 0.0 and 1.0.
 
-    Rounding is monotone, so the starts and the ends are each sorted. Block
-    k takes _SWEEP_BLOCK starts, the ends below the next block's first start
-    nxt = fl(c_hi - delta) and whichever of 0.0, 1.0 lies there too, so
-    every event of a later block is at or above every event of this one. A
-    stable argsort merges the block; the coverage is carried in, and nxt
-    closes the block's last segment. The blocks yield the 2L + 1 terms in
-    sorted order, and _streamed_sum adds them up as they come: the caller
-    holds one block of terms and one leaf of numpy's pairwise tree at a
-    time, never all 2L + 1.
+    Rounding is monotone, so the starts and the ends are each sorted. Each
+    nonempty slice is a block: its starts, the ends below the next block's
+    first start nxt = fl(c_next - delta) and whichever of 0.0, 1.0 lies
+    there too. An end fl(c + delta) below nxt has c < c_next, so one
+    searchsorted over the ends not yet passed (those carried over from
+    earlier blocks, then this block's) cuts them exactly, and every event of
+    a later block is at or above every event of this one. A stable argsort
+    merges the block; the coverage is carried in, and nxt closes the
+    block's last segment. The blocks yield the 2L + 1 terms in sorted
+    order, and _streamed_sum adds them up as they come: the caller holds
+    one block of terms and one leaf of numpy's pairwise tree at a time,
+    never all 2L + 1.
     """
-    L = centres.size
+    blocks = (c for c in slices if c.size)
     unit = np.array([0.0, 1.0])
     cov = 0.0
-    e_lo = u_lo = 0
-    for lo in range(0, L, _SWEEP_BLOCK):
-        hi = min(lo + _SWEEP_BLOCK, L)
-        nxt = centres[hi] - delta if hi < L else math.inf
-        # rounding is monotone, so an end fl(c + delta) below nxt = fl(c_hi - delta)
-        # has c < c_hi: one searchsorted over this block's ends cuts them exactly
-        ends = centres[e_lo:hi] + delta
+    u_lo = 0
+    held = np.empty(0)  # the ends of earlier blocks at or above their cut
+    block = next(blocks, None)
+    while block is not None:
+        later = next(blocks, None)
+        nxt = later[0] - delta if later is not None else math.inf
+        ends = np.concatenate((held, block + delta))
         n_end = int(np.searchsorted(ends, nxt))
         n_unit = int(np.searchsorted(unit[u_lo:], nxt))
-        pos = np.concatenate((centres[lo:hi] - delta, ends[:n_end], unit[u_lo : u_lo + n_unit]))
-        del ends
+        pos = np.concatenate((block - delta, ends[:n_end], unit[u_lo : u_lo + n_unit]))
+        held = ends[n_end:]
         step = np.zeros(pos.size, dtype=np.int8)
-        step[: hi - lo] = 1
-        step[hi - lo : hi - lo + n_end] = -1
+        step[: block.size] = 1
+        step[block.size : block.size + n_end] = -1
         order = np.argsort(pos, kind="stable")
         pos = pos[order]
-        if hi < L:
+        if later is not None:
             pos = np.append(pos, nxt)
         val = np.cumsum(step[order][: pos.size - 1], dtype=np.float64)
         del step, order
@@ -275,8 +309,8 @@ def _float_sweep(centres: np.ndarray, delta: float, weight: float):
         np.subtract(inside, val, out=val)
         val *= val
         val *= np.diff(pos)
-        e_lo += n_end
         u_lo += n_unit
+        block = later
         yield val
 
 

@@ -7,9 +7,9 @@ Gamma_0(4) whose Shimura lift is the discriminant form of weight 2k = 12
 (WEIGHT_TIMES_TWO and K below). They are built by a fast exact convolution
 and saved to HICF coefficient files; alpha(n) vanishes for n = 2,3 mod 4.
 alpha is an int64 array, or an object array of Python ints once some
-|alpha(n)| >= 2^63, which first happens at n = 3799816. A reference builder
-evaluates the defining composition directly in exact rationals and
-certifies the fast one.
+alpha(n) lies outside int64, which first happens at n = 3799816. A
+reference builder evaluates the defining composition directly in exact
+rationals and certifies the fast one.
 
 All integer arithmetic is exact. The fast builder writes alpha(n) =
 240 n V(n) - 1080 W(n), plus two constant-term corrections, where V and W
@@ -65,12 +65,12 @@ class CoeffTable:
     """Integer coefficients alpha(n), 1 <= n <= N, of the weight-13/2 form.
 
     alpha is an array indexed 0..N with alpha[0] = 0, so N = len(alpha) - 1:
-    int64, or an object array of Python ints once some |alpha(n)| >= 2^63
-    (from n = 3799816 on). An object array of Python ints, such as the
-    builder's and the loader's, is kept as it is. Any other sequence is
-    converted the same way, and an entry that is not an integer raises
-    ValueError. Tables compare by identity; np.array_equal compares their
-    alpha. The normalized coefficients are c(n) = alpha(n) / n^{11/4}.
+    int64, or an object array of Python ints once some alpha(n) lies
+    outside int64 (from n = 3799816 on). An object array of Python ints,
+    such as the builder's and the loader's, is kept as it is. Any other
+    sequence is converted the same way, and an entry that is not an integer
+    raises ValueError. Tables compare by identity; np.array_equal compares
+    their alpha. The normalized coefficients are c(n) = alpha(n) / n^{11/4}.
     """
 
     alpha: np.ndarray
@@ -519,9 +519,10 @@ def _records(values: np.ndarray) -> bytes:
     """The HICF records of values, byte for byte those of _record.
 
     For int64 values a record is 1 + #{1 <= j <= 7 : |v| >= 2^(8j-1)} bytes
-    long; the length bytes and the low bytes of each value are scattered
-    into one buffer. A value that needs more than 8 bytes (|v| >= 2^63,
-    including v = -2^63) sends the whole chunk through _record.
+    long, counted by one searchsorted. Each value is laid out as a 9-byte
+    row, its length byte and then its 8 little-endian bytes, and one boolean
+    gather keeps each row's record. A value that needs more than 8 bytes
+    (|v| >= 2^63, including v = -2^63) sends the whole chunk through _record.
     """
     try:
         v = np.ascontiguousarray(values, dtype="<i8")
@@ -529,17 +530,11 @@ def _records(values: np.ndarray) -> bytes:
         v = None
     if v is None or (v == np.iinfo(np.int64).min).any():
         return b"".join(_record(int(x)) for x in values)
-    lens = np.ones(v.size, dtype=np.int64)
-    for j in range(1, 8):
-        lens += (v >= 1 << (8 * j - 1)) | (v <= -(1 << (8 * j - 1)))
-    ends = np.cumsum(lens + 1)
-    starts = ends - lens - 1
-    out = np.empty(int(ends[-1]), dtype=np.uint8)
-    payload = np.ones(out.size, dtype=bool)
-    payload[starts] = False
-    out[starts] = lens
-    out[payload] = v.view(np.uint8).reshape(-1, 8)[np.arange(8) < lens[:, None]]
-    return out.tobytes()
+    lens = np.searchsorted(np.int64(1) << np.arange(7, 56, 8), np.abs(v), side="right") + 1
+    rows = np.empty((v.size, 9), dtype=np.uint8)
+    rows[:, 0] = lens
+    rows[:, 1:] = v.view(np.uint8).reshape(-1, 8)
+    return rows[np.arange(9) <= lens[:, None]].tobytes()
 
 
 def save_coeffs(t: CoeffTable, path: str) -> None:
@@ -646,8 +641,9 @@ def load_coeffs(path: str) -> CoeffTable:
     bytes, so the format and every rejection are the same as without the
     lanes. The records of at most 8 bytes are then read, _CHUNK at a time,
     as 8-byte words at those offsets and sign-extended from their length
-    straight into alpha; longer ones are decoded one by one into an object
-    array. A record of length 0 raises FormatError.
+    straight into alpha; longer ones are decoded one by one, into an object
+    array once some value lies outside int64. A record of length 0 raises
+    FormatError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -697,12 +693,13 @@ def load_coeffs(path: str) -> CoeffTable:
         vals = words[starts[i : i + _CHUNK]]
         vals <<= shift
         np.right_shift(vals.view(np.int64), shift, out=alpha[1 + i : 1 + i + _CHUNK])
-    wide = np.flatnonzero(lens > 8)
-    if wide.size:
+    wide = np.flatnonzero(lens > 8).tolist()
+    big = [int.from_bytes(data[p : p + n], "little", signed=True)
+           for p, n in zip(starts[wide].tolist(), lens[wide].tolist())]
+    if any(not -(1 << 63) <= v < 1 << 63 for v in big):
         alpha = alpha.astype(object)
-        for i in wide.tolist():
-            p = int(starts[i])
-            alpha[i + 1] = int.from_bytes(data[p : p + int(lens[i])], "little", signed=True)
+    for i, v in zip(wide, big):
+        alpha[i + 1] = v
     return CoeffTable(alpha=alpha)
 
 

@@ -103,6 +103,17 @@ def _list_sweep(Q, eta, D):
     return float(np.add.reduce(val * val * np.diff(pos))), ties
 
 
+def _coprime_rows(Qset):
+    """(d, q) for 1 <= d <= q with gcd(d, q) = 1 by np.gcd, q in Qset, in
+    modulus order."""
+    rows = []
+    for q in Qset:
+        d = np.arange(1, q + 1)
+        d = d[np.gcd(d, q) == 1]
+        rows.append((d, np.full(d.size, q)))
+    return np.concatenate([d for d, _ in rows]), np.concatenate([q for _, q in rows])
+
+
 def _argsort_sweep(Q, eta, D):
     """The float defect with every endpoint in one argsort over arrays, in
     modulus order: the sweep before the block merge."""
@@ -110,7 +121,8 @@ def _argsort_sweep(Q, eta, D):
     delta = float(Q) ** (eta - 2.0)
     weight = float(Q) ** (2.0 - eta) / (2.0 * sys_.L)
     L = sys_.L
-    centres = np.concatenate([expsums._farey_centres(q) for q in sys_.Qset])
+    d, q = _coprime_rows(sys_.Qset)
+    centres = d / q
     pos = np.concatenate((centres - delta, centres + delta, [0.0, 1.0]))
     step = np.zeros(2 * L + 2, dtype=np.int8)
     step[:L] = 1
@@ -290,31 +302,46 @@ class TestJutila:
             assert jutila_l2_defect(Q, eta, D) == _argsort_sweep(Q, eta, D)
 
     def test_block_edges_on_ties_and_on_zero(self):
-        # a block edge is the next block's first start; on these grids some
-        # edge ties an arc end, and on two of them an edge is the start 0.0
-        for (Q, eta, D), block, zero in (((52, 1.0, 1), 1, True), ((116, 1.0, 1), 3, True),
-                                         ((100, 1.0, 10), 2, False), ((68, 1.0, 1), 4, False)):
-            sys_ = build_jutila_system(Q, eta, D)
-            centres = np.sort(np.concatenate([expsums._farey_centres(q) for q in sys_.Qset]))
-            delta = float(Q) ** (eta - 2.0)
-            edges = (centres - delta)[block::block]
-            assert np.isin(edges, centres + delta).any(), (Q, eta, D)
-            assert (0.0 in edges) == zero, (Q, eta, D)
+        # each nonempty slice is a block, and slice k of K = ceil(L / block)
+        # holds the d/q in (k/K, (k+1)/K]; a block edge is the first start
+        # of a block after the first. On every grid some edge ties an arc
+        # end of an earlier slice; on the second an edge is the start 0.0;
+        # on the third some slice holds no centre; on the last r = 5
+        # divides Delta
+        for grid, block, zero, empty in (((68, 1.0, 1), 4, False, False),
+                                         ((52, 1.0, 1), 1, True, True),
+                                         ((156, 1.0, 3), 2, False, True),
+                                         ((100, 1.0, 10), 2, False, False)):
+            sys_ = build_jutila_system(*grid)
+            d, q = _coprime_rows(sys_.Qset)
+            K = -(-sys_.L // block)
+            k = (d * K - 1) // q
+            order = np.lexsort((d / q, k))
+            centres, k = (d / q)[order], k[order]
+            delta = float(grid[0]) ** (grid[1] - 2.0)
+            firsts = np.flatnonzero(k[1:] != k[:-1]) + 1
+            edges = centres[firsts] - delta
+            assert any(e in centres[:i] + delta for e, i in zip(edges, firsts)), grid
+            assert (0.0 in edges) == zero, grid
+            assert (np.bincount(k, minlength=K) == 0).any() == empty, grid
             with mock.patch.object(expsums, "_SWEEP_BLOCK", block):
-                assert jutila_l2_defect(Q, eta, D) == _argsort_sweep(Q, eta, D)
+                assert jutila_l2_defect(*grid) == _argsort_sweep(*grid)
 
     def test_float_sweep_memory(self):
         # in a fresh interpreter (ru_maxrss in KiB, as Linux reports it): the
-        # sorted centres take about 4 bytes per endpoint at Q = 16000 (5.5e6
-        # endpoints), and the terms are summed as the sweep runs; a term
-        # array took about 8 more, and one argsort over all endpoints about 25
-        code = ("import resource; from halfint.expsums import jutila_l2_defect as j\n"
+        # centres come one slice at a time and the terms are summed as the
+        # sweep runs, so the growth does not follow L (2.8e6 arcs at Q =
+        # 16000, 1.0e7 at 32000). Sorting all centres at once grew 28 and
+        # 85 MB; the slices grew about 2.5 and 2.8
+        code = ("import resource, sys; from halfint.expsums import jutila_l2_defect as j\n"
                 "j(20, 0.5, 1); r = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-                "j(16000, 0.5, 1)\n"
+                "j(int(sys.argv[1]), 0.5, 1)\n"
                 "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - r) / 1024)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, timeout=120)
-        assert float(out.stdout) <= 40
+        grown = [float(subprocess.run([sys.executable, "-c", code, str(Q)], capture_output=True,
+                                      text=True, check=True, timeout=120).stdout)
+                 for Q in (16000, 32000)]
+        assert grown[0] <= 8
+        assert grown[1] <= grown[0] + 2, grown
 
     def test_integer_sweep_equals_the_fraction_sweep(self):
         for Q, eta, D in ((20, 0.5, 1), (200, 0.5, 1), (600, 0.5, 1), (100, 1.0, 10)):

@@ -10,7 +10,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfint import cli, qseries
@@ -110,6 +110,7 @@ def write(tmp_path, data: bytes) -> str:
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(values=values_st)
+@example(values=[-(2**63)])
 def test_roundtrip_matches_reference_bytes(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("rt") / "t.hicf"
     save_coeffs(CoeffTable([0] + values), str(path))
