@@ -61,10 +61,11 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     t = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
+        # strip 2^v from a in one shift; (2|n)^v is -1 for odd v at n = 3, 5 mod 8
+        v = (a & -a).bit_length() - 1
+        a >>= v
+        if v % 2 and n % 8 in (3, 5):
+            t = -t
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             t = -t
@@ -170,20 +171,24 @@ def enumerate_nflat(X: int) -> list[int]:
 
 
 def factorize_small(n: int) -> Factorization:
-    """Trial-division factorization; no table needed. Fine for n up to ~1e12."""
+    """Trial-division factorization; no table needed. Fine for n up to ~1e12.
+
+    The power of 2 is stripped in one shift (its exponent is the trailing
+    zero count), then only odd p are tried, up to sqrt of the cofactor."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    pps = []
-    m = n
-    for p in range(2, isqrt(n) + 1):
-        if p * p > m:
-            break
+    e = (n & -n).bit_length() - 1
+    m = n >> e
+    pps = [(2, e)] if e else []
+    p = 3
+    while p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             pps.append((p, e))
+        p += 2
     if m > 1:
         pps.append((m, 1))
     return Factorization(prime_powers=tuple(pps))

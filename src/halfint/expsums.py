@@ -44,18 +44,22 @@ def gauss_sum_bruteforce(l: int, n: int) -> complex:
     directly. O(n); odd n only."""
     if n < 1 or n % 2 == 0:
         raise ValueError("modulus must be odd and positive")
-    pref = (1 - 1j) / 2 + kronecker(-1, n) * (1 + 1j) / 2
-    row, roots = _gauss_tables(n)
-    phase = roots[(np.arange(n) * (l % n)) % n]
+    pref, a, row, roots = _gauss_tables(n)
+    phase = roots[(a * (l % n)) % n]
     return complex(pref * np.dot(row, phase))
 
 
 @lru_cache(maxsize=1)
 def _gauss_tables(n: int) -> tuple:
-    """The Kronecker row of n as complex, and the roots e(k/n) for 0 <= k < n.
+    """Everything of the brute-force sum at modulus n that l does not touch:
+    the prefactor (1-i)/2 + (-1|n)(1+i)/2, the residues a = 0..n-1, the
+    Kronecker row of n as complex, and the roots e(k/n) for 0 <= k < n. A
+    sweep over l at one n builds them once and per l only gathers and dots.
     Gathering the roots at k = a l mod n gives the same floats as calling exp
     at each a, since each root is the same exp of the same argument."""
-    return kronecker_row(n).astype(np.complex128), np.exp(2j * np.pi * np.arange(n) / n)
+    a = np.arange(n)
+    pref = (1 - 1j) / 2 + kronecker(-1, n) * (1 + 1j) / 2
+    return pref, a, kronecker_row(n).astype(np.complex128), np.exp(2j * np.pi * a / n)
 
 
 def _gauss_prime_power(l: int, p: int, beta: int) -> float:
@@ -106,6 +110,11 @@ def gauss_sum_closed(l: int, n: int) -> float:
 # endpoint (4.5e7 endpoints at Q = 48000 took 1.3 s on a 2-vCPU Xeon), so
 # about 1.5 s at the budget
 _ENDPOINT_BUDGET = 50_000_000
+# arc endpoints the exact sweep may cover. It holds one Python list of 2L + 2
+# events whose integers grow with the common denominator, widest per endpoint
+# at Delta = 1: ru_maxrss grew 82 MB at Q = 4000 (2L = 396 288) and 102 MB at
+# Q = 4500 (476 960), about 220 B per endpoint, so the list stays near 100 MB
+_EXACT_ENDPOINT_BUDGET = 450_000
 # centres in one slice of the float sweep, on average
 _SWEEP_BLOCK = 1 << 14
 # terms the float sweep holds before it reduces them: the largest subtree of
@@ -225,7 +234,9 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
     so its endpoints are not the float ones: every endpoint is an integer
     over one common denominator D = lcm(Qset, denominator of delta), and the
     integer numerators of val^2 * seglen are summed before one division.
-    The two modes agree to the 1e-9 that the selftest allows.
+    The two modes agree to the 1e-9 that the selftest allows. Exact mode
+    holds all 2L + 2 events in one list, so it raises BudgetExceededError
+    past _EXACT_ENDPOINT_BUDGET endpoints, before the list is built.
     """
     sys_ = build_jutila_system(Q, eta, Delta)
     if sys_.L == 0:
@@ -233,6 +244,9 @@ def jutila_l2_defect(Q: float, eta: float, Delta: int, exact: bool = False) -> f
     delta = float(Q) ** (eta - 2.0)
     weight = float(Q) ** (2.0 - eta) / (2.0 * sys_.L)
     if exact:
+        if 2 * sys_.L > _EXACT_ENDPOINT_BUDGET:
+            raise BudgetExceededError(f"{2 * sys_.L} arc endpoints exceed the exact sweep's "
+                                      f"budget of {_EXACT_ENDPOINT_BUDGET}")
         # val = inside - weight cov = (inside wd - wn cov) / wd, seglen = seg / D
         dn, dd = delta.as_integer_ratio()
         wn, wd = weight.as_integer_ratio()

@@ -70,7 +70,9 @@ class MollifierParams:
     ell: list
     intervals: list
     primes: list = field(repr=False)
-    # enumerated block supports, keyed by (j, max_omega); see _support
+    # per-block memos for one table: the prime weights keyed by j (see
+    # _prime_weights) and the enumerated supports keyed by (j, max_omega)
+    # (see _support)
     _supports: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
@@ -185,19 +187,43 @@ def coeff_a(p: int, params: MollifierParams, t: HeckeTable) -> float:
     return float(t.lam[p]) * weight_w(p, params)
 
 
+@dataclass(frozen=True, eq=False)
+class _PrimeWeights:
+    """a(p) and a(p)/sqrt(p) over the primes of one block, in order, for the
+    table they were built from."""
+
+    table: HeckeTable
+    a: list
+    a_over_sqrt: list
+
+
+def _prime_weights(j: int, params: MollifierParams, t: HeckeTable) -> _PrimeWeights:
+    """The weights of block j, computed once per block and table."""
+    entry = params._supports.get(j)
+    if entry is not None and entry.table is t:
+        return entry
+    a = [coeff_a(p, params, t) for p in params.primes[j]]
+    entry = _PrimeWeights(
+        table=t, a=a, a_over_sqrt=[ap / math.sqrt(p) for ap, p in zip(a, params.primes[j])]
+    )
+    params._supports[j] = entry
+    return entry
+
+
 def p_sum(m, j: int, params: MollifierParams, t: HeckeTable):
     """P_{I_j}(m) = sum over primes p in I_j of a(p)(m|p)/sqrt(p), for an int
     m or an int array. A scalar reads kronecker(m, p) and an array the row of
-    (r|p); both add a(p)/sqrt(p) times the same +-1 or 0, so both round alike."""
+    (r|p); both add a(p)/sqrt(p) times the same +-1 or 0, so both round alike.
+    a(p)/sqrt(p) is read from the block's memo (_prime_weights)."""
     scalar = np.ndim(m) == 0
     acc = 0.0 if scalar else np.zeros(np.shape(m))
-    for p in params.primes[j]:
+    for p, w in zip(params.primes[j], _prime_weights(j, params, t).a_over_sqrt):
         if scalar:
             sym = kronecker(m, p)
         else:
             row = kronecker_row(p)
             sym = row[np.asarray(m) % row.size]
-        acc = acc + coeff_a(p, params, t) / math.sqrt(p) * sym
+        acc = acc + w * sym
     return acc
 
 
@@ -210,7 +236,8 @@ def e_truncated(t, ell: int):
     exact value, gamma_n = n u / (1 - n u), u = 2^-53. Entries where that
     bound exceeds 2^-43 of the result (the cancellation zone of negative t)
     are recomputed exactly, which also settles their sign. A float argument
-    returns a float."""
+    returns a float: its sum is done in Python floats, and when it needs no
+    exact recompute it is returned as it is, with no array made."""
     if ell < 2 or ell % 2:
         raise ValueError("truncation length must be even and >= 2")
     scalar = np.ndim(t) == 0
@@ -221,7 +248,10 @@ def e_truncated(t, ell: int):
         acc = acc + term
         mass = mass + abs(term)
     g = 3 * ell * 2.0**-53
-    risky = np.flatnonzero(g / (1 - g) * mass > _E_REL * abs(acc))
+    risky = g / (1 - g) * mass > _E_REL * abs(acc)
+    if scalar and not risky:
+        return acc
+    risky = np.flatnonzero(risky)
     acc, ts = np.atleast_1d(acc, ts)
     for i in risky:
         # t = a/b: E = sum_s a^s w_s / w_0, w_s = b^(ell-s) ell!/s!, rounded once
@@ -238,7 +268,9 @@ def e_truncated(t, ell: int):
 class _Support:
     """The I_j-smooth n with Omega(n) <= max_omega in DFS order, for the table
     they were built from: expo[i, k] is the exponent of params.primes[j][k]
-    in n[i], and nu[i] = 1 / prod e!."""
+    in n[i], and nu[i] = 1 / prod e!. Two memos ride on it: signed[kappa]
+    holds kappa^{-Omega} a(n) (-1)^Omega (see _block_sum), and h[l kappa]
+    the weights of dirichlet_expansion_check; neither depends on m."""
 
     table: HeckeTable
     n: list
@@ -247,6 +279,8 @@ class _Support:
     aval: np.ndarray
     nu: np.ndarray
     sqrt_n: np.ndarray
+    signed: dict = field(default_factory=dict, repr=False)
+    h: dict = field(default_factory=dict, repr=False)
 
 
 def _support(j: int, max_omega: int, params: MollifierParams, t: HeckeTable) -> _Support:
@@ -256,7 +290,7 @@ def _support(j: int, max_omega: int, params: MollifierParams, t: HeckeTable) -> 
     if entry is not None and entry.table is t:
         return entry
     plist = params.primes[j]
-    a_at = [coeff_a(p, params, t) for p in plist]
+    a_at = _prime_weights(j, params, t).a
     ns, expo, omega, aval, nu = [], [], [], [], []
     cur = [0] * len(plist)
 
@@ -308,10 +342,15 @@ def _block_sum(
     """sum of kappa^{-Omega} a(n) (-1)^Omega weight(n) (m|n)/sqrt(n) over
     the support: each term is rounded as that product is, left to right, and
     the terms are added in DFS order, so the result is bit-identical to a
-    Python loop over the support."""
-    kpow = np.array([kappa ** (-w) for w in range(int(s.omega.max()) + 1)])
-    sgn = np.where(s.omega % 2 == 1, -1.0, 1.0)
-    terms = kpow[s.omega] * s.aval * sgn * weight * _twist_signs(m, j, params, s) / s.sqrt_n
+    Python loop over the support. The first three factors do not depend on
+    m, so their product is formed once per support and kappa (s.signed);
+    the sign factor is exact, so the product is the one a loop rounds."""
+    signed = s.signed.get(kappa)
+    if signed is None:
+        kpow = np.array([kappa ** (-w) for w in range(int(s.omega.max()) + 1)])
+        sgn = np.where(s.omega % 2 == 1, -1.0, 1.0)
+        signed = s.signed[kappa] = kpow[s.omega] * s.aval * sgn
+    terms = signed * weight * _twist_signs(m, j, params, s) / s.sqrt_n
     return float(np.cumsum(terms)[-1])
 
 
@@ -416,7 +455,14 @@ def dirichlet_expansion_check(
     lk ell_j, a(n) the completely multiplicative a(p) = lambda(p) w(p), and
     h(n) the product over blocks of nu_truncated(lk, n_j, ell_j). True when
     the two agree to a relative _EXPANSION_TOL. Only enumerable configurations
-    (at most 3 primes per block, J <= 2) and l*kappa in [1, 4] are accepted."""
+    (at most 3 primes per block, J <= 2) and l*kappa in [1, 4] are accepted.
+
+    h is exact Fraction work per support element, so it is kept with the
+    block support, keyed by l*kappa (s.h), and later m reuse it. That first
+    build dominates at large l*kappa: on cli.tiny_mollifier_configs()[0] at
+    m = 8 (2 925 support elements at l*kappa = 3) one fresh call took 15.2 s
+    CPU at l*kappa = 3, and a second m 0.0003 s; at l*kappa = 4 it did not
+    finish within 10 minutes (2-vCPU Xeon)."""
     lk = _moment_order(l, kappa)
     if params.J > 2 or any(len(ps) > 3 for ps in params.primes):
         raise ValueError("expansion check needs a tiny configuration")
@@ -424,7 +470,9 @@ def dirichlet_expansion_check(
     rhs = math.log(params.x) ** (l / 2.0)
     for j in range(params.J + 1):
         s = _support(j, lk * params.ell[j], params, t)
-        h = np.array([float(nu_truncated(lk, n, params.ell[j])) for n in s.n])
+        h = s.h.get(lk)
+        if h is None:
+            h = s.h[lk] = np.array([float(nu_truncated(lk, n, params.ell[j])) for n in s.n])
         rhs *= _block_sum(m, j, kappa, h, params, s)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale <= _EXPANSION_TOL

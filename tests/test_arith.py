@@ -37,6 +37,19 @@ def spf_direct(n):
     return next(d for d in range(2, n + 1) if n % d == 0)
 
 
+def spf_sieve(limit):
+    """Smallest prime factors to limit by a sieve of Eratosthenes (0 at 0, 1):
+    each prime p marks the multiples of p not yet marked, from p^2 on."""
+    out = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if out[p] == 0:
+            out[p] = p
+            if p * p <= limit:
+                multiples = out[p * p :: p]
+                multiples[multiples == 0] = p
+    return out
+
+
 @pytest.fixture(scope="module")
 def spf():
     """Smallest prime factors to LIMIT by trial division (0 at 0, 1)."""
@@ -315,6 +328,14 @@ class TestFactorize:
                 factorize_small(n)
 
     def test_small_matches_sieved(self, spf):
-        for n in range(1, 500):
-            expect = Factorization(spf_factorization(n, spf))
+        # every n below 2e5 against a smallest-prime-factor sieve, which
+        # equals the trial-division table on its range; then 2^k p, where the
+        # power of 2 is stripped in one shift and p is left as the cofactor
+        sieved = spf_sieve(200_000)
+        assert np.array_equal(sieved[: LIMIT + 1], spf)
+        for n in range(1, 200_000):
+            expect = Factorization(spf_factorization(n, sieved))
             assert factorize_small(n) == expect
+        for p in (3, 5, 199_999, 1_000_003):
+            for k in range(1, 41):
+                assert factorize_small(2**k * p).prime_powers == ((2, k), (p, 1))

@@ -68,9 +68,10 @@ class TestGaussSums:
         # the direct exp at every a is the reference for the gathered roots,
         # and the sum over it for the brute force: the same floats, not close
         for n in range(1, 200, 2):
-            _, roots = expsums._gauss_tables(n)
+            pref_held, a_held, _, roots = expsums._gauss_tables(n)
             a = np.arange(n)
             pref = (1 - 1j) / 2 + kronecker(-1, n) * (1 + 1j) / 2
+            assert pref_held == pref and np.array_equal(a_held, a), n
             for l in range(-60, 61):
                 phase = np.exp(2j * np.pi * ((a * (l % n)) % n) / n)
                 assert np.array_equal(roots[(a * (l % n)) % n], phase), (l, n)
@@ -393,6 +394,19 @@ class TestJutila:
         monkeypatch.setattr(expsums, "primes_up_to", no_sieve)
         with pytest.raises(BudgetExceededError, match="arc endpoints exceed budget"):
             build_jutila_system(2e8, 0.5, 1)
+
+    def test_exact_sweep_has_its_own_budget(self, monkeypatch):
+        # Q = 8000 is well inside the float sweep's budget, but its 2L =
+        # 1 446 640 integer events would hold about 300 MB: the exact sweep
+        # refuses it before its common denominator or any event is made
+        assert 2 * build_jutila_system(8000, 0.5, 1).L == 1_446_640
+
+        def no_events(*args):
+            raise AssertionError("the exact sweep started building its events")
+
+        monkeypatch.setattr(expsums, "lcm", no_events)
+        with pytest.raises(BudgetExceededError, match="exceed the exact sweep's budget"):
+            jutila_l2_defect(8000, 0.5, 1, exact=True)
 
     def test_oversized_grid_refused_without_a_search(self, monkeypatch):
         # Breusch's theorem guarantees an admissible r in (Q/4, Q/2), so no

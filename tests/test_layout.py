@@ -320,6 +320,17 @@ def test_reference_builder_stays_independent_of_the_fast_builder():
     assert not reached & fast, sorted(reached & fast)
 
 
+def test_gauss_bruteforce_stays_independent_of_the_closed_form():
+    # the brute-force sum certifies gauss_sum_closed, so nothing it reaches,
+    # its memoised tables included, may be the closed form or its factors
+    defs = _definitions()
+    closed = {("expsums", "gauss_sum_closed"), ("expsums", "_gauss_prime_power")}
+    assert closed <= set(defs)
+    reached = _reach(defs, {"gauss_sum_bruteforce"}, set())
+    assert {("expsums", "gauss_sum_bruteforce"), ("expsums", "_gauss_tables")} <= reached
+    assert not reached & closed, sorted(reached & closed)
+
+
 def _option_keys(tree: ast.AST) -> set:
     """The keys of the _GLOBAL table and of each subcommand table in
     _COMMANDS, the values of which are (help, table) pairs."""

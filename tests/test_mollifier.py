@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -261,6 +262,29 @@ class TestMFactor:
         assert got == mo.m_factor(8, 1, 0.5, two_block_params(), other, method="enumerate")
         assert got == pytest.approx(mo.m_factor(8, 1, 0.5, params, other), rel=1e-12)
         assert mo.m_factor(8, 1, 0.5, params, tab, method="enumerate") == before
+        # the identity side keeps its prime weights per table too
+        psum_before = mo.p_sum(8, 1, params, tab)
+        iden_before = mo.m_factor(8, 1, 0.5, params, tab, method="identity")
+        psum = mo.p_sum(8, 1, params, other)
+        iden = mo.m_factor(8, 1, 0.5, params, other, method="identity")
+        assert psum != psum_before and iden != iden_before
+        assert psum == mo.p_sum(8, 1, two_block_params(), other)
+        assert iden == mo.m_factor(8, 1, 0.5, two_block_params(), other, method="identity")
+        assert mo.p_sum(8, 1, params, tab) == psum_before
+        assert mo.m_factor(8, 1, 0.5, params, tab, method="identity") == iden_before
+
+    def test_memo_follows_kappa(self, tab):
+        # kappa^{-Omega} a(n) (-1)^Omega is kept per kappa: back at 0.5 after
+        # 0.7, one params gives what a fresh one gives
+        params = two_block_params()
+        seen = {}
+        for kappa in (0.5, 0.7, 0.5):
+            for j in range(params.J + 1):
+                got = mo.m_factor(40, j, kappa, params, tab, method="enumerate")
+                assert got == mo.m_factor(40, j, kappa, two_block_params(), tab,
+                                          method="enumerate"), (kappa, j)
+                assert seen.setdefault((kappa, j), got) == got
+        assert all(seen[(0.5, j)] != seen[(0.7, j)] for j in range(params.J + 1))
 
     def test_enumerate_never_calls_the_identity_side(self, tab, monkeypatch):
         def identity_side(*args):
@@ -354,6 +378,31 @@ class TestExpansionCheck:
         for cfg, l in zip(configs, (2.0, 4.0, 2.0)):
             for m in (8, 24, 40, 104, 168):
                 assert mo.dirichlet_expansion_check(m, 0.5, l, cfg, tab)
+
+    def test_weights_computed_once_per_support(self, tab, monkeypatch):
+        # over four m on one configuration each h(n) = nu_truncated(l kappa,
+        # n, ell_0) is computed once, and each verdict is the one a fresh
+        # configuration gives
+        ms = (8, 24, 40, 104)
+        fresh = [mo.dirichlet_expansion_check(m, 0.5, 2.0, tiny_mollifier_configs()[0], tab)
+                 for m in ms]
+        calls = collections.Counter()
+        nu_truncated = mo.nu_truncated
+
+        def counted(r, n, ell):
+            calls[(r, n, ell)] += 1
+            return nu_truncated(r, n, ell)
+
+        monkeypatch.setattr(mo, "nu_truncated", counted)
+        cfg = tiny_mollifier_configs()[0]  # one block of three primes
+        assert cfg.J == 0 and len(cfg.primes[0]) == 3
+        assert [mo.dirichlet_expansion_check(m, 0.5, 2.0, cfg, tab) for m in ms] == fresh
+        assert fresh == [True] * len(ms)
+        lk, ell = 1, cfg.ell[0]
+        # the 3-prime support of Omega <= lk ell has comb(3 + lk ell, 3) elements
+        assert len(calls) == math.comb(3 + lk * ell, 3)
+        assert {(r, e) for r, _, e in calls} == {(lk, ell)}
+        assert set(calls.values()) == {1}
 
     def test_lk1_reduces_to_m_itself(self, tab):
         cfg = tiny_mollifier_configs()[0]
