@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import mmap
 import operator
 import os
 import struct
@@ -562,14 +563,16 @@ def save_coeffs(t: CoeffTable, path: str) -> None:
         fh.write(h.digest())
 
 
-def _record_offsets(records, pos: int, n: int):
-    """pos, then the offset just past each of n records laid end to end from
-    pos, each a length byte and that many bytes. IndexError once an offset
-    whose length byte is to be read lies outside records."""
-    yield pos
+def _record_lengths(data, pos: int, end: int, n: int):
+    """The length byte of each of n records laid end to end from pos, each a
+    length byte and that many bytes. IndexError once a length byte to be
+    read lies at or past end."""
     for _ in range(n):
-        pos += 1 + records[pos]
-        yield pos
+        if pos >= end:
+            raise IndexError(pos)
+        length = data[pos]
+        yield length
+        pos += 1 + length
 
 
 # the lane walk: at most _LANES lanes, each over a window of at least
@@ -582,10 +585,14 @@ _SYNC_BYTES = 128
 _SYNC_MAX_LEN = 11
 
 
-def _lane_offsets(buf: np.ndarray, pos: int, end: int, n: int):
-    """The offsets _record_offsets(buf[:end], pos, n) yields, as an int64
-    array, found by lanes that walk byte windows of [pos, end) in lockstep;
-    None when the walk cannot certify them.
+def _lane_walk(buf: np.ndarray, pos: int, end: int, n: int):
+    """The n records that _record_lengths(buf, pos, end, n) reads, found by
+    lanes that walk byte windows of [pos, end) in lockstep, as (entries,
+    counts, lens); None when the walk cannot certify them.
+
+    Lane i enters at byte entries[i] and steps counts[i] records, whose
+    length bytes are lens[:counts[i], i] in order: row k of the uint8 array
+    lens holds every lane's k-th step, zero for a lane past its count.
 
     Lane i syncs from _SYNC_BYTES before its window [lo_i, hi_i) by guessed
     steps (a byte above _SYNC_MAX_LEN steps 1, any other a whole record)
@@ -594,8 +601,9 @@ def _lane_offsets(buf: np.ndarray, pos: int, end: int, n: int):
     it stops. The certificate: lane 0 enters at pos, every lane exits where
     the next one entered, the last exits at end and the lanes step n
     records in all. Then by induction from pos every entry is a true record
-    start, and the recorded lengths are those of the n records the
-    sequential walk reads, ending at end. Every byte read lies below end.
+    start, and the lanes' length bytes, laid end to end, are those of the n
+    records the sequential walk reads, ending at end. Every byte read lies
+    below end.
     """
     lanes = max(1, min(_LANES, (end - pos) // _LANE_BYTES))
     bounds = pos + np.arange(lanes + 1, dtype=np.int64) * (end - pos) // lanes
@@ -607,46 +615,72 @@ def _lane_offsets(buf: np.ndarray, pos: int, end: int, n: int):
         g += 1
         g *= behind
         p += g
-    entered = p.copy()
+    entries = p.copy()
     counts = np.zeros(lanes, dtype=np.int64)
-    steps = []
+    # a lane steps at least one byte at a time from its entry to below hi
+    lens = np.empty((int((hi - entries).max()), lanes), dtype=np.uint8)
+    k = 0
     while (live := p < hi).any():
-        d = buf[np.minimum(p, end - 1)]
+        d = np.take(buf[:end], p, out=lens[k], mode="clip")
         d *= live
-        steps.append(d)
         p += d
         p += live
         counts += live
-    if (entered[0] != pos or p[-1] != end or not np.array_equal(p[:-1], entered[1:])
+        k += 1
+    if (entries[0] != pos or p[-1] != end or not np.array_equal(p[:-1], entries[1:])
             or counts.sum() != n):
         return None
-    offsets = np.empty(n + 1, dtype=np.int64)
-    offsets[0] = pos
-    if steps:
-        lens = np.stack(steps, axis=1)
-        np.add(lens[np.arange(len(steps)) < counts[:, None]], 1, out=offsets[1:], dtype=np.int64)
-    np.cumsum(offsets, out=offsets)
-    return offsets
+    return entries, counts, lens[:k]
 
 
 def load_coeffs(path: str) -> CoeffTable:
     """Read a table written by save_coeffs, HICF or CSV.
 
+    The file is mapped read-only, or read whole when it reports no size
+    (an empty file, a pipe). save_coeffs replaces a file atomically, so it
+    never disturbs a load; a file rewritten in place by another program
+    while it loads is outside this contract.
+
     HICF: magic, version, checksum and weight 13 are checked, and N against
-    the record bytes before anything is allocated. Record starts are found
-    by the lane walk of _lane_offsets, whose certificate proves them equal
-    to those of the record-by-record walk _record_offsets. When the
-    certificate fails, that sequential walk runs instead, and it alone
-    raises FormatError for a stream that ends early or leaves trailing
-    bytes, so the format and every rejection are the same as without the
-    lanes. The records of at most 8 bytes are then read, _CHUNK at a time,
-    as 8-byte words at those offsets and sign-extended from their length
-    straight into alpha; longer ones are decoded one by one, into an object
-    array once some value lies outside int64. A record of length 0 raises
-    FormatError.
+    the record bytes before anything is allocated. Records are found by the
+    lane walk of _lane_walk, whose certificate proves them equal to those of
+    the record-by-record walk _record_lengths. When the certificate fails,
+    that sequential walk runs instead, and it alone raises FormatError for a
+    stream that ends early or leaves trailing bytes, so the format and every
+    rejection are the same as without the lanes. A record of length 0 raises
+    FormatError. The records are then decoded one block of lanes at a time
+    (about _CHUNK records; the sequential walk's records form one block):
+    those of at most 8 bytes are read as 8-byte words at their payload
+    starts and sign-extended from their length straight into alpha, longer
+    ones are decoded one by one, into an object array once some value lies
+    outside int64. alpha is the one array of the table's size the load
+    allocates, and it owns its data.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        if os.fstat(fh.fileno()).st_size == 0:
+            return _load_data(path, fh.read())
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return _load_data(path, data)
+
+
+def _sequential_walk(path: str, data, pos: int, end: int, n: int):
+    """_lane_walk's result for the record-by-record walk _record_lengths: one
+    lane of n steps. FormatError for a stream that ends early or leaves
+    trailing bytes."""
+    try:
+        lens = np.fromiter(_record_lengths(data, pos, end, n), np.uint8, n)
+    except IndexError:
+        raise FormatError(f"{path}: record stream ends early") from None
+    stop = pos + n + int(lens.sum(dtype=np.int64))
+    if stop > end:
+        raise FormatError(f"{path}: record stream ends early at n={n}")
+    if stop < end:
+        raise FormatError(f"{path}: {end - stop} trailing bytes after records")
+    return np.array([pos]), np.array([n]), lens[:, None]
+
+
+def _load_data(path: str, data) -> CoeffTable:
+    """load_coeffs on the file's contents, bytes or a read-only map."""
     if (magic := data[: len(_MAGIC)]) != _MAGIC:
         text = data[:4096].decode("utf-8", errors="ignore")
         if "," in text:
@@ -668,34 +702,46 @@ def load_coeffs(path: str) -> CoeffTable:
     # every record takes at least two bytes; check before allocating N slots
     if 2 * N > end - pos:
         raise FormatError(f"{path}: header N={N} exceeds what {end - pos} record bytes hold")
+    # alpha before the walk's temporaries: allocated after them, it left the
+    # table workload's peak RSS about 6 MB higher
+    alpha = np.zeros(N + 1, dtype=np.int64)
     buf = np.frombuffer(data, dtype=np.uint8)
-    offsets = _lane_offsets(buf, pos, end, N)
-    if offsets is None:
-        try:
-            offsets = np.fromiter(_record_offsets(memoryview(data)[:end], pos, N), np.int64, N + 1)
-        except IndexError:
-            raise FormatError(f"{path}: record stream ends early") from None
-        if offsets[-1] > end:
-            raise FormatError(f"{path}: record stream ends early at n={N}")
-        if offsets[-1] < end:
-            raise FormatError(f"{path}: {end - offsets[-1]} trailing bytes after records")
-    starts = offsets[:-1]  # each was read as a length byte, so lies below end
-    lens = buf[starts]
-    empty = np.flatnonzero(lens == 0)
-    if empty.size:
-        raise FormatError(f"{path}: record n={empty[0] + 1} has length 0")
-    starts += 1  # now where each payload starts
     # the word at offset i is bytes i..i+7, inside data up to i = end
     words = np.ndarray((end + 1,), dtype="<u8", buffer=data, strides=(1,))
-    alpha = np.zeros(N + 1, dtype=np.int64)
-    for i in range(0, N, _CHUNK):
-        shift = 64 - 8 * np.minimum(lens[i : i + _CHUNK], 8)
-        vals = words[starts[i : i + _CHUNK]]
-        vals <<= shift
-        np.right_shift(vals.view(np.int64), shift, out=alpha[1 + i : 1 + i + _CHUNK])
-    wide = np.flatnonzero(lens > 8).tolist()
-    big = [int.from_bytes(data[p : p + n], "little", signed=True)
-           for p, n in zip(starts[wide].tolist(), lens[wide].tolist())]
+    try:
+        entries, counts, lens = (_lane_walk(buf, pos, end, N)
+                                 or _sequential_walk(path, data, pos, end, N))
+        rows = np.arange(lens.shape[0])[:, None]
+        per = max(1, _CHUNK // max(1, rows.size))
+        wide, big = [], []
+        done = 0  # records decoded so far
+        for i in range(0, counts.size, per):
+            block = lens[:, i : i + per]
+            live = rows < counts[i : i + per]
+            ln = block.T[live.T]  # lane by lane, so in record order
+            empty = np.flatnonzero(ln == 0)
+            if empty.size:
+                raise FormatError(f"{path}: record n={done + empty[0] + 1} has length 0")
+            # payload starts: the lane's entry plus the inclusive cumsum of
+            # 1 + length, less the record's own length
+            starts = block.astype(np.int64)
+            starts += 1
+            np.cumsum(starts, axis=0, out=starts)
+            starts -= block
+            starts += entries[i : i + per]
+            starts = starts.T[live.T]
+            shift = 64 - 8 * np.minimum(ln, 8)
+            vals = words[starts]
+            vals <<= shift
+            np.right_shift(vals.view(np.int64), shift, out=alpha[1 + done : 1 + done + ln.size])
+            at = np.flatnonzero(ln > 8)
+            wide += (at + done).tolist()
+            big += [int.from_bytes(data[p : p + n], "little", signed=True)
+                    for p, n in zip(starts[at].tolist(), ln[at].tolist())]
+            done += ln.size
+    finally:
+        # a view of data left in a raising frame would keep the map from closing
+        del buf, words
     if any(not -(1 << 63) <= v < 1 << 63 for v in big):
         alpha = alpha.astype(object)
     for i, v in zip(wide, big):

@@ -7,6 +7,9 @@ gives it at least 4 lanes.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -80,9 +83,18 @@ def walk_reference(body: bytes):
 
 
 def lane_offsets(body: bytes):
-    """The loader's lane walk over a checksummed-away HICF body."""
+    """The record offsets of the loader's lane walk over a checksummed-away
+    HICF body, rebuilt from each lane's entry and length bytes; None where
+    the walk does not certify them."""
     N = int.from_bytes(body[12:20], "little")
-    return qseries._lane_offsets(np.frombuffer(body, dtype=np.uint8), HEADER, len(body), N)
+    walk = qseries._lane_walk(np.frombuffer(body, dtype=np.uint8), HEADER, len(body), N)
+    if walk is None:
+        return None
+    entries, counts, lens = walk
+    out = [np.array([entries[0]])]
+    for entry, count, row in zip(entries, counts, lens.T):
+        out.append(entry + np.cumsum(row[:count].astype(np.int64) + 1))
+    return np.concatenate(out)
 
 
 def lanes(body: bytes) -> int:
@@ -265,3 +277,60 @@ def test_unsynced_lanes_fall_back_to_sequential_walk(tmp_path):
     back = load_coeffs(path)
     assert back.alpha.dtype == np.int64
     assert back.alpha.tolist() == [0] + values
+
+
+def test_empty_file_is_bad_magic(tmp_path, capsys):
+    # an empty file is read, not mapped: a map of it would raise ValueError
+    path = write(tmp_path, b"")
+    assert cli.main(["signchanges", "--limit", "4", "--coeffs", path]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: bad magic b''\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_is_read_whole(tmp_path):
+    # a pipe reports no size, so it is read, not mapped
+    values = [1, 0, 0, -56, 0, 0, 0, 0, 252]
+    body = encode_reference(values)
+    r, w = os.pipe()
+    try:
+        os.write(w, body)
+        os.close(w)
+        back = load_coeffs(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert back.alpha.tolist() == [0] + values
+
+
+def test_loaded_alpha_is_owned_and_writeable(tmp_path):
+    # no view of the mapped file outlives the load
+    path = tmp_path / "t.hicf"
+    save_coeffs(CoeffTable([0] + BLOCK), str(path))
+    alpha = load_coeffs(str(path)).alpha
+    assert alpha.flags.owndata and alpha.flags.writeable
+    alpha[1] += 1
+    assert alpha.tolist() == [0, BLOCK[0] + 1] + BLOCK[1:]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_load_grows_rss_by_alpha_alone(tmp_path):
+    # in a fresh interpreter, after a build that freed a table-sized array:
+    # the load's resident growth is alpha and at most 6 MiB besides. Reading
+    # the file into a bytes object and holding int64 record offsets grew it
+    # by 45 MiB
+    code = (
+        "import os, sys\n"
+        "from halfint import qseries\n"
+        "def rss():\n"
+        "    with open('/proc/self/statm') as fh:\n"
+        "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "t = qseries.delta_halfintegral(2_100_000)\n"
+        "qseries.save_coeffs(t, sys.argv[1])\n"
+        "del t\n"
+        "before = rss()\n"
+        "alpha = qseries.load_coeffs(sys.argv[1]).alpha\n"
+        "print(rss() - before, alpha.nbytes)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.hicf")],
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    grown, nbytes = map(int, out.split())
+    assert grown <= nbytes + 6 * 2**20, (grown, nbytes)

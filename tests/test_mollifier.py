@@ -1,5 +1,6 @@
 import collections
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -350,6 +351,22 @@ class TestNuFunctions:
             ell = int(rng.integers(1, 4))
             assert mo.nu_truncated(r, n, ell) <= mo.nu_fold(r, n)
 
+    def test_truncated_equals_ordered_factorizations(self):
+        # brute force over every ordered r-tuple of divisors with product n
+        def omega(n):
+            return sum(e for _, e in _factor(n))
+
+        def brute(r, n, ell):
+            if r == 1:
+                return nu(n) if omega(n) <= ell else Fraction(0)
+            return sum((nu(d) * brute(r - 1, n // d, ell) for d in range(1, n + 1)
+                        if n % d == 0 and omega(d) <= ell), Fraction(0))
+
+        for r in (1, 2, 3):
+            for ell in (1, 2, 3, 5):
+                for n in range(1, 130):
+                    assert mo.nu_truncated(r, n, ell) == brute(r, n, ell), (r, n, ell)
+
     def test_nu_fold_is_convolution(self):
         # direct 2-fold Dirichlet convolution of nu with itself
         for n in (4, 12, 36, 48):
@@ -425,6 +442,14 @@ class TestExpansionCheck:
         coef_p = h_p * a_p * (-1) / (0.5 * math.sqrt(p))
         assert coef_1 > 0
         assert coef_p < 0
+
+    def test_fourth_order_under_a_second(self, tab):
+        # l kappa = 4 on a fresh configuration, so the support and its
+        # weights h are built inside the timed call
+        cfg = tiny_mollifier_configs()[0]
+        t0 = time.process_time()
+        assert mo.dirichlet_expansion_check(8, 0.5, 8.0, cfg, tab)
+        assert time.process_time() - t0 < 1.0
 
     def test_big_config_rejected(self, params, tab):
         with pytest.raises(ValueError):

@@ -204,9 +204,15 @@ class TestDeltaHalfIntegral:
         assert data[-8:].hex() == pins["hicf_checksum_2100000"]
         # the loader's lane walk certifies the record starts of the full table
         buf = np.frombuffer(data, dtype=np.uint8)
-        walked = qseries._lane_offsets(buf, 20, len(data) - 8, big_table.N)
-        assert walked is not None
-        sequential = np.fromiter(qseries._record_offsets(data, 20, big_table.N), np.int64)
+        end = len(data) - 8
+        walk = qseries._lane_walk(buf, 20, end, big_table.N)
+        assert walk is not None
+        entries, counts, lens = walk
+        walked = np.concatenate([[20]] + [
+            entry + np.cumsum(row[:count].astype(np.int64) + 1)
+            for entry, count, row in zip(entries, counts, lens.T)])
+        steps = np.fromiter(qseries._record_lengths(data, 20, end, big_table.N), np.int64)
+        sequential = np.concatenate([[20], 20 + np.cumsum(steps + 1)])
         assert np.array_equal(walked, sequential)
         back = load_coeffs(str(path))
         assert back.alpha.dtype == np.int64
