@@ -249,10 +249,12 @@ def taylor_bound_holds(ells: tuple, points: int) -> bool:
 
 
 def expansion_identity_holds(tab: HeckeTable) -> bool:
-    """The Dirichlet expansion identity on the tiny mollifier configurations."""
+    """The Dirichlet expansion identity on the tiny mollifier configurations,
+    at every moment order l*kappa = 1..4 that build_params accepts."""
     return all(
         mollifier.dirichlet_expansion_check(m, 0.5, l, cfg, tab)
-        for cfg, l in zip(tiny_mollifier_configs(), (2.0, 4.0, 2.0))
+        for cfg in tiny_mollifier_configs()
+        for l in (2.0, 4.0, 6.0, 8.0)
         for m in (8, 24, 40, 104)
     )
 
@@ -332,9 +334,7 @@ def modularity_panel() -> list:
 
 def _suite_mollifier():
     tab = build_hecke_table(200)
-    params = mollifier.build_params(
-        x=1.0e6, l=2.0, kappa=0.5, eta2=0.2, c0=2.0, theta0_override=0.1
-    )
+    params = mollifier.build_params(x=1.0e6, kappa=0.5, eta2=0.2, c0=2.0, theta0_override=0.1)
     ms = 8 * np.arange(1, 400)
     mollifier.mollifier_value(ms, 0.5, params, tab)  # raises unless positive
     worst = 0.0
@@ -556,7 +556,11 @@ def _resolve(cmd: str, flags: dict) -> dict:
     given = {}
     if (config := texts["config"]) is not None:
         with open(config, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{config}: {exc}") from None
+            for lineno, line in enumerate(lines, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
@@ -619,12 +623,12 @@ def _dispatch(cmd: str, o: dict):
         print(f"# rel_std_dev = {rel_std:.3e}", file=sys.stderr)
         return rows, 0 if ok else 1
     if cmd == "moments":
-        table = load_coeffs(o["coeffs"])
+        # build_params checks user input, so it runs before the table is read
         params = htab = None
         if o["mollify"] is not None:
             params = mollifier.build_params(**o["mollify"])
             htab = build_hecke_table(max(200, math.ceil(params.intervals[-1][1]) + 1))
-        return cmd_moments(o["blocks"], table, params, htab), 0
+        return cmd_moments(o["blocks"], load_coeffs(o["coeffs"]), params, htab), 0
     if cmd == "shifted":
         return cmd_shifted(o["h"], o["v"], o["delta"], o["xgrid"], load_coeffs(o["coeffs"])), 0
     if cmd == "jutila":

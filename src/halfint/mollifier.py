@@ -37,7 +37,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -70,10 +69,8 @@ class MollifierParams:
     ell: list
     intervals: list
     primes: list = field(repr=False)
-    # per-block memos for one table: the prime weights keyed by j (see
-    # _prime_weights) and the enumerated supports keyed by (j, max_omega)
-    # (see _support)
-    _supports: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # the memo of each block for one table, keyed by j (see _block)
+    _blocks: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def J(self) -> int:
@@ -188,36 +185,35 @@ def coeff_a(p: int, params: MollifierParams, t: HeckeTable) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _PrimeWeights:
-    """a(p) and a(p)/sqrt(p) over the primes of one block, in order, for the
-    table they were built from."""
+class _Block:
+    """What one block keeps for the table it was built from: a(p) and
+    a(p)/sqrt(p) over its primes, in order, and its supports keyed by
+    max_omega (see _support)."""
 
     table: HeckeTable
     a: list
     a_over_sqrt: list
+    supports: dict = field(default_factory=dict)
 
 
-def _prime_weights(j: int, params: MollifierParams, t: HeckeTable) -> _PrimeWeights:
-    """The weights of block j, computed once per block and table."""
-    entry = params._supports.get(j)
-    if entry is not None and entry.table is t:
-        return entry
-    a = [coeff_a(p, params, t) for p in params.primes[j]]
-    entry = _PrimeWeights(
-        table=t, a=a, a_over_sqrt=[ap / math.sqrt(p) for ap, p in zip(a, params.primes[j])]
-    )
-    params._supports[j] = entry
-    return entry
+def _block(j: int, params: MollifierParams, t: HeckeTable) -> _Block:
+    """The memo of block j, built once per block and table."""
+    block = params._blocks.get(j)
+    if block is None or block.table is not t:
+        a = [coeff_a(p, params, t) for p in params.primes[j]]
+        block = params._blocks[j] = _Block(
+            table=t, a=a, a_over_sqrt=[ap / math.sqrt(p) for ap, p in zip(a, params.primes[j])])
+    return block
 
 
 def p_sum(m, j: int, params: MollifierParams, t: HeckeTable):
     """P_{I_j}(m) = sum over primes p in I_j of a(p)(m|p)/sqrt(p), for an int
     m or an int array. A scalar reads kronecker(m, p) and an array the row of
     (r|p); both add a(p)/sqrt(p) times the same +-1 or 0, so both round alike.
-    a(p)/sqrt(p) is read from the block's memo (_prime_weights)."""
+    a(p)/sqrt(p) is read from the block's memo (_block)."""
     scalar = np.ndim(m) == 0
     acc = 0.0 if scalar else np.zeros(np.shape(m))
-    for p, w in zip(params.primes[j], _prime_weights(j, params, t).a_over_sqrt):
+    for p, w in zip(params.primes[j], _block(j, params, t).a_over_sqrt):
         if scalar:
             sym = kronecker(m, p)
         else:
@@ -266,31 +262,25 @@ def e_truncated(t, ell: int):
 
 @dataclass(frozen=True, eq=False)
 class _Support:
-    """The I_j-smooth n with Omega(n) <= max_omega in DFS order, for the table
-    they were built from: expo[i, k] is the exponent of params.primes[j][k]
-    in n[i], and nu[i] = 1 / prod e!. Two memos ride on it: signed[kappa]
-    holds kappa^{-Omega} a(n) (-1)^Omega (see _block_sum), and h[l kappa]
-    the weights of dirichlet_expansion_check; neither depends on m."""
+    """The I_j-smooth n with Omega(n) <= max_omega in DFS order, kept in its
+    block's memo (_block): expo[i, k] is the exponent of params.primes[j][k] in
+    n[i], aval[i] = a(n[i]) and nu[i] = 1 / prod e!; none depends on m or kappa."""
 
-    table: HeckeTable
     n: list
     expo: np.ndarray
     omega: np.ndarray
     aval: np.ndarray
     nu: np.ndarray
     sqrt_n: np.ndarray
-    signed: dict = field(default_factory=dict, repr=False)
-    h: dict = field(default_factory=dict, repr=False)
 
 
 def _support(j: int, max_omega: int, params: MollifierParams, t: HeckeTable) -> _Support:
-    """The block support, enumerated once per (j, max_omega) and table by a
+    """The support of block j, enumerated once per max_omega and table by a
     DFS over the block primes; a(n) is the running product of the a(p)."""
-    entry = params._supports.get((j, max_omega))
-    if entry is not None and entry.table is t:
-        return entry
+    block = _block(j, params, t)
+    if max_omega in block.supports:
+        return block.supports[max_omega]
     plist = params.primes[j]
-    a_at = _prime_weights(j, params, t).a
     ns, expo, omega, aval, nu = [], [], [], [], []
     cur = [0] * len(plist)
 
@@ -308,14 +298,13 @@ def _support(j: int, max_omega: int, params: MollifierParams, t: HeckeTable) -> 
             pe, ak = n, av
             for e in range(1, max_omega - om + 1):
                 pe *= plist[k]
-                ak *= a_at[k]
+                ak *= block.a[k]
                 cur[k] = e
                 rec(k + 1, pe, om + e, ak, fac * factorial(e))
             cur[k] = 0
 
     rec(0, 1, 0, 1.0, 1)
-    entry = _Support(
-        table=t,
+    entry = block.supports[max_omega] = _Support(
         n=ns,
         expo=np.array(expo, dtype=np.min_scalar_type(max_omega)),
         omega=np.array(omega, dtype=np.int64),
@@ -323,7 +312,6 @@ def _support(j: int, max_omega: int, params: MollifierParams, t: HeckeTable) -> 
         nu=np.array(nu, dtype=np.float64),
         sqrt_n=np.array([math.sqrt(n) for n in ns], dtype=np.float64),
     )
-    params._supports[(j, max_omega)] = entry
     return entry
 
 
@@ -342,15 +330,10 @@ def _block_sum(
     """sum of kappa^{-Omega} a(n) (-1)^Omega weight(n) (m|n)/sqrt(n) over
     the support: each term is rounded as that product is, left to right, and
     the terms are added in DFS order, so the result is bit-identical to a
-    Python loop over the support. The first three factors do not depend on
-    m, so their product is formed once per support and kappa (s.signed);
-    the sign factor is exact, so the product is the one a loop rounds."""
-    signed = s.signed.get(kappa)
-    if signed is None:
-        kpow = np.array([kappa ** (-w) for w in range(int(s.omega.max()) + 1)])
-        sgn = np.where(s.omega % 2 == 1, -1.0, 1.0)
-        signed = s.signed[kappa] = kpow[s.omega] * s.aval * sgn
-    terms = signed * weight * _twist_signs(m, j, params, s) / s.sqrt_n
+    Python loop over the support. The sign rides on kappa^{-Omega}, which
+    leaves each rounding as it was: -1 is exact and rounding is symmetric."""
+    kpow = np.array([(-1) ** w * kappa ** (-w) for w in range(int(s.omega.max()) + 1)])
+    terms = kpow[s.omega] * s.aval * weight * _twist_signs(m, j, params, s) / s.sqrt_n
     return float(np.cumsum(terms)[-1])
 
 
@@ -410,7 +393,7 @@ def nu_fold(j: int, n: int) -> Fraction:
 def nu_truncated(r: int, n: int, ell: int) -> Fraction:
     """sum over ordered factorizations n = n_1 ... n_r with every
     Omega(n_i) <= ell of nu(n_1) ... nu(n_r). For n = prod p^{a_p} with
-    Omega(n) = sum a_p this is _capped_maps(r, Omega(n), ell) / prod a_p!:
+    Omega(n) = sum a_p this is _capped_maps(r, ell, Omega(n))[Omega(n)] / prod a_p!:
     the sum of prod_p x_p^{v_p} / v_p! over the exponent vectors v with
     |v| = c is s^c / c!, s = sum_p x_p, so the r slots give the coefficient
     of prod_p x_p^{a_p} in E_ell(s)^r."""
@@ -420,17 +403,24 @@ def nu_truncated(r: int, n: int, ell: int) -> Fraction:
     for _, a in factorize_small(n).prime_powers:
         omega += a
         den *= factorial(a)
-    return Fraction(_capped_maps(r, omega, ell), den)
+    return Fraction(_capped_maps(r, ell, omega)[omega], den)
 
 
-@lru_cache(maxsize=None)
-def _capped_maps(r: int, omega: int, ell: int) -> int:
-    """The maps from an omega-element set to r slots with no slot taking
-    more than ell elements, omega! [s^omega] E_ell(s)^r."""
-    if r == 0:
-        return int(omega == 0)
-    return sum(comb(omega, c) * _capped_maps(r - 1, omega - c, ell)
-               for c in range(min(ell, omega) + 1))
+def _capped_maps(r: int, ell: int, top: int) -> list:
+    """omega! [s^omega] E_ell(s)^r for omega = 0..top: the maps from an omega-set to
+    r slots with no slot taking more than ell elements, counted a slot at a time."""
+    row = [1] + [0] * top
+    for _ in range(r):
+        row = [sum(comb(o, c) * row[o - c] for c in range(min(ell, o) + 1)) for o in range(top + 1)]
+    return row
+
+
+def _expansion_weights(s: _Support, lk: int, ell: int) -> np.ndarray:
+    """h(n) = nu_truncated(lk, n, ell) over the support: the count at Omega(n)
+    as a float, times nu(n). It rounds up to three times where the Fraction
+    rounds once, so each weight is within 4u of float(nu_truncated(...))."""
+    row = np.array([float(c) for c in _capped_maps(lk, ell, int(s.omega.max()))])
+    return row[s.omega] * s.nu
 
 
 def dirichlet_expansion_check(
@@ -450,12 +440,9 @@ def dirichlet_expansion_check(
     the two agree to a relative _EXPANSION_TOL. Only enumerable configurations
     (at most 3 primes per block, J <= 2) and l*kappa in [1, 4] are accepted.
 
-    h is one Fraction per support element, an integer count from
-    _capped_maps over prod a_p!, so it is kept with the block support, keyed
-    by l*kappa (s.h), and later m reuse it. On cli.tiny_mollifier_configs()[0]
-    at m = 8 (2 925 support elements at l*kappa = 3) one fresh call took
-    0.003, 0.005, 0.015 and 0.040 s CPU at l*kappa = 1, 2, 3 and 4, and a
-    second m 0.0003 s (2-vCPU Xeon)."""
+    The supports come from the blocks' memo and h is gathered on each call
+    (_expansion_weights). A fresh cli.tiny_mollifier_configs()[0] at m = 8 took
+    0.0003, 0.001, 0.007 and 0.013 s CPU at l*kappa = 1..4 (2-vCPU Xeon)."""
     lk = _moment_order(l, kappa)
     if params.J > 2 or any(len(ps) > 3 for ps in params.primes):
         raise ValueError("expansion check needs a tiny configuration")
@@ -463,9 +450,6 @@ def dirichlet_expansion_check(
     rhs = math.log(params.x) ** (l / 2.0)
     for j in range(params.J + 1):
         s = _support(j, lk * params.ell[j], params, t)
-        h = s.h.get(lk)
-        if h is None:
-            h = s.h[lk] = np.array([float(nu_truncated(lk, n, params.ell[j])) for n in s.n])
-        rhs *= _block_sum(m, j, kappa, h, params, s)
+        rhs *= _block_sum(m, j, kappa, _expansion_weights(s, lk, params.ell[j]), params, s)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale <= _EXPANSION_TOL

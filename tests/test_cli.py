@@ -280,6 +280,15 @@ class TestCliEndToEnd:
         r = run_cli(argv, timeout=60)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {named}\n")
 
+    def test_mollify_is_checked_before_the_table_is_read(self, tmp_path, capsys):
+        # a usage error in --mollify exits 2 even when --coeffs is corrupt
+        bad = tmp_path / "bad.hicf"
+        bad.write_bytes(b"not a table")
+        argv = ["moments", "--blocks", "4", "--coeffs", str(bad), "--mollify", "theta0=0.1,x=inf"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: mollifier length x must satisfy 1 < x < inf, got inf\n")
+
     # each key with two valid values whose moments reports differ
     MOLLIFY_VALUES = {"x": ("2097152", "3e6"), "kappa": ("0.5", "1"), "eta2": ("0.2", "0.3"),
                       "c0": ("2", "3"), "theta0": ("0.08", "0.1")}
@@ -489,6 +498,14 @@ class TestConfigFile:
         assert cli.main(["--config", str(tmp_path), "jutila", "--qgrid", "300"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"qgrid = 3\xff00\n")
+        assert cli.main(["--config", str(cfg), "jutila"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_coeffs_weight_12_writes_no_table(self, tmp_path, source):

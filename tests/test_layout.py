@@ -32,6 +32,10 @@ A fifth keeps every option used: each key of cli._GLOBAL and of each
 subcommand's table in cli._COMMANDS is read as a string subscript in
 cli.main or cli._dispatch, so no option parses and then goes unread.
 
+A sixth keeps global caches few: every function in src/halfint that
+functools.lru_cache or functools.cache decorates is listed, with its reason,
+in ALLOWED_CACHES.
+
 The last test runs code: it installs the bench tracer of
 perfbench/tracing.py, which looks up its names of src/halfint by string, so
 that a name it can no longer find fails here and not only in a traced bench
@@ -54,6 +58,13 @@ MODULES = {path.stem for path in SRC.glob("*.py")}
 ALLOWED_TEST_ONLY: dict = {
     "first_moment_scan": "the twisted first moment of central values; only the twists "
     "bench workload and the first-moment pins reach it until a subcommand reports it",
+}
+
+# Functions that a process-wide functools cache may hold, each with its reason.
+# State derived from one object belongs on that object, not here.
+ALLOWED_CACHES: dict = {
+    "expsums._gauss_tables": "one modulus's root table, reused across the l sweep of the "
+    "Gauss oracle",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
@@ -356,6 +367,50 @@ def test_every_option_is_read():
     assert {"format", "out", "limit", "coeffs_out", "mollify"} <= keys
     unread = keys - _subscripts_read(tree, {"main", "_dispatch"})
     assert not unread, "options that main and _dispatch never read: " + ", ".join(sorted(unread))
+
+
+def _cached_functions(tree: ast.AST) -> set:
+    """The functions of one file that functools.lru_cache or functools.cache
+    decorates, called or not, under the file's own import spellings."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(a.asname or a.name for a in node.names
+                         if a.name in ("lru_cache", "cache"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if (isinstance(dec, ast.Name) and dec.id in names) or (
+                        isinstance(dec, ast.Attribute) and dec.attr in ("lru_cache", "cache")
+                        and isinstance(dec.value, ast.Name) and dec.value.id in modules):
+                    out.add(node.name)
+    return out
+
+
+def test_every_global_cache_is_allowed():
+    found = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in _cached_functions(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == set(ALLOWED_CACHES), (
+        f"not in ALLOWED_CACHES: {sorted(found - set(ALLOWED_CACHES))}; "
+        f"listed but gone: {sorted(set(ALLOWED_CACHES) - found)}")
+
+
+def test_cache_finder_reads_every_spelling():
+    code = ast.parse(
+        "import functools\nimport functools as ft\nfrom functools import cache as memo, wraps\n"
+        "from functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@ft.cache\ndef b(): pass\n"
+        "@memo\ndef c(): pass\n"
+        "@lru_cache\ndef d(): pass\n"
+        "@wraps(a)\ndef e(): pass\n"
+        "@other.cache\ndef f(): pass\n"
+    )
+    assert _cached_functions(code) == {"a", "b", "c", "d"}
 
 
 def test_bench_tracer_finds_its_names():

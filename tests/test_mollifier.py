@@ -1,4 +1,3 @@
-import collections
 import math
 import time
 from fractions import Fraction
@@ -391,35 +390,32 @@ def nu(n):
 
 class TestExpansionCheck:
     def test_tiny_configs(self, tab):
-        configs = tiny_mollifier_configs()
-        for cfg, l in zip(configs, (2.0, 4.0, 2.0)):
-            for m in (8, 24, 40, 104, 168):
-                assert mo.dirichlet_expansion_check(m, 0.5, l, cfg, tab)
+        for cfg in tiny_mollifier_configs():
+            for l in (2.0, 4.0, 6.0, 8.0):
+                for m in (8, 24, 40, 104, 168):
+                    assert mo.dirichlet_expansion_check(m, 0.5, l, cfg, tab), (l, m)
 
-    def test_weights_computed_once_per_support(self, tab, monkeypatch):
-        # over four m on one configuration each h(n) = nu_truncated(l kappa,
-        # n, ell_0) is computed once, and each verdict is the one a fresh
-        # configuration gives
-        ms = (8, 24, 40, 104)
-        fresh = [mo.dirichlet_expansion_check(m, 0.5, 2.0, tiny_mollifier_configs()[0], tab)
-                 for m in ms]
-        calls = collections.Counter()
-        nu_truncated = mo.nu_truncated
+    def test_weights_match_nu_truncated(self, tab):
+        # the gathered h(n) against the exact Fraction, rounded once, on
+        # every support element of the tiny configurations at l kappa = 1..4
+        u = 2.0**-53
+        for cfg in tiny_mollifier_configs():
+            for lk in (1, 2, 3, 4):
+                for j, ell in enumerate(cfg.ell):
+                    s = mo._support(j, lk * ell, cfg, tab)
+                    got = mo._expansion_weights(s, lk, ell)
+                    want = np.array([float(mo.nu_truncated(lk, n, ell)) for n in s.n])
+                    assert got.shape == want.shape
+                    assert np.all(np.abs(got - want) <= 4 * u * want), (lk, j)
 
-        def counted(r, n, ell):
-            calls[(r, n, ell)] += 1
-            return nu_truncated(r, n, ell)
-
-        monkeypatch.setattr(mo, "nu_truncated", counted)
-        cfg = tiny_mollifier_configs()[0]  # one block of three primes
-        assert cfg.J == 0 and len(cfg.primes[0]) == 3
-        assert [mo.dirichlet_expansion_check(m, 0.5, 2.0, cfg, tab) for m in ms] == fresh
-        assert fresh == [True] * len(ms)
-        lk, ell = 1, cfg.ell[0]
-        # the 3-prime support of Omega <= lk ell has comb(3 + lk ell, 3) elements
-        assert len(calls) == math.comb(3 + lk * ell, 3)
-        assert {(r, e) for r, _, e in calls} == {(lk, ell)}
-        assert set(calls.values()) == {1}
+    def test_reused_configuration_gives_the_fresh_verdicts(self, tab):
+        # one configuration's memo across l kappa and m against fresh ones
+        cfg = tiny_mollifier_configs()[0]
+        for l in (2.0, 4.0, 6.0, 8.0):
+            for m in (8, 24, 40, 104):
+                fresh = mo.dirichlet_expansion_check(m, 0.5, l, tiny_mollifier_configs()[0], tab)
+                assert fresh
+                assert mo.dirichlet_expansion_check(m, 0.5, l, cfg, tab) == fresh, (l, m)
 
     def test_lk1_reduces_to_m_itself(self, tab):
         cfg = tiny_mollifier_configs()[0]
