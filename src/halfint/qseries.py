@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import operator
 import os
@@ -230,9 +231,9 @@ def delta_halfintegral(N: int) -> CoeffTable:
                 off = (m * m) >> 2  # column off + b holds n = m^2 + 4b, 1 <= b <= (N - m^2)/4
                 if off + 1 >= hi:
                     break
-                c0, c1 = max(lo, off + 1), min(hi, off + 1 + ((N - m * m) >> 2))
-                if c0 < c1:
-                    np.add(a[c0 - lo : c1 - lo], src[c0 - off : c1 - off], out=a[c0 - lo : c1 - lo])
+                # m = row (mod 2), so m^2 = row (mod 4) and off + ((N - m^2) >> 2) = top >= hi - 1
+                c0 = max(lo, off + 1)
+                np.add(a[c0 - lo :], src[c0 - off : hi - off], out=a[c0 - lo :])
             n = np.arange(4 * lo + row, 4 * hi + row, 4, dtype=np.int64)
             # alpha mod 2^64
             u = a.view(np.uint64)
@@ -562,17 +563,6 @@ def save_coeffs(t: CoeffTable, path: str) -> None:
         fh.write(h.digest())
 
 
-def _record_lengths(data, pos: int, end: int, n: int):
-    """The length bytes of n records laid end to end from pos; IndexError
-    once one would lie at or past end."""
-    for _ in range(n):
-        if pos >= end:
-            raise IndexError(pos)
-        length = data[pos]
-        yield length
-        pos += 1 + length
-
-
 # the lane walk: at most _LANES lanes, each over a window of at least
 # _LANE_BYTES record bytes, each syncing from _SYNC_BYTES before its window
 _LANES = 1 << 13
@@ -584,21 +574,22 @@ _SYNC_MAX_LEN = 11
 
 
 def _lane_walk(buf: np.ndarray, pos: int, end: int, n: int):
-    """The n records that _record_lengths(buf, pos, end, n) reads, found by
-    lanes that walk byte windows of [pos, end) in lockstep; None when the
-    walk cannot certify them. Lane i enters at byte entries[i] and steps
-    counts[i] records, whose length bytes are lens[:counts[i], i].
+    """The length bytes of the n records that _sequential_walk reads from
+    [pos, end), found by lanes that walk byte windows of it in lockstep, as
+    a (steps, lanes) uint8 matrix; None when the walk cannot certify them.
+    Lane i's column holds its length bytes, then zeros once it has exited,
+    so the nonzero bytes, lane by lane, are the records' in order.
 
     Lane i syncs from _SYNC_BYTES before its window [lo_i, hi_i) by guessed
     steps (a byte above _SYNC_MAX_LEN steps 1, any other a whole record)
     until it reaches lo_i, where it enters; it then steps true record
     lengths while below hi_i, recording each length byte, and exits where
     it stops. The certificate: lane 0 enters at pos, every lane exits where
-    the next one entered, the last exits at end and the lanes step n
-    records in all. Then by induction from pos every entry is a true record
-    start, and the lanes' length bytes, laid end to end, are those of the n
-    records the sequential walk reads, ending at end. Every byte read lies
-    below end.
+    the next one entered, the last exits at end, and the lanes step n
+    records in all, none of length 0. Then by induction from pos every
+    entry is a true record start, and the lanes' length bytes, laid end to
+    end, are those of the n records the sequential walk reads, ending at
+    end. Every byte read lies below end.
     """
     lanes = max(1, min(_LANES, (end - pos) // _LANE_BYTES))
     bounds = pos + np.arange(lanes + 1, dtype=np.int64) * (end - pos) // lanes
@@ -611,35 +602,36 @@ def _lane_walk(buf: np.ndarray, pos: int, end: int, n: int):
         g *= behind
         p += g
     entries = p.copy()
-    counts = np.zeros(lanes, dtype=np.int64)
     # a lane steps at least one byte at a time from its entry to below hi
     lens = np.empty((int((hi - entries).max()), lanes), dtype=np.uint8)
-    k = 0
+    steps = k = 0
     while (live := p < hi).any():
         d = np.take(buf[:end], p, out=lens[k], mode="clip")
         d *= live
         p += d
         p += live
-        counts += live
+        steps += np.count_nonzero(live)
         k += 1
+    lens = lens[:k]
     if (entries[0] != pos or p[-1] != end or not np.array_equal(p[:-1], entries[1:])
-            or counts.sum() != n):
+            or steps != n or np.count_nonzero(lens) != n):
         return None
-    return entries, counts, lens[:k]
+    return lens
 
 
 def load_coeffs(path: str) -> CoeffTable:
     """Read a table written by save_coeffs, HICF or CSV.
 
-    The file is mapped read-only (read whole if it reports no size: empty,
-    or a pipe). save_coeffs replaces files atomically; a file rewritten in
-    place while it loads is outside this contract. HICF: magic, version,
-    checksum and weight 13 are checked, and N against the record bytes
-    before anything is allocated. The records are those of the certified
-    lane walk (_lane_walk) or else of the sequential walk (_record_lengths),
-    which alone raises FormatError for a stream that ends early or leaves
-    trailing bytes; a record of length 0 raises FormatError. One block of
-    lanes at a time, records of at most 8 bytes are read as 8-byte words and
+    The file is opened once and mapped read-only (read whole if it reports
+    no size: empty, or a pipe); both formats are parsed from those bytes.
+    save_coeffs replaces files atomically; a file rewritten in place while
+    it loads is outside this contract. HICF: magic, version, checksum and
+    weight 13 are checked, and N against the record bytes before anything
+    is allocated. The record length bytes are those of the certified lane
+    walk (_lane_walk) or else of the sequential walk (_sequential_walk),
+    which alone raises FormatError for a malformed stream. The decoder reads
+    them in record order from one running byte offset, one block of lanes
+    at a time: records of at most 8 bytes are read as 8-byte words and
     sign-extended into alpha, the one array of the table's size a load
     allocates; longer ones are decoded one by one, into an object array once
     some value lies outside int64.
@@ -655,18 +647,24 @@ def load_coeffs(path: str) -> CoeffTable:
             return _load_data(path, data)
 
 
-def _sequential_walk(path: str, data, pos: int, end: int, n: int):
-    """_record_lengths as one lane of _lane_walk's result, or FormatError."""
-    try:
-        lens = np.fromiter(_record_lengths(data, pos, end, n), np.uint8, n)
-    except IndexError:
-        raise FormatError(f"{path}: record stream ends early") from None
-    stop = pos + n + int(lens.sum(dtype=np.int64))
-    if stop > end:
+def _sequential_walk(path: str, data, pos: int, end: int, n: int) -> np.ndarray:
+    """The length bytes of n records laid end to end in data from pos, as
+    one lane of _lane_walk's result. FormatError, in this order, if a
+    record would start at or past end, the records run past end, bytes
+    follow them before end, or one has length 0."""
+    lens = bytearray(n)
+    for k in range(n):
+        if pos >= end:
+            raise FormatError(f"{path}: record stream ends early")
+        lens[k] = data[pos]
+        pos += 1 + lens[k]
+    if pos > end:
         raise FormatError(f"{path}: record stream ends early at n={n}")
-    if stop < end:
-        raise FormatError(f"{path}: {end - stop} trailing bytes after records")
-    return np.array([pos]), np.array([n]), lens[:, None]
+    if pos < end:
+        raise FormatError(f"{path}: {end - pos} trailing bytes after records")
+    if 0 in lens:
+        raise FormatError(f"{path}: record n={lens.index(0) + 1} has length 0")
+    return np.frombuffer(lens, dtype=np.uint8)[:, None]
 
 
 def _load_data(path: str, data) -> CoeffTable:
@@ -674,7 +672,7 @@ def _load_data(path: str, data) -> CoeffTable:
     if (magic := data[: len(_MAGIC)]) != _MAGIC:
         text = data[:4096].decode("utf-8", errors="ignore")
         if "," in text:
-            return _load_csv(path)
+            return _load_csv(path, data)
         raise FormatError(f"{path}: bad magic {magic!r}")
     if len(data) < _HEADER.size + 8:
         raise ChecksumError(f"{path}: truncated header")
@@ -699,27 +697,22 @@ def _load_data(path: str, data) -> CoeffTable:
     # the word at offset i is bytes i..i+7, inside data up to i = end
     words = np.ndarray((end + 1,), dtype="<u8", buffer=data, strides=(1,))
     try:
-        entries, counts, lens = (_lane_walk(buf, pos, end, N)
-                                 or _sequential_walk(path, data, pos, end, N))
-        rows = np.arange(lens.shape[0])[:, None]
-        per = max(1, _CHUNK // max(1, rows.size))
+        lens = _lane_walk(buf, pos, end, N)
+        if lens is None:
+            lens = _sequential_walk(path, data, pos, end, N)
+        per = max(1, _CHUNK // max(1, lens.shape[0]))
         wide, big = [], []
-        done = 0  # records decoded so far
-        for i in range(0, counts.size, per):
-            block = lens[:, i : i + per]
-            live = rows < counts[i : i + per]
-            ln = block.T[live.T]  # lane by lane, so in record order
-            empty = np.flatnonzero(ln == 0)
-            if empty.size:
-                raise FormatError(f"{path}: record n={done + empty[0] + 1} has length 0")
-            # payload starts: the lane's entry plus the inclusive cumsum of
-            # 1 + length, less the record's own length
-            starts = block.astype(np.int64)
+        done = 0  # records decoded so far; their bytes end at pos
+        for i in range(0, lens.shape[1], per):
+            block = lens[:, i : i + per].T
+            ln = block[block != 0]  # lane by lane, so in record order
+            # payload starts: pos + cumsum(1 + ln) - ln
+            starts = ln.astype(np.int64)
             starts += 1
-            np.cumsum(starts, axis=0, out=starts)
-            starts -= block
-            starts += entries[i : i + per]
-            starts = starts.T[live.T]
+            np.cumsum(starts, out=starts)
+            starts += pos
+            pos += ln.size + int(ln.sum(dtype=np.int64))
+            starts -= ln
             shift = 64 - 8 * np.minimum(ln, 8)
             vals = words[starts]
             vals <<= shift
@@ -739,18 +732,18 @@ def _load_data(path: str, data) -> CoeffTable:
     return CoeffTable(alpha=alpha)
 
 
-def _load_csv(path: str) -> CoeffTable:
+def _load_csv(path: str, data) -> CoeffTable:
+    """The CSV table in data, the file's bytes, decoded as open() would."""
     rows = []
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0].strip().lower() == "n":
-                    continue
-                if len(row) != 2:
-                    raise FormatError(
-                        f"{path}: line {reader.line_num} has {len(row)} fields, not n,alpha")
-                rows.append((int(row[0]), int(row[1])))
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
+        for row in reader:
+            if not row or row[0].strip().lower() == "n":
+                continue
+            if len(row) != 2:
+                raise FormatError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, not n,alpha")
+            rows.append((int(row[0]), int(row[1])))
     except (ValueError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: not a coefficient CSV ({exc})") from exc
     if not rows:

@@ -6,6 +6,7 @@ walk covers with one lane, and again after a fixed 2 000-entry block, which
 gives it at least 4 lanes.
 """
 
+import builtins
 import hashlib
 import os
 import subprocess
@@ -84,17 +85,14 @@ def walk_reference(body: bytes):
 
 def lane_offsets(body: bytes):
     """The record offsets of the loader's lane walk over a checksummed-away
-    HICF body, rebuilt from each lane's entry and length bytes; None where
+    HICF body, rebuilt from its length bytes in record order; None where
     the walk does not certify them."""
     N = int.from_bytes(body[12:20], "little")
-    walk = qseries._lane_walk(np.frombuffer(body, dtype=np.uint8), HEADER, len(body), N)
-    if walk is None:
+    lens = qseries._lane_walk(np.frombuffer(body, dtype=np.uint8), HEADER, len(body), N)
+    if lens is None:
         return None
-    entries, counts, lens = walk
-    out = [np.array([entries[0]])]
-    for entry, count, row in zip(entries, counts, lens.T):
-        out.append(entry + np.cumsum(row[:count].astype(np.int64) + 1))
-    return np.concatenate(out)
+    steps = lens.T[lens.T != 0].astype(np.int64) + 1
+    return np.concatenate([[HEADER], HEADER + np.cumsum(steps)])
 
 
 def lanes(body: bytes) -> int:
@@ -224,6 +222,22 @@ def test_zero_length_record_rejected(tmp_path):
         load_coeffs(path)
 
 
+def test_lane_walk_declines_zero_length_record(tmp_path):
+    # a record "00" inside the block: the records still tile the stream, so
+    # only the certificate's length clause leaves it to the sequential walk
+    k = len(BLOCK) // 2
+    head = encode_reference(BLOCK[:k])[:-8]
+    tail = encode_reference(BLOCK[k:])[HEADER:-8]
+    body = head[:12] + (len(BLOCK) + 1).to_bytes(8, "little") + head[HEADER:] + b"\x00" + tail
+    assert lanes(body) >= 4
+    assert qseries._lane_walk(np.frombuffer(body, dtype=np.uint8), HEADER, len(body),
+                              len(BLOCK) + 1) is None
+    path = write(tmp_path, sign(body))
+    with pytest.raises(FormatError) as err:
+        load_coeffs(path)
+    assert str(err.value) == f"{path}: record n={k + 1} has length 0"
+
+
 def test_other_weight_rejected(tmp_path):
     # a well-formed, correctly signed file of weight 15/2: the readers would
     # normalize alpha for a form this program does not have
@@ -288,17 +302,37 @@ def test_empty_file_is_bad_magic(tmp_path, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
 def test_pipe_is_read_whole(tmp_path):
-    # a pipe reports no size, so it is read, not mapped
+    # a pipe reports no size, so it is read, not mapped, and read only once:
+    # the HICF body and the CSV text of the same values both load from it
     values = [1, 0, 0, -56, 0, 0, 0, 0, 252]
-    body = encode_reference(values)
-    r, w = os.pipe()
-    try:
-        os.write(w, body)
-        os.close(w)
-        back = load_coeffs(f"/dev/fd/{r}")
-    finally:
-        os.close(r)
-    assert back.alpha.tolist() == [0] + values
+    csv_text = "n,alpha\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values, 1))
+    for body in (encode_reference(values), csv_text.encode()):
+        r, w = os.pipe()
+        try:
+            os.write(w, body)
+            os.close(w)
+            back = load_coeffs(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert back.alpha.tolist() == [0] + values
+
+
+def test_each_file_is_opened_once(tmp_path, monkeypatch):
+    table = CoeffTable([0] + BLOCK)
+    paths = [str(tmp_path / "t.hicf"), str(tmp_path / "t.csv")]
+    for path in paths:
+        save_coeffs(table, path)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for path in paths:
+        assert load_coeffs(path).alpha.tolist() == [0] + BLOCK
+    assert opened == paths
 
 
 def test_loaded_alpha_is_owned_and_writeable(tmp_path):

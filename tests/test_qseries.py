@@ -205,14 +205,11 @@ class TestDeltaHalfIntegral:
         # the loader's lane walk certifies the record starts of the full table
         buf = np.frombuffer(data, dtype=np.uint8)
         end = len(data) - 8
-        walk = qseries._lane_walk(buf, 20, end, big_table.N)
-        assert walk is not None
-        entries, counts, lens = walk
-        walked = np.concatenate([[20]] + [
-            entry + np.cumsum(row[:count].astype(np.int64) + 1)
-            for entry, count, row in zip(entries, counts, lens.T)])
-        steps = np.fromiter(qseries._record_lengths(data, 20, end, big_table.N), np.int64)
-        sequential = np.concatenate([[20], 20 + np.cumsum(steps + 1)])
+        lens = qseries._lane_walk(buf, 20, end, big_table.N)
+        assert lens is not None
+        walked = np.concatenate([[20], 20 + np.cumsum(lens.T[lens.T != 0].astype(np.int64) + 1)])
+        steps = qseries._sequential_walk(str(path), data, 20, end, big_table.N)[:, 0]
+        sequential = np.concatenate([[20], 20 + np.cumsum(steps.astype(np.int64) + 1)])
         assert np.array_equal(walked, sequential)
         back = load_coeffs(str(path))
         assert back.alpha.dtype == np.int64
